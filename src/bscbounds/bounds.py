@@ -2,17 +2,17 @@
 
 The scalar evaluators take already-computed summary quantities (a flip rate,
 an entropy, an MMSE level) and apply the bound formulas. The vector
-evaluators take an explicit joint law, run the exhaustive permutation
-searches from the dist module, and report per-symbol values, with one
+evaluators take an explicit joint law, find the optimal prediction order
+exactly with the subset dynamic program of the dist module (up to its
+EXHAUSTIVE_CAP coordinates; ties go to the lexicographically first order
+whose every prefix is optimal), and report per-symbol values, with one
 exception: the memory-noise bound reports total bits, because that is the
 quantity the ordered sum actually bounds.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,10 +20,11 @@ import numpy as np
 from .dist import (
     EXHAUSTIVE_CAP,
     ExplicitPmf,
-    _chain_cost_table,
+    _best_order,
     _check_permutation,
-    _marginal,
-    _mask_coords,
+    _cost_table,
+    _expand,
+    _fold,
     best_case_mmse_given_output,
     worst_case_mmse,
 )
@@ -170,20 +171,8 @@ def conditional_vector_mmse_gerber(
             variant="per-component",
         )
 
-    tables = [(wt, _chain_cost_table(pmf)) for wt, pmf in members]
-    best = -math.inf
-    best_order: tuple[int, ...] = ()
-    for perm in itertools.permutations(range(1, n + 1)):
-        tot = 0.0
-        for wt, cost in tables:
-            mask = 0
-            acc = 0.0
-            for j in perm:
-                acc += cost[(mask, j)]
-                mask |= 1 << (j - 1)
-            tot += wt * acc
-        if tot > best:
-            best, best_order = tot, perm
+    step = sum(wt * _cost_table(pmf) for wt, pmf in members)
+    best, best_order = _best_order(n, step, pick_max=True)
     value = ha + (1.0 - ha) * 4.0 * best / n
     return BoundResult(
         "conditional-mmse-gerber",
@@ -193,32 +182,34 @@ def conditional_vector_mmse_gerber(
     )
 
 
-def _subset_entropies(pmf: ExplicitPmf) -> list[float]:
+def _subset_entropies(pmf: ExplicitPmf) -> np.ndarray:
     """Entropy of every coordinate-subset marginal, indexed by mask."""
-    n, w = pmf.n, pmf.weights
-    ent = [0.0] * (1 << n)
-    for mask in range(1, 1 << n):
-        m = _marginal(w, n, _mask_coords(mask, n))
-        pos = m[m > 0.0]
-        ent[mask] = float(-(pos * np.log2(pos)).sum())
-    return ent
+    n = pmf.n
+    m = _expand(pmf.weights.reshape((2,) * n), range(n - 1, -1, -1))
+    terms = np.zeros_like(m)
+    pos = m > 0.0
+    terms[pos] = -m[pos] * np.log2(m[pos])
+    return _fold(terms, range(n)).reshape(-1)
 
 
-def _profile_step(ent: list[float], mask: int, nxt: int) -> float:
-    # chain-rule difference, clamped against float drift outside [0, 1]
-    return min(max(ent[nxt] - ent[mask], 0.0), 1.0)
+def _entropy_steps(pmf: ExplicitPmf) -> tuple[float, np.ndarray]:
+    """H(Z) and steps[mask, j-1] = H(Z_j | Z_mask), the chain-rule difference
+    of subset entropies clamped against float drift outside [0, 1]."""
+    ent = _subset_entropies(pmf)
+    masks = np.arange(ent.size)[:, None]
+    steps = np.clip(ent[masks | (1 << np.arange(pmf.n))] - ent[masks], 0.0, 1.0)
+    return float(ent[-1]), steps
 
 
 def noise_profile(pmf_z: ExplicitPmf, order) -> list[float]:
     """Per-step conditional entropies H(Z_{order[i]} | earlier ordered bits)."""
     order = _check_permutation(pmf_z, order)
-    ent = _subset_entropies(pmf_z)
+    _, steps = _entropy_steps(pmf_z)
     out: list[float] = []
     mask = 0
     for j in order:
-        nxt = mask | (1 << (j - 1))
-        out.append(_profile_step(ent, mask, nxt))
-        mask = nxt
+        out.append(float(steps[mask, j - 1]))
+        mask |= 1 << (j - 1)
     return out
 
 
@@ -227,35 +218,30 @@ def _same_dimension(pmf_x: ExplicitPmf, pmf_z: ExplicitPmf) -> None:
         raise DomainError(f"source has n={pmf_x.n} but noise has n={pmf_z.n}")
 
 
-def _memory_noise_total(
-    order: Sequence[int], cost: dict, ent: list[float], n: int
-) -> float:
-    hz = ent[(1 << n) - 1]
-    mask = 0
-    msum = 0.0
-    cross = 0.0
-    for j in order:
-        nxt = mask | (1 << (j - 1))
-        c = cost[(mask, j)]
-        msum += c
-        cross += _profile_step(ent, mask, nxt) * c
-        mask = nxt
-    return hz + 4.0 * msum - 4.0 * cross
+def _memory_noise_steps(pmf_x: ExplicitPmf, pmf_z: ExplicitPmf) -> tuple[float, np.ndarray]:
+    """H(Z) and step[mask, j-1] = 4 M (1 - H), M the clean MMSE of source bit
+    j given the mask bits and H the matching noise entropy step."""
+    hz, steps = _entropy_steps(pmf_z)
+    return hz, 4.0 * _cost_table(pmf_x) * (1.0 - steps)
 
 
 def memory_noise_term(pmf_x: ExplicitPmf, pmf_z: ExplicitPmf, order) -> float:
     """Value of the ordered memory-noise bound for one specific order:
 
-        H(Z) + 4 * sum_i M_i - 4 * sum_i H_i * M_i
+        H(Z) + 4 * sum_i M_i * (1 - H_i)
 
     in total bits, where M_i is the clean MMSE of source bit order[i] given
     the earlier ordered source bits and H_i the matching noise entropy step.
     """
     _same_dimension(pmf_x, pmf_z)
     order = _check_permutation(pmf_x, order)
-    cost = _chain_cost_table(pmf_x)
-    ent = _subset_entropies(pmf_z)
-    return _memory_noise_total(order, cost, ent, pmf_x.n)
+    hz, step = _memory_noise_steps(pmf_x, pmf_z)
+    total = 0.0
+    mask = 0
+    for j in order:
+        total += float(step[mask, j - 1])
+        mask |= 1 << (j - 1)
+    return hz + total
 
 
 def vector_memory_noise(
@@ -264,23 +250,19 @@ def vector_memory_noise(
     """Lower bound on the total output entropy H(Y) for Y = X xor Z with the
     noise Z allowed its own memory, maximized over prediction orders.
 
-    Reports total bits over all n symbols, not a per-symbol rate.
+    The order is the lexicographically first one whose every prefix is
+    optimal, and memory_noise_term gives the same value at it. Reports total
+    bits over all n symbols, not a per-symbol rate.
     """
     _same_dimension(pmf_x, pmf_z)
     if pmf_x.n > cap:
         raise DimensionError(f"n={pmf_x.n} above the exhaustive-search cap {cap}")
-    cost = _chain_cost_table(pmf_x)
-    ent = _subset_entropies(pmf_z)
-    best = -math.inf
-    best_order: tuple[int, ...] = ()
-    for perm in itertools.permutations(range(1, pmf_x.n + 1)):
-        tot = _memory_noise_total(perm, cost, ent, pmf_x.n)
-        if tot > best:
-            best, best_order = tot, perm
+    hz, step = _memory_noise_steps(pmf_x, pmf_z)
+    best, best_order = _best_order(pmf_x.n, step, pick_max=True)
     return BoundResult(
         "memory-noise",
-        best,
-        {"n": pmf_x.n, "order": best_order, "noise_entropy": ent[(1 << pmf_x.n) - 1]},
+        hz + best,
+        {"n": pmf_x.n, "order": best_order, "noise_entropy": hz},
     )
 
 

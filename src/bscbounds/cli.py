@@ -21,7 +21,6 @@ from .bounds import (
     scalar_memory_noise,
     scalar_mmse_gerber,
     scalar_upper,
-    vector_mmse_gerber,
     vector_upper,
 )
 from .dist import (
@@ -186,8 +185,9 @@ def _run_validate(args: argparse.Namespace) -> int:
         if not r.passed:
             failed = True
         detail = f"  ({r.detail})" if r.detail else ""
+        slack = r.slack or 0.0  # print a zero slack as 0, never -0
         print(f"{'PASS' if r.passed else 'FAIL'} {r.name:<32} "
-              f"worst_slack={r.slack: .3e}{detail}")
+              f"worst_slack={slack: .3e}{detail}")
     print(f"{sum(r.passed for r in results)}/{len(results)} checks passed")
     return 1 if failed else 0
 
@@ -205,11 +205,12 @@ def _run_pmf_mmse(args: argparse.Namespace) -> int:
     print(f"greedy_order = {','.join(map(str, greedy))}")
     print(f"greedy_mmse = {_fmt12(mmse_along_permutation(pmf, greedy))}")
     if args.alpha is not None:
-        lower = vector_mmse_gerber(pmf, args.alpha)
+        # the lower bound is vector_mmse_gerber's, reusing the search above
+        lower = scalar_mmse_gerber(args.alpha, worst / pmf.n)
         upper = vector_upper(pmf, args.alpha)
         exact = entropy(apply_bsc(pmf, args.alpha)) / pmf.n
         print(f"alpha = {args.alpha}")
-        print(f"lower_bound_per_symbol = {_fmt12(lower.value)}")
+        print(f"lower_bound_per_symbol = {_fmt12(lower)}")
         print(f"exact_output_entropy_per_symbol = {_fmt12(exact)}")
         print(f"upper_bound_per_symbol = {_fmt12(upper.value)}")
     return 0

@@ -8,8 +8,6 @@ stores coordinate x_{k+1}; coordinates are numbered 1..n throughout.
 
 from __future__ import annotations
 
-import itertools
-import math
 from collections.abc import Iterable, Sequence
 
 import numpy as np
@@ -173,79 +171,141 @@ def mmse_along_permutation(pmf: ExplicitPmf, order: Sequence[int]) -> float:
     return total
 
 
-def _mask_coords(mask: int, n: int) -> tuple[int, ...]:
-    return tuple(j for j in range(1, n + 1) if mask & (1 << (j - 1)))
+def _expand(t: np.ndarray, axes: Iterable[int]) -> np.ndarray:
+    """Append to each listed axis of size 2 the entry that sums it out.
 
-
-def _chain_cost_table(pmf: ExplicitPmf) -> dict[tuple[int, int], float]:
-    """cost[(prefix_mask, j)] = MMSE(X_j | coordinates in prefix_mask).
-
-    Built one marginal per nonempty coordinate subset, so every permutation
-    enumeration reuses the same floats as conditional_mmse would produce.
+    Afterwards index 0 or 1 on such an axis fixes the coordinate's value and
+    index 2 leaves it unobserved, so every subset marginal sits in one
+    3-valued table, each derived from its parent by summing one axis.
     """
-    n, w = pmf.n, pmf.weights
-    cost: dict[tuple[int, int], float] = {}
-    for tmask in range(1, 1 << n):
-        coords = _mask_coords(tmask, n)
-        m = _marginal(w, n, coords)
-        for t, j in enumerate(coords):
-            cost[(tmask ^ (1 << (j - 1)), j)] = _split_mmse(m, t)
+    for ax in axes:
+        t = np.concatenate((t, t.sum(axis=ax, keepdims=True)), axis=ax)
+    return t
+
+
+def _fold(r: np.ndarray, axes: Iterable[int]) -> np.ndarray:
+    """Sum per-context values of an _expand table into one value per subset.
+
+    On each listed axis, index 0 becomes the unobserved entry and index 1 the
+    sum over both observed values, so on a table with all k axes folded the
+    flat index is the subset mask (axis 0 holds the highest coordinate).
+    """
+    for ax in axes:
+        r = np.stack((r.take(2, axis=ax), r.take(0, axis=ax) + r.take(1, axis=ax)), axis=ax)
+    return r
+
+
+def _cost_table(pmf: ExplicitPmf, alpha: float = 0.0) -> np.ndarray:
+    """cost[mask, j-1] = MMSE(X_j | the coordinates in mask, each seen
+    through a symmetric channel with flip rate alpha).
+
+    All targets are handled at once: row j-1 of a batched table holds the
+    weights regrouped by (x_j, the other coordinates). Every other
+    coordinate passes through the channel and is expanded to its subset
+    marginals; x_j splits each context's mass into (a, b), which adds
+    a b / (a + b) (zero-mass contexts drop out); and the contexts fold to
+    masks. Entries whose mask contains j are undefined and hold NaN.
+    """
+    n = pmf.n
+    # masks[j-1, c]: the (n-1)-bit context index c with a 0 put in at bit j-1
+    packed = np.arange(1 << (n - 1))
+    bit = np.arange(n)[:, None]
+    masks = (packed & ((1 << bit) - 1)) | ((packed >> bit) << (bit + 1))
+    # t[j-1, x, c]: the weight with x_j = x and the other coordinates given by c
+    xj = np.arange(2)[:, None] << bit[:, None]
+    t = pmf.weights[masks[:, None, :] | xj].reshape(-1)
+    if alpha:
+        # the context coordinates are the low n-1 bits of the flat index
+        for s in range(n - 1):
+            t = _channel_mix(t, s, alpha)
+    t = _expand(t.reshape((n, 2) + (2,) * (n - 1)), range(n, 1, -1))
+    a, b = t[:, 0], t[:, 1]
+    tot = a + b
+    ctx = np.divide(a * b, tot, out=np.zeros_like(tot), where=tot > 0.0)
+    folded = _fold(ctx, range(1, n)).reshape(n, -1)
+    cost = np.full((1 << n, n), np.nan)
+    cost[masks, bit] = folded
     return cost
 
 
-def _noisy_cost_table(pmf: ExplicitPmf, alpha: float) -> dict[tuple[int, int], float]:
-    """cost[(prefix_mask, j)] = MMSE(X_j | noisy outputs of the prefix_mask bits)."""
-    n, w = pmf.n, pmf.weights
-    cost: dict[tuple[int, int], float] = {}
-    for tmask in range(1, 1 << n):
-        coords = _mask_coords(tmask, n)
-        base = _marginal(w, n, coords)
-        for t, j in enumerate(coords):
-            m = base
-            for s in range(len(coords)):
-                if s != t:
-                    m = _channel_mix(m, s, alpha)
-            cost[(tmask ^ (1 << (j - 1)), j)] = _split_mmse(m, t)
-    return cost
+def _lattice(n: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """For each subset size k = 1..n: the masks of that size, and per mask
+    the k masks one coordinate smaller and the bit index j-1 that was removed."""
+    masks = np.arange(1 << n)
+    has = (masks[:, None] >> np.arange(n)) & 1 == 1
+    size = has.sum(axis=1)
+    levels = []
+    for k in range(1, n + 1):
+        sub = np.flatnonzero(size == k)
+        col = np.nonzero(has[sub])[1].reshape(-1, k)
+        levels.append((sub, sub[:, None] ^ (1 << col), col))
+    return levels
 
 
-def _enumerate_orders(
-    n: int, cost: dict[tuple[int, int], float], pick_max: bool
-) -> tuple[float, tuple[int, ...]]:
-    # strict comparison keeps the lexicographically first optimum
-    best = -math.inf if pick_max else math.inf
-    best_order: tuple[int, ...] = ()
-    for perm in itertools.permutations(range(1, n + 1)):
-        mask = 0
-        tot = 0.0
-        for j in perm:
-            tot += cost[(mask, j)]
-            mask |= 1 << (j - 1)
-        if (tot > best) if pick_max else (tot < best):
-            best, best_order = tot, perm
-    return best, best_order
+def _best_order(n: int, step: np.ndarray, pick_max: bool) -> tuple[float, tuple[int, ...]]:
+    """Optimal additive prediction order by dynamic programming over subsets.
+
+    `step[mask, j-1]` is the cost of predicting coordinate j after the ones
+    in mask. Forward over subsets of growing size,
+
+        best[S] = opt_j (best[S without j] + step[S without j, j-1]),
+
+    which is exactly the max (or min) of the left-to-right sums of all n!
+    orders, since rounded addition is monotone. The returned order is the
+    lexicographically first one whose every prefix is optimal for its set.
+    """
+    lattice = _lattice(n)
+    opt = np.max if pick_max else np.min
+    best = np.zeros(1 << n)
+    tight = []
+    for sub, pred, col in lattice:
+        cand = best[pred] + step[pred, col]
+        best[sub] = top = opt(cand, axis=1)
+        tight.append(cand == top[:, None])
+
+    # reach[S]: a chain of tight edges leads from S to the full set
+    reach = np.zeros(1 << n, dtype=bool)
+    reach[-1] = True
+    for (sub, pred, _), edge in zip(reversed(lattice), reversed(tight)):
+        reach[pred[edge & reach[sub][:, None]]] = True
+
+    order: list[int] = []
+    mask = 0
+    for _ in range(n):
+        j = next(j for j in range(n)
+                 if not mask >> j & 1 and reach[mask | 1 << j]
+                 and best[mask] + step[mask, j] == best[mask | 1 << j])
+        order.append(j + 1)
+        mask |= 1 << j
+    return float(best[-1]), tuple(order)
 
 
 def worst_case_mmse(pmf: ExplicitPmf, cap: int = EXHAUSTIVE_CAP) -> tuple[float, tuple[int, ...]]:
-    """Exhaustive max of mmse_along_permutation over all n! orders.
+    """Max of mmse_along_permutation over all n! orders, found exactly by a
+    dynamic program over coordinate subsets.
 
-    Returns (value, order), the order being the lexicographically first
-    maximizer. Refuses n above `cap` since the search is factorial.
+    Returns (value, order), the order being the lexicographically first one
+    whose every prefix is optimal. Refuses n above `cap`.
     """
     if pmf.n > cap:
         raise DimensionError(f"n={pmf.n} above the exhaustive-search cap {cap}")
-    return _enumerate_orders(pmf.n, _chain_cost_table(pmf), pick_max=True)
+    return _best_order(pmf.n, _cost_table(pmf), pick_max=True)
 
 
 def best_case_mmse_given_output(
     pmf: ExplicitPmf, alpha: float, cap: int = EXHAUSTIVE_CAP
 ) -> tuple[float, tuple[int, ...]]:
-    """Exhaustive min over prediction orders of the chained MMSE of each bit
-    given noisy observations of the bits ordered before it."""
+    """Min over prediction orders of the chained MMSE of each bit given noisy
+    observations of the bits ordered before it, found exactly by a dynamic
+    program over coordinate subsets.
+
+    Returns (value, order), the order being the lexicographically first one
+    whose every prefix is optimal. Refuses n above `cap`.
+    """
     if pmf.n > cap:
         raise DimensionError(f"n={pmf.n} above the exhaustive-search cap {cap}")
     alpha = check_range("alpha", alpha, 0.0, 0.5)
-    return _enumerate_orders(pmf.n, _noisy_cost_table(pmf, alpha), pick_max=False)
+    return _best_order(pmf.n, _cost_table(pmf, alpha), pick_max=False)
 
 
 def apply_bsc(pmf: ExplicitPmf, alpha: float) -> ExplicitPmf:

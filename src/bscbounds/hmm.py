@@ -276,6 +276,9 @@ def odds_cap(params: MarkovHmmParams) -> float:
     when either rate is 1/2.
     """
     q, alpha = _positive_rates(params)
+    if q == 0.5 or alpha == 0.5:
+        # exact here, where the formula below can round to 1 + 2**-52
+        return 1.0
     eta = (1.0 - alpha) / alpha
     disc = math.sqrt(4.0 * eta * q * q + ((eta - 1.0) * (1.0 - q)) ** 2)
     return ((eta - 1.0) * (1.0 - q) + disc) / (2.0 * eta * q)

@@ -130,6 +130,13 @@ class TestFigure:
         assert qh[1:6] == pytest.approx([1.0] * 5, abs=1e-8)
         assert qh[6] == 0.0
 
+    def test_fig3_half_q_row_at_alpha_022(self, capsys, tmp_path):
+        # the last row, q = 1/2, needs the exact odds cap at this channel rate
+        code, _, _ = run_cli(capsys, "figure", "fig3", "--alpha", "0.22", "--points", "5",
+                             "--samples", "2000", "--burnin", "500",
+                             "--out", str(tmp_path / "a022.csv"))
+        assert code == 0
+
     def test_fig3_seeded_rerun_is_byte_identical(self, capsys, tmp_path):
         out1, out2 = tmp_path / "r1.csv", tmp_path / "r2.csv"
         argv = ("figure", "fig3", "--seed", "1", "--points", "3",
@@ -191,6 +198,8 @@ class TestValidate:
         lines = out.strip().splitlines()
         assert all(line.startswith("PASS") for line in lines[:-1])
         assert lines[-1] == "9/9 checks passed"
+        # count checks reach slack 0 and must not print it as -0.000e+00
+        assert "worst_slack=-0.000e+00" not in out
 
     def test_nonpositive_budget_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "validate", "scalar", "--budget", "0")

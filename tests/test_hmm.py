@@ -373,6 +373,14 @@ class TestQuartic:
         for a, q in ((0.11, 0.1), (0.25, 0.05)):
             assert stationary_odds(MarkovHmmParams(q, a)) == ()
 
+    def test_half_q_has_no_interior_root(self):
+        # the cap must be exactly 1 here: rounded up to 1 + 2**-52 it would
+        # reach the s = 1 assertion, where the quartic is exactly 0
+        for a in np.linspace(0.001, 0.5, 500):
+            params = MarkovHmmParams(0.5, float(a))
+            assert odds_cap(params) == 1.0
+            assert stationary_odds(params) == ()
+
     def test_rejects_zero_rates(self):
         with pytest.raises(DomainError):
             quartic_coefficients(MarkovHmmParams(0.0, 0.11))
