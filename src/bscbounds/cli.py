@@ -55,6 +55,12 @@ _BOUND_KINDS = (
 
 _FIGURES = ("fig1a", "fig1b", "fig2a", "fig2b", "fig3")
 
+# Largest inputs that set work or memory; the Monte Carlo keeps about 200 B
+# per step, so the step cap holds one fig3 row near 2 GB.
+_MAX_POINTS = 100_001
+_MAX_MC_STEPS = 10_000_000
+_MAX_BUDGET = 10_000
+
 
 def _fmt9(v: float) -> str:
     return f"{float(v):.9g}"
@@ -112,8 +118,11 @@ def _run_bound(args: argparse.Namespace) -> int:
 
 def _figure_rows(which: str, args: argparse.Namespace):
     alpha = 0.11 if args.alpha is None else args.alpha
-    if args.points < 2:
-        raise DomainError(f"--points must be at least 2, got {args.points}")
+    if not 2 <= args.points <= _MAX_POINTS:
+        raise DomainError(f"--points must be in 2..{_MAX_POINTS}, got {args.points}")
+    if args.samples + args.burnin > _MAX_MC_STEPS:
+        raise DomainError(f"--samples + --burnin must be at most {_MAX_MC_STEPS}, "
+                          f"got {args.samples + args.burnin}")
     if which == "fig1a":
         header = ["x", "mgl_lower", "mgl_upper", "new"]
         rows = []
@@ -177,8 +186,8 @@ def _run_figure(args: argparse.Namespace) -> int:
 
 
 def _run_validate(args: argparse.Namespace) -> int:
-    if args.budget < 1:
-        raise DomainError(f"--budget must be positive, got {args.budget}")
+    if not 1 <= args.budget <= _MAX_BUDGET:
+        raise DomainError(f"--budget must be in 1..{_MAX_BUDGET}, got {args.budget}")
     results = validate_mod.run_suite(args.suite, seed=args.seed, budget=args.budget)
     failed = False
     for r in results:

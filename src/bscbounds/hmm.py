@@ -52,7 +52,6 @@ __all__ = [
 # flip rates below this are routed to their exact zero-rate limits
 _TINY_RATE = 1e-8
 
-_ROOT_CELLS = 4096
 _RESIDUAL_TOL = 1e-9
 _MAX_WINDOW = 20
 
@@ -356,58 +355,43 @@ def quartic_coefficients(params: MarkovHmmParams) -> QuarticCoefficients:
 
 
 def stationary_odds(params: MarkovHmmParams) -> tuple[float, ...]:
-    """Roots of the slope quartic inside [1, odds_cap), ascending: the odds
-    values where the conditioned MMSE turns around.
+    """Roots of the slope quartic inside the open interval (1, odds_cap),
+    ascending: the odds values where the conditioned MMSE turns around.
 
-    Sign changes are bracketed on a uniform 4096-cell split of the interval,
-    bisected to 1e-12 relative width, and polished with guarded Newton steps.
-    Every returned root must pass the scaled-residual check at 1e-9, and the
-    quartic must be positive at s = 1 (the MMSE always slopes down there).
+    The candidates are the real eigenvalues of the quartic's companion matrix
+    (numpy.roots), each polished by at most three Newton steps. Every
+    returned root must pass the scaled-residual check at 1e-9. The quartic at
+    s = 1 must match its closed form (eta-1)(eta+1)^3 (1-2m)/m to 1e-9 of
+    the coefficient norm; that value is positive (the MMSE always slopes down
+    there) but can be smaller than the rounding of the expanded sum near
+    rate 1/2, so its sign alone is not checked.
     """
     cap = odds_cap(params)
     if not cap > 1.0:
         return ()
     poly = quartic_coefficients(params)
-    if not poly(1.0) > 0.0:
-        raise AssertionError(f"expected a positive quartic at s=1 for {params!r}")
-    xs = np.linspace(1.0, cap, _ROOT_CELLS + 1)
-    vals = (((poly.c4 * xs + poly.c3) * xs + poly.c2) * xs + poly.c1) * xs + poly.c0
-    roots: list[float] = []
-    for i in range(_ROOT_CELLS):
-        va, vb = float(vals[i]), float(vals[i + 1])
-        if va == 0.0:
-            roots.append(float(xs[i]))
+    coeffs = (poly.c4, poly.c3, poly.c2, poly.c1, poly.c0)
+    eta = poly.eta
+    m = binary_convolve(params.alpha, params.q)
+    at_one = (eta - 1.0) * (eta + 1.0) ** 3 * (1.0 - 2.0 * m) / m
+    if abs(poly(1.0) - at_one) > _RESIDUAL_TOL * math.hypot(*coeffs):
+        raise AssertionError(f"quartic at s=1 misses its closed form for {params!r}")
+    roots = []
+    for z in np.roots(coeffs):
+        if z.imag != 0.0:
             continue
-        if vb == 0.0 or (va > 0.0) == (vb > 0.0):
-            # an exact zero at the right edge belongs to the next cell
-            continue
-        cell_lo, cell_hi = float(xs[i]), float(xs[i + 1])
-        lo, hi, vlo = cell_lo, cell_hi, va
-        while hi - lo > 1e-12 * max(1.0, lo):
-            mid = 0.5 * (lo + hi)
-            vm = poly(mid)
-            if vm == 0.0:
-                lo = hi = mid
-                break
-            if (vm > 0.0) == (vlo > 0.0):
-                lo, vlo = mid, vm
-            else:
-                hi = mid
-        root = 0.5 * (lo + hi)
+        root = float(z.real)
         for _ in range(3):
             d = poly.derivative(root)
             if d == 0.0:
                 break
-            nxt = root - poly(root) / d
-            if not cell_lo <= nxt <= cell_hi or nxt == root:
-                break
-            root = nxt
-        if root < cap:
+            root -= poly(root) / d
+        if 1.0 < root < cap:
             roots.append(root)
     for r in roots:
         if poly.scaled_residual(r) > _RESIDUAL_TOL:
             raise AssertionError(f"root {r!r} fails the residual check for {params!r}")
-    return tuple(roots)
+    return tuple(sorted(roots))
 
 
 def minimizing_odds(params: MarkovHmmParams) -> float:
@@ -545,4 +529,6 @@ def exact_conditional_entropy(params: MarkovHmmParams, n: int) -> float:
     next_one = s0 * alpha + s1 * (1.0 - alpha)
     mask = prefix > 0.0
     cond = next_one[mask] / prefix[mask]
-    return float((prefix[mask] * _entropy_vec(cond)).sum())
+    # the prefix weights sum to 1 only up to rounding, which can lift the
+    # result past 1 near alpha = 1/2
+    return min(1.0, float((prefix[mask] * _entropy_vec(cond)).sum()))

@@ -73,6 +73,12 @@ class TestBound:
         assert code == 2
         assert "alpha" in err
 
+    def test_theorem6_near_half_alpha(self, capsys):
+        code, out, _ = run_cli(capsys, "bound", "theorem6", "--alpha", "0.499999999",
+                               "--q", "0.1")
+        assert code == 0
+        assert float(out.rsplit("=", 1)[1]) == pytest.approx(1.0, abs=1e-9)
+
 
 class TestFigure:
     def test_fig1a_endpoints(self, capsys, tmp_path):
@@ -137,6 +143,12 @@ class TestFigure:
                              "--out", str(tmp_path / "a022.csv"))
         assert code == 0
 
+    def test_fig3_near_half_alpha(self, capsys, tmp_path):
+        code, _, _ = run_cli(capsys, "figure", "fig3", "--alpha", "0.499999999",
+                             "--points", "5", "--samples", "2000", "--burnin", "500",
+                             "--out", str(tmp_path / "a05.csv"))
+        assert code == 0
+
     def test_fig3_seeded_rerun_is_byte_identical(self, capsys, tmp_path):
         out1, out2 = tmp_path / "r1.csv", tmp_path / "r2.csv"
         argv = ("figure", "fig3", "--seed", "1", "--points", "3",
@@ -163,6 +175,22 @@ class TestFigure:
                                "--out", str(tmp_path / "x.csv"))
         assert code == 2
         assert "points" in err
+
+    @pytest.mark.parametrize("flags", [
+        ("--points", "100002"),
+        ("--samples", "10000000", "--burnin", "1"),
+        ("--samples", "1", "--burnin", "10000000"),
+    ])
+    def test_work_past_cap_exits_2(self, capsys, tmp_path, monkeypatch, flags):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the cap must be checked before any work")
+
+        monkeypatch.setattr(cli, "entropy_rate_mc", refuse)
+        out = tmp_path / "big.csv"
+        code, _, err = run_cli(capsys, "figure", "fig3", *flags, "--out", str(out))
+        assert code == 2
+        assert flags[0] in err
+        assert not out.exists()
 
     def test_unwritable_path_exits_3(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "figure", "fig1a", "--points", "2",
@@ -203,6 +231,15 @@ class TestValidate:
 
     def test_nonpositive_budget_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "validate", "scalar", "--budget", "0")
+        assert code == 2
+        assert "budget" in err
+
+    def test_budget_past_cap_exits_2(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the cap must be checked before any work")
+
+        monkeypatch.setattr(cli.validate_mod, "run_suite", refuse)
+        code, _, err = run_cli(capsys, "validate", "scalar", "--budget", "10001")
         assert code == 2
         assert "budget" in err
 

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -337,6 +338,36 @@ class TestMmseGivenOdds:
             mmse_given_odds(-2.0, MarkovHmmParams(0.1, 0.11))
 
 
+C07_GRID = [MarkovHmmParams(q, a) for a in (0.05, 0.11, 0.25)
+            for q in (0.05, 0.1, 0.2, 0.3, 0.45)]
+NEAR_HALF = [MarkovHmmParams(float(q), a) for q in np.linspace(0.001, 0.499, 25)
+             for a in (0.5 - 1e-6, 0.5 - 1e-9)] + [MarkovHmmParams(0.5 - 1e-12, 0.499)]
+CLOSE_ROOTS = MarkovHmmParams(0.001, 0.0370287148)
+
+
+def _mp_interior_roots(params):
+    """Real roots of the slope quartic in (1, cap), solved at 50 digits from
+    the formulas in the quartic_coefficients and odds_cap docstrings."""
+    with mpmath.workdps(50):
+        q, a = mpmath.mpf(params.q), mpmath.mpf(params.alpha)
+        m = a * (1 - q) + q * (1 - a)
+        eta = (1 - a) / a
+        beta = (1 - m) / m
+        coeffs = [
+            eta * (beta + eta**2),
+            3 * eta**2 / m - eta**4 - beta,
+            3 * eta * (1 - 2 * m) / m * (eta**2 - 1),
+            beta * eta**4 + 1 - 3 * eta**2 / m,
+            -eta * (1 + beta * eta**2),
+        ]
+        disc = mpmath.sqrt(4 * eta * q**2 + ((eta - 1) * (1 - q)) ** 2)
+        cap = ((eta - 1) * (1 - q) + disc) / (2 * eta * q)
+        roots = mpmath.polyroots(coeffs, maxsteps=200, extraprec=200)
+        real = [mpmath.re(r) for r in roots
+                if abs(mpmath.im(r)) <= mpmath.mpf(10) ** -30 * abs(r)]
+        return sorted(float(r) for r in real if 1 < r < cap)
+
+
 class TestQuartic:
     def test_sign_consistency_at_one(self):
         # g slopes down at s=1, so the sign polynomial must be positive there
@@ -374,12 +405,48 @@ class TestQuartic:
             assert stationary_odds(MarkovHmmParams(q, a)) == ()
 
     def test_half_q_has_no_interior_root(self):
-        # the cap must be exactly 1 here: rounded up to 1 + 2**-52 it would
-        # reach the s = 1 assertion, where the quartic is exactly 0
+        # the quartic is exactly 0 at s = 1 when q = 1/2, and the cap must be
+        # exactly 1 so that the interval (1, cap) admits no root there
         for a in np.linspace(0.001, 0.5, 500):
             params = MarkovHmmParams(0.5, float(a))
             assert odds_cap(params) == 1.0
             assert stationary_odds(params) == ()
+
+    def test_near_half_rates_return_interior_roots(self):
+        # near rate 1/2 the quartic at s = 1 is smaller than the rounding of
+        # its expanded sum, so its computed sign is noise there
+        for params in NEAR_HALF:
+            cap = odds_cap(params)
+            for root in stationary_odds(params):
+                assert 1.0 < root < cap
+
+    def test_close_roots_are_both_found(self):
+        # the two turning points are about 0.004 apart, far below any coarse
+        # bracketing cell on the interval up to the cap near 960
+        params = CLOSE_ROOTS
+        poly = quartic_coefficients(params)
+        roots = stationary_odds(params)
+        assert len(roots) == 2
+        grid = np.linspace(12.93, 12.96, 200_001)
+        eta = poly.eta
+        m = binary_convolve(params.alpha, params.q)
+        gp = ((1.0 - m) * eta * (1.0 - eta * grid) / (1.0 + eta * grid) ** 3
+              + m * eta * (eta - grid) / (eta + grid) ** 3)
+        signs = np.sign(gp)
+        flips = np.nonzero(signs[:-1] * signs[1:] < 0)[0]
+        assert len(flips) == 2
+        width = float(grid[1] - grid[0])
+        for idx, root in zip(flips, roots):
+            assert abs(float(grid[idx]) - root) <= 2.0 * width
+
+    @pytest.mark.parametrize("params", C07_GRID + NEAR_HALF + [CLOSE_ROOTS],
+                             ids=lambda p: f"q={p.q!r},a={p.alpha!r}")
+    def test_matches_50_digit_roots(self, params):
+        want = _mp_interior_roots(params)
+        got = stationary_odds(params)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g == pytest.approx(w, rel=1e-9, abs=0)
 
     def test_rejects_zero_rates(self):
         with pytest.raises(DomainError):
@@ -508,6 +575,12 @@ class TestExactConditionalEntropy:
         params = MarkovHmmParams(0.2, 0.11)
         vals = [exact_conditional_entropy(params, n) for n in range(1, 17)]
         assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
+
+    def test_capped_at_one_near_half_alpha(self):
+        # the prefix weights sum to 1 + eps here, so the unclamped sum tops 1
+        for n in (12, 20):
+            v = exact_conditional_entropy(MarkovHmmParams(0.1, 0.4999999), n)
+            assert 1.0 - 1e-9 < v <= 1.0
 
     def test_window_cap(self):
         with pytest.raises(DimensionError):
