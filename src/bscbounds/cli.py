@@ -55,8 +55,9 @@ _BOUND_KINDS = (
 
 _FIGURES = ("fig1a", "fig1b", "fig2a", "fig2b", "fig3")
 
-# Largest inputs that set work or memory; the Monte Carlo keeps about 200 B
-# per step, so the step cap holds one fig3 row near 2 GB.
+# Largest inputs that set work or memory. The Monte Carlo streams its steps
+# in fixed chunks and peaks near 5 MB at any length, so the step cap bounds
+# work: one fig3 row at the cap takes about 1 s.
 _MAX_POINTS = 100_001
 _MAX_MC_STEPS = 10_000_000
 _MAX_BUDGET = 10_000

@@ -55,6 +55,18 @@ _TINY_RATE = 1e-8
 _RESIDUAL_TOL = 1e-9
 _MAX_WINDOW = 20
 
+# The Monte Carlo draws and simulates _MC_CHUNK steps at a time, cut into
+# blocks of _MC_BLOCK steps that numpy runs side by side. Block maps are
+# rescaled every _MC_RESCALE steps: between rescales an entry grows by at
+# most eta**_MC_RESCALE < 1e64 for any rate above _TINY_RATE.
+_MC_CHUNK = 1 << 16
+_MC_BLOCK = 64
+_MC_RESCALE = 8
+# Entropy terms are evaluated over slices of this many steps: their 64 KB
+# temporaries stay below malloc's mmap threshold, while whole-chunk ones were
+# mapped fresh each time and made this stage about 2.5x slower.
+_MC_PIECE = 1 << 13
+
 
 @dataclass(frozen=True)
 class MarkovHmmParams:
@@ -440,6 +452,122 @@ def belief_bound(params: MarkovHmmParams, variant: str = "factor4") -> BoundResu
     )
 
 
+def _propagate_llr_vec(t: np.ndarray, q: float) -> np.ndarray:
+    """propagate_llr over an array, in the same stable form, so the result is
+    exactly odd in t."""
+    cq = 1.0 - q
+    e = np.exp(-np.abs(t))
+    return np.copysign(np.log((cq + q * e) / (q + cq * e)), t)
+
+
+def _chunked_draws(rng: np.random.Generator, total: int):
+    """Yield the uniforms behind R and S, _MC_CHUNK steps at a time.
+
+    They are the numbers, in order, of rng.random(total) for R followed by
+    rng.random(total) for S: S comes from a copy of the bit generator moved
+    past the R draws, by PCG64.advance where that skips whole doubles and by
+    drawing otherwise. rng ends where those 2 * total draws leave it.
+    """
+    s_bits = type(rng.bit_generator)()
+    s_bits.state = rng.bit_generator.state
+    s_rng = np.random.Generator(s_bits)
+    if isinstance(s_bits, (np.random.PCG64, np.random.PCG64DXSM)):
+        s_bits.advance(total)
+    else:
+        for start in range(0, total, _MC_CHUNK):
+            s_rng.random(min(_MC_CHUNK, total - start))
+    for start in range(0, total, _MC_CHUNK):
+        size = min(_MC_CHUNK, total - start)
+        yield rng.random(size), s_rng.random(size)
+    rng.bit_generator.state = s_bits.state
+
+
+def _mc_chunk(w0: float, r_neg: np.ndarray, s_neg: np.ndarray, q: float,
+              eta: float, ln_eta: float) -> np.ndarray:
+    """Log odds W after each step of one chunk, given W before its first step.
+
+    r_neg and s_neg flag the steps whose R and S are negative. In odds
+    x = e^W a step is the Moebius map of M = D J^s Q, with Q the Markov
+    matrix, J the row swap and D = diag(eta, 1), or diag(1, eta) when R is
+    negative (the same map as diag(1/eta, 1), without rounding 1/eta). The
+    chunk is cut into blocks of _MC_BLOCK steps. Pass A multiplies out each
+    block's map, every block at once; since J Q = Q J and J D J swaps D's
+    diagonal, a block's product is J^(swaps in the block) times the product
+    of the D Q, each D swapped by the parity of the swaps up to its own step,
+    so only the row that eta scales varies between blocks. All entries stay
+    nonnegative, so the products lose nothing to cancellation. Pass B
+    carries W across the blocks one map at a time. Pass C reruns every
+    block from its start with the log-odds step itself.
+    """
+    n = r_neg.size
+    blocks = -(-n // _MC_BLOCK)
+    pad = blocks * _MC_BLOCK - n
+
+    def by_step(flags: np.ndarray) -> np.ndarray:
+        # row j holds step j of every block; padding steps are never read
+        return np.pad(flags, (0, pad)).reshape(blocks, _MC_BLOCK).T.copy()
+
+    r_neg, s_neg = by_step(r_neg), by_step(s_neg)
+    cq = 1.0 - q
+
+    # pass A: rows (a, b) and (c, d) of every block's map on (x, 1)
+    swapped = np.logical_xor.accumulate(s_neg, axis=0)
+    eta_top = r_neg == swapped
+    eta_bot = ~eta_top
+    scale_top = eta_top * eta + eta_bot
+    scale_bot = eta_bot * eta + eta_top
+    top = np.zeros((2, blocks))
+    top[0] = 1.0
+    bot = np.zeros((2, blocks))
+    bot[1] = 1.0
+    for j in range(_MC_BLOCK):
+        mixed = cq * top + q * bot
+        bot = (q * top + cq * bot) * scale_bot[j]
+        top = mixed * scale_top[j]
+        if j % _MC_RESCALE == _MC_RESCALE - 1:
+            peak = np.maximum(top.max(axis=0), bot.max(axis=0))
+            top /= peak
+            bot /= peak
+    odd = swapped[-1]
+    top, bot = np.where(odd, bot, top), np.where(odd, top, bot)
+
+    # pass B: W at the start of every block, in the stable form for either sign
+    starts = [0.0] * blocks
+    a, b = top[0].tolist(), top[1].tolist()
+    c, d = bot[0].tolist(), bot[1].tolist()
+    w = w0
+    for k in range(blocks):
+        starts[k] = w
+        if w >= 0.0:
+            e = math.exp(-w)
+            w = math.log((a[k] + b[k] * e) / (c[k] + d[k] * e))
+        else:
+            e = math.exp(w)
+            w = math.log((a[k] * e + b[k]) / (c[k] * e + d[k]))
+
+    # pass C
+    r_step = ln_eta - (2.0 * ln_eta) * r_neg
+    s_sign = 1.0 - 2.0 * s_neg
+    ws = np.empty((blocks, _MC_BLOCK))
+    w = np.array(starts)
+    for j in range(_MC_BLOCK):
+        w = r_step[j] + s_sign[j] * _propagate_llr_vec(w, q)
+        ws[:, j] = w
+    return ws.reshape(-1)[:n]
+
+
+def _belief_path(q: float, alpha: float, total: int, rng: np.random.Generator):
+    """Yield W_1 .. W_total of the belief recursion from W_0 = 0, one chunk
+    of at most _MC_CHUNK values at a time."""
+    eta = (1.0 - alpha) / alpha
+    ln_eta = math.log(eta)
+    w = 0.0
+    for r_u, s_u in _chunked_draws(rng, total):
+        ws = _mc_chunk(w, r_u < alpha, s_u < q, q, eta, ln_eta)
+        w = float(ws[-1])
+        yield ws
+
+
 def entropy_rate_mc(
     params: MarkovHmmParams, samples: int, burnin: int = 100_000, seed=0
 ) -> McEstimate:
@@ -451,6 +579,17 @@ def entropy_rate_mc(
     before the S draws. After `burnin` discarded steps the estimate averages
     h(logistic(W) * q * alpha) over `samples` kept steps. `seed` is anything
     numpy's default_rng accepts.
+
+    The steps run in chunks of _MC_CHUNK, so memory stays the same however
+    many steps run: each chunk's R and S draws are taken as it starts (S
+    from a copy of the generator moved past all R draws, which keeps the
+    stream above), and its entropy terms are folded into a running mean and
+    sum of squared deviations (the pairwise update of Chan, Golub & LeVeque).
+    Within a chunk the recursion runs as a blocked scan (_mc_chunk): in odds
+    space each step is a Moebius map with a nonnegative 2x2 matrix, so numpy
+    multiplies out the maps of all blocks side by side, W is carried from
+    block to block, and every block is then rerun from its start with the
+    stable log-odds step.
 
     The reported stderr uses the i.i.d. formula; consecutive W values are
     correlated, so it understates the true uncertainty and consumers should
@@ -467,38 +606,27 @@ def entropy_rate_mc(
     if q <= _TINY_RATE:
         return McEstimate(binary_entropy(alpha), 0.0)
 
+    burnin, samples = int(burnin), int(samples)
     rng = np.random.default_rng(seed)
-    total = int(burnin) + int(samples)
-    ln_eta = math.log((1.0 - alpha) / alpha)
-    r_step = np.where(rng.random(total) < alpha, -ln_eta, ln_eta).tolist()
-    s_sign = np.where(rng.random(total) < q, -1.0, 1.0).tolist()
-
-    exp_, log_ = math.exp, math.log
-    cq = 1.0 - q
-    w = 0.0
-    kept = [0.0] * int(samples)
-    base = int(burnin)
-    for i in range(total):
-        # inline odd/stable form of propagate_llr, this loop dominates runtime
-        if w >= 0.0:
-            e = exp_(-w)
-            fv = log_((cq + q * e) / (q + cq * e))
-        else:
-            e = exp_(w)
-            fv = -log_((cq + q * e) / (q + cq * e))
-        w = r_step[i] + s_sign[i] * fv
-        if i >= base:
-            kept[i - base] = w
-
-    ws = np.asarray(kept)
-    ez = np.exp(-np.abs(ws))
-    p = np.where(ws >= 0.0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
-    pq = p * cq + (1.0 - p) * q
-    out = pq * (1.0 - alpha) + (1.0 - pq) * alpha
-    hv = _entropy_vec(out)
-    est = float(hv.mean())
-    se = 0.0 if samples < 2 else float(hv.std(ddof=1) / math.sqrt(samples))
-    return McEstimate(est, se)
+    # with z = exp(-|W|), (1 - m + m z) / (1 + z) is the predicted probability
+    # of the likelier next output, m = alpha * q; h is even in W
+    m = binary_convolve(alpha, q)
+    count, mean, sq_dev = 0, 0.0, 0.0
+    start = 0
+    for ws in _belief_path(q, alpha, burnin + samples, rng):
+        for lo in range(max(0, burnin - start), ws.size, _MC_PIECE):
+            z = np.exp(-np.abs(ws[lo:lo + _MC_PIECE]))
+            hv = _entropy_vec(((1.0 - m) + m * z) / (1.0 + z))
+            part_mean = float(hv.mean())
+            part_sq = float(((hv - part_mean) ** 2).sum())
+            merged = count + hv.size
+            delta = part_mean - mean
+            mean += delta * (hv.size / merged)
+            sq_dev += part_sq + delta * delta * (count * hv.size / merged)
+            count = merged
+        start += ws.size
+    se = 0.0 if samples < 2 else math.sqrt(sq_dev / (samples - 1)) / math.sqrt(samples)
+    return McEstimate(mean, se)
 
 
 def exact_conditional_entropy(params: MarkovHmmParams, n: int) -> float:

@@ -17,16 +17,21 @@ __all__ = [
     "entropy_taylor",
 ]
 
-_BISECT_TOL = 1e-12
+_BISECT_RTOL = 1e-12
+_LN2 = math.log(2.0)
 _LOG2E = math.log2(math.e)
 
 
 def binary_entropy(p: float) -> float:
-    """Entropy of a Bernoulli(p) bit, in bits. Zero at both endpoints."""
+    """Entropy of a Bernoulli(p) bit, in bits. Zero at both endpoints.
+
+    log1p(-p) keeps ln(1 - p) accurate for small p, where log2(1 - p)
+    rounds to 0, so the result keeps full relative precision near 0.
+    """
     p = check_range("p", p, 0.0, 1.0)
     if p == 0.0 or p == 1.0:
         return 0.0
-    return -(p * math.log2(p) + (1.0 - p) * math.log2(1.0 - p))
+    return -(p * math.log2(p) + (1.0 - p) * math.log1p(-p) / _LN2)
 
 
 def _entropy_vec(p: np.ndarray) -> np.ndarray:
@@ -35,20 +40,25 @@ def _entropy_vec(p: np.ndarray) -> np.ndarray:
     out = np.zeros_like(p)
     inner = (p > 0.0) & (p < 1.0)
     pi = p[inner]
-    out[inner] = -(pi * np.log2(pi) + (1.0 - pi) * np.log2(1.0 - pi))
+    out[inner] = -(pi * np.log2(pi) + (1.0 - pi) * np.log1p(-pi) / _LN2)
     return out
 
 
 def inv_binary_entropy(u: float) -> float:
-    """The p in [0, 1/2] with binary_entropy(p) = u, by bisection to 1e-12."""
+    """The p in [0, 1/2] with binary_entropy(p) = u, by bisection until the
+    bracket is narrower than 1e-12 of p itself, so small u keep their
+    relative precision."""
     u = check_range("u", u, 0.0, 1.0)
     if u == 0.0:
         return 0.0
     if u == 1.0:
         return 0.5
     lo, hi = 0.0, 0.5
-    while hi - lo > _BISECT_TOL:
+    while hi - lo > _BISECT_RTOL * hi:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            # only for subnormal p: the bracket is down to adjacent floats
+            break
         if binary_entropy(mid) < u:
             lo = mid
         else:

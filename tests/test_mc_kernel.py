@@ -1,0 +1,191 @@
+"""The blocked-scan Monte Carlo kernel of hmm.entropy_rate_mc, checked against
+the sequential belief loop it replaced, which is kept here as the oracle."""
+
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bscbounds import hmm
+from bscbounds.hmm import MarkovHmmParams, entropy_rate_mc, propagate_llr
+
+BLOCK = hmm._MC_BLOCK
+CHUNK = hmm._MC_CHUNK
+RATES = (1e-7, 0.001, 0.05, 0.25, 0.5 - 1e-9, 0.5)
+PAIRS = [(q, a) for q in RATES for a in RATES]
+TOTALS = (1, BLOCK - 1, BLOCK, BLOCK + 1, CHUNK + 1)
+# the longer runs take every rate once as q and once as alpha
+LONG_TOTALS = (CHUNK - 1, CHUNK, 3 * CHUNK + BLOCK + 1)
+LONG_PAIRS = list(zip(RATES, reversed(RATES)))
+
+# At q = 1e-7, alpha = 0.5 - 1e-9 the float64 loop drifts by itself: W stays
+# within 2e-6 of 0, so the ratio inside its log is within about 1e-6 of 1 and
+# each step rounds by about 1e-16 absolute, with a sign that persists while W
+# moves slowly. Against an 80-bit run of the same draws the loop is 3.0e-12
+# off after 65535 steps and the kernel 3.7e-14, so the 80-bit run is the
+# reference there.
+DRIFTING = (1e-7, 0.5 - 1e-9)
+
+
+def oracle_path(q, alpha, total, seed):
+    """W_1..W_total by the sequential loop entropy_rate_mc used to run."""
+    rng = np.random.default_rng(seed)
+    ln_eta = math.log((1.0 - alpha) / alpha)
+    r_step = np.where(rng.random(total) < alpha, -ln_eta, ln_eta).tolist()
+    s_sign = np.where(rng.random(total) < q, -1.0, 1.0).tolist()
+    exp_, log_ = math.exp, math.log
+    cq = 1.0 - q
+    w = 0.0
+    path = [0.0] * total
+    for i in range(total):
+        if w >= 0.0:
+            e = exp_(-w)
+            fv = log_((cq + q * e) / (q + cq * e))
+        else:
+            e = exp_(w)
+            fv = -log_((cq + q * e) / (q + cq * e))
+        w = r_step[i] + s_sign[i] * fv
+        path[i] = w
+    return np.asarray(path)
+
+
+def extended_path(q, alpha, total, seed):
+    """The same recursion from the same draws and float64 rates, carried in
+    80-bit long double."""
+    rng = np.random.default_rng(seed)
+    r_neg = rng.random(total) < alpha
+    s_neg = rng.random(total) < q
+    ld = np.longdouble
+    ln_eta = np.log(ld((1.0 - alpha) / alpha))
+    lq, lcq = ld(q), ld(1.0 - q)
+    w = ld(0.0)
+    path = np.empty(total, dtype=ld)
+    for i in range(total):
+        x = np.exp(w)
+        fv = np.log((lcq * x + lq) / (lq * x + lcq))
+        w = (-ln_eta if r_neg[i] else ln_eta) + (-fv if s_neg[i] else fv)
+        path[i] = w
+    return path
+
+
+def oracle_estimate(path, q, alpha, burnin):
+    """Estimate and i.i.d. stderr as the old entropy_rate_mc computed them
+    from the kept part of its path."""
+    ws = path[burnin:]
+    ez = np.exp(-np.abs(ws))
+    p = np.where(ws >= 0.0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
+    pq = p * (1.0 - q) + (1.0 - p) * q
+    out = pq * (1.0 - alpha) + (1.0 - pq) * alpha
+    hv = -(out * np.log2(out) + (1.0 - out) * np.log2(1.0 - out))
+    se = 0.0 if ws.size < 2 else float(hv.std(ddof=1) / math.sqrt(ws.size))
+    return float(hv.mean()), se
+
+
+def kernel_path(q, alpha, total, seed):
+    return np.concatenate(list(hmm._belief_path(q, alpha, total, np.random.default_rng(seed))))
+
+
+def check_against_oracle(q, alpha, total, seed):
+    path = kernel_path(q, alpha, total, seed)
+    oracle = oracle_path(q, alpha, total, seed)
+    reference = extended_path(q, alpha, total, seed) if (q, alpha) == DRIFTING else oracle
+    assert path.shape == (total,)
+    assert float(np.max(np.abs(path - reference))) <= 1e-12, (q, alpha, total)
+    for burnin in sorted({0, total // 3, total - 1}):
+        want_est, want_se = oracle_estimate(oracle, q, alpha, burnin)
+        est, se = entropy_rate_mc(MarkovHmmParams(q, alpha), total - burnin,
+                                  burnin=burnin, seed=seed)
+        assert abs(est - want_est) <= 1e-12, (q, alpha, total, burnin)
+        # below 1e-15 a stderr is the spread of h values that differ only in
+        # their last bits (the grid's are all under 3e-19; the next smallest
+        # is 3.3e-11), where the two summation orders round differently
+        assert se == pytest.approx(want_se, rel=1e-9, abs=1e-15), (q, alpha, total, burnin)
+
+
+@pytest.mark.parametrize("q,alpha", PAIRS)
+def test_paths_and_estimates_match_oracle(q, alpha):
+    for total in TOTALS:
+        check_against_oracle(q, alpha, total, seed=(5, total))
+
+
+@pytest.mark.parametrize("q,alpha", LONG_PAIRS)
+def test_long_runs_match_oracle(q, alpha):
+    for total in LONG_TOTALS:
+        check_against_oracle(q, alpha, total, seed=(5, total))
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                    reason="needs an extended long double")
+def test_float64_loop_drifts_where_the_kernel_does_not():
+    q, alpha = DRIFTING
+    total = CHUNK - 1
+    seed = (5, total)
+    ref = extended_path(q, alpha, total, seed)
+    assert float(np.max(np.abs(kernel_path(q, alpha, total, seed) - ref))) <= 1e-13
+    assert float(np.max(np.abs(oracle_path(q, alpha, total, seed) - ref))) > 1e-12
+
+
+@pytest.mark.parametrize("make", [
+    lambda seed: np.random.default_rng(seed),
+    lambda seed: np.random.Generator(np.random.PCG64DXSM(seed)),
+    lambda seed: np.random.Generator(np.random.MT19937(seed)),
+    lambda seed: np.random.Generator(np.random.Philox(seed)),
+], ids=["pcg64", "pcg64dxsm", "mt19937", "philox"])
+@pytest.mark.parametrize("total", [1, CHUNK, 2 * CHUNK + 5])
+def test_chunked_draws_equal_all_at_once(make, total):
+    rng = make(4)
+    chunks = list(hmm._chunked_draws(rng, total))
+    assert all(r.size <= CHUNK for r, _ in chunks)
+    old = make(4)
+    r_all, s_all = old.random(total), old.random(total)
+    assert np.array_equal(np.concatenate([r for r, _ in chunks]), r_all)
+    assert np.array_equal(np.concatenate([s for _, s in chunks]), s_all)
+    # the caller's generator ends where the old 2 * total draws left it
+    assert np.array_equal(rng.random(8), old.random(8))
+
+
+def test_generator_seed_is_advanced_as_before():
+    rng = np.random.default_rng(21)
+    entropy_rate_mc(MarkovHmmParams(0.1, 0.11), 500, burnin=100, seed=rng)
+    old = np.random.default_rng(21)
+    old.random(2 * 600)
+    assert rng.random() == old.random()
+
+
+def test_peak_memory_is_bounded_by_the_chunk():
+    params = MarkovHmmParams(0.1, 0.11)
+    tracemalloc.start()
+    try:
+        entropy_rate_mc(params, 1_000_000, burnin=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+
+
+# numpy's vectorised exp can differ from math.exp by one ulp. That moves the
+# ratio inside the log by at most two of its ulps after rounding, so f moves
+# by at most 4.4e-16 before its own rounding, which can then differ by an ulp
+# of f.
+def _llr_tol(value):
+    return 5e-16 + float(np.spacing(abs(value)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    t=st.lists(st.floats(-60.0, 60.0), min_size=1, max_size=50),
+    q=st.floats(1e-7, 0.5),
+)
+def test_vectorised_step_matches_propagate_llr(t, q):
+    t = np.asarray(t)
+    got = hmm._propagate_llr_vec(t, q)
+    for ti, gi in zip(t.tolist(), got.tolist()):
+        want = propagate_llr(ti, q)
+        assert abs(gi - want) <= _llr_tol(want), (ti, q)
+    # odd exactly, and saturating: |f(t)| <= min(|t|, ln((1-q)/q))
+    assert np.array_equal(hmm._propagate_llr_vec(-t, q), -got)
+    cap = math.log((1.0 - q) / q)
+    assert np.all(np.abs(got) <= np.minimum(np.abs(t), cap) + _llr_tol(cap))

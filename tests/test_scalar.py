@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -10,6 +11,7 @@ from bscbounds import (
     entropy_taylor,
     inv_binary_entropy,
 )
+from bscbounds.scalar import _entropy_vec
 
 
 def test_entropy_known_values():
@@ -41,6 +43,34 @@ def test_inverse_entropy_round_trip():
         p = inv_binary_entropy(u)
         assert 0.0 <= p <= 0.5
         assert binary_entropy(p) == pytest.approx(u, abs=1e-10)
+
+
+def _entropy_50_digits(p):
+    with mpmath.workdps(50):
+        x = mpmath.mpf(p)
+        return -(x * mpmath.log(x) + (1 - x) * mpmath.log1p(-x)) / mpmath.log(2)
+
+
+def test_entropy_relative_precision_near_zero():
+    # log2(1 - p) rounds to 0 below p ~ 1e-16 and took 2.1% off h(1e-20)
+    grid = np.logspace(-300, math.log10(0.5), 601)
+    want = np.array([float(_entropy_50_digits(float(p))) for p in grid])
+    got = np.array([binary_entropy(float(p)) for p in grid])
+    assert np.max(np.abs(got / want - 1.0)) <= 1e-13
+    assert np.max(np.abs(_entropy_vec(grid) / want - 1.0)) <= 1e-13
+
+
+def test_inverse_entropy_relative_precision():
+    # an absolute 1e-12 bracket gave h(inv(1e-15)) = 1.9e-11
+    for u in np.logspace(-15, 0, 151):
+        u = float(u)
+        assert binary_entropy(inv_binary_entropy(u)) == pytest.approx(u, rel=1e-10, abs=0.0)
+
+
+def test_inverse_entropy_ends_for_subnormal_targets():
+    for u in (5e-324, 1e-320, 1e-310):
+        p = inv_binary_entropy(u)
+        assert 0.0 <= p <= u
 
 
 def test_inverse_entropy_monotone():
