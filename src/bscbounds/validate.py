@@ -25,9 +25,6 @@ class CheckResult:
     detail: str = ""
 
 
-SUITES = ("scalar", "dist", "bounds", "hmm")
-
-
 def _result(name: str, slack: float, detail: str = "") -> CheckResult:
     return CheckResult(name, slack >= 0.0, slack, detail)
 
@@ -324,16 +321,10 @@ def run_hmm(seed: int = 0, budget: int = 500) -> list[CheckResult]:
     steps = min(1_000_000, max(10_000, budget * 2000))
     params = hmm.MarkovHmmParams(0.1, 0.11)
     cap = hmm.odds_cap(params)
-    ln_eta = math.log((1.0 - params.alpha) / params.alpha)
-    rs = np.where(rng.random(steps) < params.alpha, -ln_eta, ln_eta).tolist()
-    ss = np.where(rng.random(steps) < params.q, -1.0, 1.0).tolist()
-    w = 0.0
-    max_abs_f = 0.0
-    for i in range(steps):
-        fv = hmm.propagate_llr(w, params.q)
-        if abs(fv) > max_abs_f:
-            max_abs_f = abs(fv)
-        w = rs[i] + ss[i] * fv
+    # the path is W_1 .. W_steps; f(W_0) = f(0) = 0, so the largest |f| over
+    # W_0 .. W_{steps-1} is the largest over W_1 .. W_{steps-1}
+    path = np.concatenate(list(hmm._belief_path(params.q, params.alpha, steps, rng)))
+    max_abs_f = float(np.abs(hmm._propagate_llr_vec(path[:-1], params.q)).max())
     worst = _track(worst, math.log(cap) * (1.0 + 1e-12) - max_abs_f,
                    f"simulated {steps} steps")
     out.append(_result("belief-stays-in-support", *worst))
@@ -380,12 +371,15 @@ _RUNNERS = {
 }
 
 
+SUITES = tuple(_RUNNERS)
+
+
 def run_suite(name: str, seed: int = 0, budget: int = 500) -> list[CheckResult]:
     """Run one named suite, or every suite for name "all"."""
     if name == "all":
         results: list[CheckResult] = []
-        for suite in SUITES:
-            results.extend(_RUNNERS[suite](seed=seed, budget=budget))
+        for run in _RUNNERS.values():
+            results.extend(run(seed=seed, budget=budget))
         return results
     if name not in _RUNNERS:
         raise ValueError(f"unknown suite {name!r}")

@@ -1,13 +1,15 @@
 """End-to-end checks of the command line front end."""
 
 import math
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from bscbounds import cli
-from bscbounds.dist import markov_joint_pmf, write_pmf
+from bscbounds.dist import markov_joint_pmf, random_pmf, write_pmf
 from bscbounds.scalar import binary_entropy
 
 H11 = binary_entropy(0.11)
@@ -79,6 +81,56 @@ class TestBound:
         assert code == 0
         assert float(out.rsplit("=", 1)[1]) == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("argv, line", [
+        (("mgl", "--alpha", "0.11", "--entropy", "0.5"),
+         "mgl(alpha=0.11, entropy=0.5) = 0.713492440024"),
+        (("mmse-gerber", "--alpha", "0.11", "--mmse", "0.16"),
+         "mmse-gerber(alpha=0.11, mmse=0.16) = 0.819969744939"),
+        (("upper", "--alpha", "0.11", "--mmse", "0.16"),
+         "upper(alpha=0.11, mmse=0.16) = 0.835666147232"),
+        (("memory-noise", "--entropy", "0.3", "--mmse", "0.1"),
+         "memory-noise(entropy=0.3, mmse=0.1) = 0.58"),
+        (("theorem5", "--alpha", "0.11", "--q", "0.1"),
+         "theorem5(alpha=0.11, q=0.1) = 0.71249063207"),
+        (("theorem6", "--alpha", "0.11", "--q", "0.1", "--variant", "printed"),
+         "theorem6(alpha=0.11, q=0.1, variant=printed) = 0.715221973147"),
+        (("cover-thomas", "--alpha", "0.11", "--q", "0.1", "--n", "3"),
+         "cover-thomas(alpha=0.11, q=0.1, m=3) = 0.881681713134"),
+        (("now05", "--alpha", "0.2", "--q", "0.01"),
+         "now05(alpha=0.2, q=0.01) = 0.751825447741"),
+    ])
+    def test_golden_line(self, capsys, argv, line):
+        code, out, err = run_cli(capsys, "bound", *argv)
+        assert (code, out, err) == (0, line + "\n", "")
+
+    @pytest.mark.parametrize("kind, flags", [
+        ("mgl", "--alpha, --entropy"),
+        ("mmse-gerber", "--alpha, --mmse"),
+        ("upper", "--alpha, --mmse"),
+        ("memory-noise", "--entropy, --mmse"),
+        ("theorem5", "--alpha, --q"),
+        ("theorem6", "--alpha, --q"),
+        ("cover-thomas", "--alpha, --q"),
+        ("now05", "--alpha, --q"),
+    ])
+    def test_missing_flags_all_named(self, capsys, kind, flags):
+        code, out, err = run_cli(capsys, "bound", kind)
+        assert (code, out) == (2, "")
+        assert err == f"domain error: bound kind {kind!r} requires {flags}\n"
+
+    def test_cover_thomas_zero_order_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "bound", "cover-thomas", "--alpha", "0.1",
+                                 "--q", "0.1", "--n", "0")
+        assert (code, out) == (2, "")
+        assert "m must be a positive integer" in err
+
+    def test_readme_table_matches_registry(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        rows = re.findall(r"^\| `([a-z0-9-]+)` \| `([^`]*)` \|", readme, flags=re.M)
+        table = [(kind, tuple(f[2:] for f in flags.split() if not f.startswith("[")))
+                 for kind, flags in rows]
+        assert table == [(kind, flags) for kind, (flags, _) in cli._BOUNDS.items()]
+
 
 class TestFigure:
     def test_fig1a_endpoints(self, capsys, tmp_path):
@@ -97,6 +149,50 @@ class TestFigure:
             assert v == pytest.approx(H11, abs=1e-8)
         for v in last[1:]:
             assert v == pytest.approx(1.0, abs=1e-8)
+
+    @pytest.mark.parametrize("which, text", [
+        ("fig1a", """x,mgl_lower,mgl_upper,new
+0,0.499915958,0.499915958,0.499915958
+0.166666667,0.555257479,0.594568779,0.583263298
+0.333333333,0.62941301,0.683491636,0.666610639
+0.5,0.71349244,0.76781354,0.749957979
+0.666666667,0.804363572,0.848315073,0.833305319
+0.833333333,0.900248268,0.925566171,0.91665266
+1,1,1,1
+"""),
+        ("fig1b", """alpha,mgl_lower,mgl_upper,new
+0,0.5,0.600876037,0.5
+0.0833333333,0.669067777,0.732543191,0.706908425
+0.166666667,0.79507117,0.833162715,0.825011211
+0.25,0.88733381,0.907852301,0.905639062
+0.333333333,0.950679224,0.959545574,0.959147917
+0.416666667,0.987776407,0.989957963,0.989934378
+0.5,1,1,1
+"""),
+        ("fig2a", """u,new_lower,new_upper,mgl
+0,0.499915958,0.499915958,0.499915958
+0.166666667,0.547958364,0.583263298,0.555257479
+0.333333333,0.615354143,0.666610639,0.62941301
+0.5,0.695792343,0.749957979,0.71349244
+0.666666667,0.787350099,0.833305319,0.804363572
+0.833333333,0.888979149,0.91665266,0.900248268
+1,1,1,1
+"""),
+        ("fig2b", """alpha,new_lower,new_upper,mgl
+0,0.391686934,0.5,0.5
+0.0833333333,0.643417131,0.706908425,0.669067777
+0.166666667,0.787104066,0.825011211,0.79507117
+0.25,0.885198017,0.905639062,0.88733381
+0.333333333,0.950298288,0.959147917,0.950679224
+0.416666667,0.987753902,0.989934378,0.987776407
+0.5,1,1,1
+"""),
+    ])
+    def test_golden_csv(self, capsys, tmp_path, which, text):
+        out = tmp_path / f"{which}.csv"
+        code, msg, _ = run_cli(capsys, "figure", which, "--points", "7", "--out", str(out))
+        assert (code, msg) == (0, f"wrote {out}: 7 rows\n")
+        assert out.read_text(encoding="ascii") == text
 
     def test_fig2a_endpoints(self, capsys, tmp_path):
         out = tmp_path / "b.csv"
@@ -279,6 +375,13 @@ class TestPmfMmse:
         path.write_text("2\n0.5\nnot-a-number\n")
         code, _, err = run_cli(capsys, "pmf-mmse", str(path))
         assert code == 2
+
+    def test_above_search_cap_prints_nothing(self, capsys, tmp_path):
+        path = tmp_path / "nine.pmf"
+        write_pmf(random_pmf(9, 1), str(path))
+        code, out, err = run_cli(capsys, "pmf-mmse", str(path))
+        assert (code, out) == (2, "")
+        assert "cap 8" in err
 
 
 class TestModuleEntry:
