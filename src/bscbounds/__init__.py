@@ -7,122 +7,13 @@ hidden-Markov machinery (`hmm`), invariant suites (`validate`), and a CLI
 (`cli`). Everything public is re-exported here.
 """
 
-from .bounds import (
-    BoundResult,
-    conditional_vector_mmse_gerber,
-    memory_noise_term,
-    mgl_scalar,
-    noise_profile,
-    sandwich_mgl,
-    sandwich_new,
-    scalar_memory_noise,
-    scalar_mmse_gerber,
-    scalar_upper,
-    vector_memory_noise,
-    vector_mmse_gerber,
-    vector_upper,
-)
-from .dist import (
-    EXHAUSTIVE_CAP,
-    MAX_COORDS,
-    ExplicitPmf,
-    apply_bsc,
-    best_case_mmse_given_output,
-    conditional_mmse,
-    counterexample_pmf,
-    entropy,
-    greedy_permutation,
-    markov_joint_pmf,
-    mmse_along_permutation,
-    noisy_conditional_mmse,
-    random_pmf,
-    read_pmf,
-    worst_case_mmse,
-    write_pmf,
-)
-from .errors import DimensionError, DomainError
-from .hmm import (
-    MarkovHmmParams,
-    McEstimate,
-    QuarticCoefficients,
-    belief_bound,
-    cover_thomas_ceiling,
-    crossing_q,
-    disagreement_prob,
-    dyadic_permutation,
-    entropy_rate_mc,
-    exact_conditional_entropy,
-    markov_series_bound,
-    minimizing_odds,
-    mmse_given_odds,
-    mmse_two_sided,
-    odds_cap,
-    propagate_llr,
-    quartic_coefficients,
-    rare_transition_baseline,
-    series_mmse,
-    small_q_ratio,
-    stationary_odds,
-)
-from .scalar import binary_convolve, binary_entropy, entropy_taylor, inv_binary_entropy
+from . import bounds, dist, errors, hmm, scalar
+from .bounds import *
+from .dist import *
+from .errors import *
+from .hmm import *
+from .scalar import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoundResult",
-    "DimensionError",
-    "DomainError",
-    "EXHAUSTIVE_CAP",
-    "ExplicitPmf",
-    "MAX_COORDS",
-    "MarkovHmmParams",
-    "McEstimate",
-    "QuarticCoefficients",
-    "apply_bsc",
-    "belief_bound",
-    "best_case_mmse_given_output",
-    "binary_convolve",
-    "binary_entropy",
-    "conditional_mmse",
-    "conditional_vector_mmse_gerber",
-    "counterexample_pmf",
-    "cover_thomas_ceiling",
-    "crossing_q",
-    "disagreement_prob",
-    "dyadic_permutation",
-    "entropy",
-    "entropy_rate_mc",
-    "entropy_taylor",
-    "exact_conditional_entropy",
-    "greedy_permutation",
-    "inv_binary_entropy",
-    "markov_joint_pmf",
-    "markov_series_bound",
-    "memory_noise_term",
-    "mgl_scalar",
-    "minimizing_odds",
-    "mmse_along_permutation",
-    "mmse_given_odds",
-    "mmse_two_sided",
-    "noise_profile",
-    "noisy_conditional_mmse",
-    "odds_cap",
-    "propagate_llr",
-    "quartic_coefficients",
-    "random_pmf",
-    "rare_transition_baseline",
-    "read_pmf",
-    "sandwich_mgl",
-    "sandwich_new",
-    "scalar_memory_noise",
-    "scalar_mmse_gerber",
-    "scalar_upper",
-    "series_mmse",
-    "small_q_ratio",
-    "stationary_odds",
-    "vector_memory_noise",
-    "vector_mmse_gerber",
-    "vector_upper",
-    "worst_case_mmse",
-    "write_pmf",
-]
+__all__ = [*bounds.__all__, *dist.__all__, *errors.__all__, *hmm.__all__, *scalar.__all__]

@@ -18,17 +18,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dist import (
-    EXHAUSTIVE_CAP,
     ExplicitPmf,
+    _along_order,
     _best_order,
     _check_permutation,
     _cost_table,
-    _expand,
-    _fold,
+    _subset_entropies,
     best_case_mmse_given_output,
     worst_case_mmse,
 )
-from .errors import DimensionError, DomainError, check_range
+from .errors import DomainError, check_range
 from .scalar import binary_convolve, binary_entropy, inv_binary_entropy
 
 __all__ = [
@@ -107,11 +106,11 @@ def scalar_upper(alpha: float, mmse: float) -> float:
     return binary_entropy(0.5 + (0.5 - alpha) * math.sqrt(arg))
 
 
-def vector_mmse_gerber(pmf: ExplicitPmf, alpha: float, cap: int = EXHAUSTIVE_CAP) -> BoundResult:
+def vector_mmse_gerber(pmf: ExplicitPmf, alpha: float) -> BoundResult:
     """Per-symbol lower bound on the noisy output entropy H(Y)/n, maximized
     over prediction orders of the clean source."""
     alpha = check_range("alpha", alpha, 0.0, 0.5)
-    worst, order = worst_case_mmse(pmf, cap=cap)
+    worst, order = worst_case_mmse(pmf)
     value = scalar_mmse_gerber(alpha, worst / pmf.n)
     return BoundResult(
         "mmse-gerber",
@@ -120,11 +119,11 @@ def vector_mmse_gerber(pmf: ExplicitPmf, alpha: float, cap: int = EXHAUSTIVE_CAP
     )
 
 
-def vector_upper(pmf: ExplicitPmf, alpha: float, cap: int = EXHAUSTIVE_CAP) -> BoundResult:
+def vector_upper(pmf: ExplicitPmf, alpha: float) -> BoundResult:
     """Per-symbol upper bound on H(Y)/n from the best prediction order that
     sees only noisy observations of the earlier bits."""
     alpha = check_range("alpha", alpha, 0.0, 0.5)
-    best, order = best_case_mmse_given_output(pmf, alpha, cap=cap)
+    best, order = best_case_mmse_given_output(pmf, alpha)
     value = scalar_upper(alpha, best / pmf.n)
     return BoundResult(
         "upper",
@@ -133,19 +132,12 @@ def vector_upper(pmf: ExplicitPmf, alpha: float, cap: int = EXHAUSTIVE_CAP) -> B
     )
 
 
-def conditional_vector_mmse_gerber(
-    family,
-    alpha: float,
-    cap: int = EXHAUSTIVE_CAP,
-    per_component: bool = False,
-) -> BoundResult:
+def conditional_vector_mmse_gerber(family, alpha: float) -> BoundResult:
     """Lower bound on the conditional noisy entropy H(Y | W)/n when the source
     law is a labeled mixture given as (weight, pmf) pairs.
 
-    By default one shared prediction order maximizes the weighted MMSE sum,
-    which is what the chain-rule argument supports. per_component=True lets
-    every member use its own worst-case order instead; that variant is
-    reported for comparison and is not claimed as a bound.
+    One shared prediction order maximizes the weighted MMSE sum, which is
+    what the chain-rule argument supports.
     """
     alpha = check_range("alpha", alpha, 0.0, 0.5)
     members = [(float(wt), pmf) for wt, pmf in family]
@@ -154,23 +146,11 @@ def conditional_vector_mmse_gerber(
     n = members[0][1].n
     if any(pmf.n != n for _, pmf in members):
         raise DomainError("all mixture members must share one coordinate count")
-    if n > cap:
-        raise DimensionError(f"n={n} above the exhaustive-search cap {cap}")
     wts = [wt for wt, _ in members]
     if any(wt < 0.0 for wt in wts) or abs(sum(wts) - 1.0) > 1e-9:
         raise DomainError("mixture weights must form a probability vector")
 
     ha = binary_entropy(alpha)
-    if per_component:
-        mix = sum(wt * worst_case_mmse(pmf, cap=cap)[0] for wt, pmf in members)
-        value = ha + (1.0 - ha) * 4.0 * mix / n
-        return BoundResult(
-            "conditional-mmse-gerber",
-            value,
-            {"alpha": alpha, "n": n, "mmse": mix, "order": None},
-            variant="per-component",
-        )
-
     step = sum(wt * _cost_table(pmf) for wt, pmf in members)
     best, best_order = _best_order(n, step, pick_max=True)
     value = ha + (1.0 - ha) * 4.0 * best / n
@@ -180,16 +160,6 @@ def conditional_vector_mmse_gerber(
         {"alpha": alpha, "n": n, "mmse": best, "order": best_order},
         variant="shared",
     )
-
-
-def _subset_entropies(pmf: ExplicitPmf) -> np.ndarray:
-    """Entropy of every coordinate-subset marginal, indexed by mask."""
-    n = pmf.n
-    m = _expand(pmf.weights.reshape((2,) * n), range(n - 1, -1, -1))
-    terms = np.zeros_like(m)
-    pos = m > 0.0
-    terms[pos] = -m[pos] * np.log2(m[pos])
-    return _fold(terms, range(n)).reshape(-1)
 
 
 def _entropy_steps(pmf: ExplicitPmf) -> tuple[float, np.ndarray]:
@@ -205,12 +175,7 @@ def noise_profile(pmf_z: ExplicitPmf, order) -> list[float]:
     """Per-step conditional entropies H(Z_{order[i]} | earlier ordered bits)."""
     order = _check_permutation(pmf_z, order)
     _, steps = _entropy_steps(pmf_z)
-    out: list[float] = []
-    mask = 0
-    for j in order:
-        out.append(float(steps[mask, j - 1]))
-        mask |= 1 << (j - 1)
-    return out
+    return _along_order(steps, order)
 
 
 def _same_dimension(pmf_x: ExplicitPmf, pmf_z: ExplicitPmf) -> None:
@@ -236,17 +201,15 @@ def memory_noise_term(pmf_x: ExplicitPmf, pmf_z: ExplicitPmf, order) -> float:
     _same_dimension(pmf_x, pmf_z)
     order = _check_permutation(pmf_x, order)
     hz, step = _memory_noise_steps(pmf_x, pmf_z)
+    # a running sum in order, as the search adds its steps; sum() would
+    # compensate on Python >= 3.12 and could differ in the last bit
     total = 0.0
-    mask = 0
-    for j in order:
-        total += float(step[mask, j - 1])
-        mask |= 1 << (j - 1)
+    for v in _along_order(step, order):
+        total += v
     return hz + total
 
 
-def vector_memory_noise(
-    pmf_x: ExplicitPmf, pmf_z: ExplicitPmf, cap: int = EXHAUSTIVE_CAP
-) -> BoundResult:
+def vector_memory_noise(pmf_x: ExplicitPmf, pmf_z: ExplicitPmf) -> BoundResult:
     """Lower bound on the total output entropy H(Y) for Y = X xor Z with the
     noise Z allowed its own memory, maximized over prediction orders.
 
@@ -255,8 +218,6 @@ def vector_memory_noise(
     bits over all n symbols, not a per-symbol rate.
     """
     _same_dimension(pmf_x, pmf_z)
-    if pmf_x.n > cap:
-        raise DimensionError(f"n={pmf_x.n} above the exhaustive-search cap {cap}")
     hz, step = _memory_noise_steps(pmf_x, pmf_z)
     best, best_order = _best_order(pmf_x.n, step, pick_max=True)
     return BoundResult(

@@ -43,10 +43,12 @@ from .hmm import (
 from .scalar import binary_convolve, binary_entropy
 
 # Largest inputs that set work or memory. The Monte Carlo streams its steps
-# in fixed chunks and peaks near 5 MB at any length, so the step cap bounds
-# work: one fig3 row at the cap takes about 1 s.
+# in fixed chunks and peaks near 5 MB at any length, so the step caps bound
+# work: at about 0.1 us per step one fig3 row at the row cap takes about 1 s
+# and a whole fig3 run at the total cap about 100 s.
 _MAX_POINTS = 100_001
 _MAX_MC_STEPS = 10_000_000
+_MAX_FIG3_STEPS = 1_000_000_000
 _MAX_BUDGET = 10_000
 
 
@@ -134,6 +136,10 @@ def _run_figure(args: argparse.Namespace) -> int:
     if args.samples + args.burnin > _MAX_MC_STEPS:
         raise DomainError(f"--samples + --burnin must be at most {_MAX_MC_STEPS}, "
                           f"got {args.samples + args.burnin}")
+    steps = args.points * (args.samples + args.burnin)
+    if args.which == "fig3" and steps > _MAX_FIG3_STEPS:
+        raise DomainError(f"fig3 runs --points * (--samples + --burnin) Monte Carlo steps, "
+                          f"at most {_MAX_FIG3_STEPS}, got {steps}")
     header, end, columns = _FIGURES[args.which]
     grid = np.linspace(0.0, end, args.points).tolist()
     rows = [(v, *columns(args, i, v)) for i, v in enumerate(grid)]

@@ -125,11 +125,9 @@ def entropy(pmf: ExplicitPmf) -> float:
     return float(-(pos * np.log2(pos)).sum())
 
 
-def conditional_mmse(pmf: ExplicitPmf, target: int, given: Sequence[int] = ()) -> float:
-    """Exact E[Var(X_target | X_given)] under the stored joint law.
-
-    `given` may be empty; the target must not appear in it.
-    """
+def _conditional_mmse(pmf: ExplicitPmf, target: int, given: Sequence[int], alpha: float) -> float:
+    """E[Var(X_target | X_given, each seen through flip rate alpha)]. At alpha = 0
+    the channel mix would leave the table unchanged, so it is skipped."""
     _check_coords(pmf, (target,), "target")
     given = tuple(sorted({int(j) for j in given}))
     _check_coords(pmf, given, "conditioning coordinate")
@@ -138,7 +136,20 @@ def conditional_mmse(pmf: ExplicitPmf, target: int, given: Sequence[int] = ()) -
         raise DomainError(f"target {target} also appears in the conditioning set")
     coords = tuple(sorted(given + (target,)))
     m = _marginal(pmf.weights, pmf.n, coords)
-    return _split_mmse(m, coords.index(target))
+    t = coords.index(target)
+    if alpha:
+        for s in range(len(coords)):
+            if s != t:
+                m = _channel_mix(m, s, alpha)
+    return _split_mmse(m, t)
+
+
+def conditional_mmse(pmf: ExplicitPmf, target: int, given: Sequence[int] = ()) -> float:
+    """Exact E[Var(X_target | X_given)] under the stored joint law.
+
+    `given` may be empty; the target must not appear in it.
+    """
+    return _conditional_mmse(pmf, target, given, 0.0)
 
 
 def noisy_conditional_mmse(
@@ -146,20 +157,7 @@ def noisy_conditional_mmse(
 ) -> float:
     """E[Var(X_target | noisy versions of X_given)], each conditioning bit
     observed through an independent symmetric channel with flip rate alpha."""
-    _check_coords(pmf, (target,), "target")
-    given = tuple(sorted({int(j) for j in given}))
-    _check_coords(pmf, given, "conditioning coordinate")
-    target = int(target)
-    if target in given:
-        raise DomainError(f"target {target} also appears in the conditioning set")
-    alpha = check_range("alpha", alpha, 0.0, 0.5)
-    coords = tuple(sorted(given + (target,)))
-    m = _marginal(pmf.weights, pmf.n, coords)
-    t = coords.index(target)
-    for s in range(len(coords)):
-        if s != t:
-            m = _channel_mix(m, s, alpha)
-    return _split_mmse(m, t)
+    return _conditional_mmse(pmf, target, given, check_range("alpha", alpha, 0.0, 0.5))
 
 
 def mmse_along_permutation(pmf: ExplicitPmf, order: Sequence[int]) -> float:
@@ -169,6 +167,15 @@ def mmse_along_permutation(pmf: ExplicitPmf, order: Sequence[int]) -> float:
     for i, j in enumerate(order):
         total += conditional_mmse(pmf, j, order[:i])
     return total
+
+
+def _check_table_size(n: int) -> None:
+    """Refuse n above EXHAUSTIVE_CAP before any all-subset table is built.
+
+    The cost table expands to 2 n 3**(n-1) floats; scoring one order at
+    n = 14 peaked near 1 GB, and each two more bits cost about 10x."""
+    if n > EXHAUSTIVE_CAP:
+        raise DimensionError(f"n={n} above the exhaustive-search cap {EXHAUSTIVE_CAP}")
 
 
 def _expand(t: np.ndarray, axes: Iterable[int]) -> np.ndarray:
@@ -207,6 +214,7 @@ def _cost_table(pmf: ExplicitPmf, alpha: float = 0.0) -> np.ndarray:
     masks. Entries whose mask contains j are undefined and hold NaN.
     """
     n = pmf.n
+    _check_table_size(n)
     # masks[j-1, c]: the (n-1)-bit context index c with a 0 put in at bit j-1
     packed = np.arange(1 << (n - 1))
     bit = np.arange(n)[:, None]
@@ -226,6 +234,28 @@ def _cost_table(pmf: ExplicitPmf, alpha: float = 0.0) -> np.ndarray:
     cost = np.full((1 << n, n), np.nan)
     cost[masks, bit] = folded
     return cost
+
+
+def _subset_entropies(pmf: ExplicitPmf) -> np.ndarray:
+    """Entropy of every coordinate-subset marginal, indexed by mask."""
+    n = pmf.n
+    _check_table_size(n)
+    m = _expand(pmf.weights.reshape((2,) * n), range(n - 1, -1, -1))
+    terms = np.zeros_like(m)
+    pos = m > 0.0
+    terms[pos] = -m[pos] * np.log2(m[pos])
+    return _fold(terms, range(n)).reshape(-1)
+
+
+def _along_order(table: np.ndarray, order: Sequence[int]) -> list[float]:
+    """table[mask, j-1] for each j of the order, mask holding the coordinates
+    ordered before j."""
+    out: list[float] = []
+    mask = 0
+    for j in order:
+        out.append(float(table[mask, j - 1]))
+        mask |= 1 << (j - 1)
+    return out
 
 
 def _lattice(n: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -280,30 +310,24 @@ def _best_order(n: int, step: np.ndarray, pick_max: bool) -> tuple[float, tuple[
     return float(best[-1]), tuple(order)
 
 
-def worst_case_mmse(pmf: ExplicitPmf, cap: int = EXHAUSTIVE_CAP) -> tuple[float, tuple[int, ...]]:
+def worst_case_mmse(pmf: ExplicitPmf) -> tuple[float, tuple[int, ...]]:
     """Max of mmse_along_permutation over all n! orders, found exactly by a
     dynamic program over coordinate subsets.
 
     Returns (value, order), the order being the lexicographically first one
-    whose every prefix is optimal. Refuses n above `cap`.
+    whose every prefix is optimal. Refuses n above EXHAUSTIVE_CAP.
     """
-    if pmf.n > cap:
-        raise DimensionError(f"n={pmf.n} above the exhaustive-search cap {cap}")
     return _best_order(pmf.n, _cost_table(pmf), pick_max=True)
 
 
-def best_case_mmse_given_output(
-    pmf: ExplicitPmf, alpha: float, cap: int = EXHAUSTIVE_CAP
-) -> tuple[float, tuple[int, ...]]:
+def best_case_mmse_given_output(pmf: ExplicitPmf, alpha: float) -> tuple[float, tuple[int, ...]]:
     """Min over prediction orders of the chained MMSE of each bit given noisy
     observations of the bits ordered before it, found exactly by a dynamic
     program over coordinate subsets.
 
     Returns (value, order), the order being the lexicographically first one
-    whose every prefix is optimal. Refuses n above `cap`.
+    whose every prefix is optimal. Refuses n above EXHAUSTIVE_CAP.
     """
-    if pmf.n > cap:
-        raise DimensionError(f"n={pmf.n} above the exhaustive-search cap {cap}")
     alpha = check_range("alpha", alpha, 0.0, 0.5)
     return _best_order(pmf.n, _cost_table(pmf, alpha), pick_max=False)
 

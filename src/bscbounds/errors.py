@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import math
 
+__all__ = ["DomainError", "DimensionError"]
+
 
 class DomainError(ValueError):
     """An argument sits outside the range an operation is defined on."""

@@ -53,6 +53,8 @@ __all__ = [
 _TINY_RATE = 1e-8
 
 _RESIDUAL_TOL = 1e-9
+# crossing_q bisects its bracket down to this width in q
+_CROSSING_WIDTH = 1e-6
 _MAX_WINDOW = 20
 
 # The Monte Carlo draws and simulates _MC_CHUNK steps at a time, cut into
@@ -135,37 +137,34 @@ def dyadic_permutation(n: int) -> tuple[int, ...]:
     return tuple(order)
 
 
-def series_mmse(q: float, tol: float = 1e-12) -> float:
+def series_mmse(q: float) -> float:
     """Per-symbol limit of four times the dyadic-order MMSE:
 
         sum_{t>=1} 2^(-t) (1 - (1-2q)^(2^t)) / (1 + (1-2q)^(2^t)).
 
-    Summation stops once the exact geometric tail bound drops below tol.
-    When the bracket saturates to 1 the remaining tail is added in closed
-    form, which makes q = 1/2 return exactly 1; powers go through
-    log1p/expm1 so small q keeps full precision.
+    Terms are added until the bracket rounds to 1; every later term equals
+    its weight, so that tail is added in closed form, which makes q = 1/2
+    return exactly 1. At small q each earlier term is about q and there are
+    about log2(1/q) of them, so none is dropped; with the powers taken
+    through log1p/expm1 this keeps full relative precision as q -> 0.
     """
     q = check_range("q", q, 0.0, 0.5)
-    if not tol > 0.0:
-        raise DomainError(f"tol must be positive, got {tol!r}")
     if q == 0.0:
         return 0.0
     log_r = math.log1p(-2.0 * q) if q < 0.5 else -math.inf
     total = 0.0
     weight = 0.5
     t = 1
-    while weight >= tol:
-        a = (1 << t) * log_r
+    while True:
+        # ldexp, not (1 << t) * log_r: a subnormal q runs t past 1023
+        a = math.ldexp(log_r, t)
         e = math.exp(a)
         bracket = -math.expm1(a) / (1.0 + e)
         if bracket == 1.0:
-            # every remaining term equals its weight; add the tail exactly
-            total += 2.0 * weight
-            return total
+            return total + 2.0 * weight
         total += weight * bracket
         weight *= 0.5
         t += 1
-    return total
 
 
 def markov_series_bound(params: MarkovHmmParams) -> BoundResult:
@@ -175,17 +174,15 @@ def markov_series_bound(params: MarkovHmmParams) -> BoundResult:
     return BoundResult("theorem5", value, {"alpha": params.alpha, "q": params.q})
 
 
-def crossing_q(alpha: float, tol: float = 1e-6) -> float:
+def crossing_q(alpha: float) -> float:
     """Smallest source flip rate at which the series bound stops beating the
     classical convolution bound h(alpha * q).
 
     The gap is prescanned on 512 points of [1e-6, 1/2 - 1e-6]; more than one
     sign change raises a RuntimeWarning and the first is used. The bracket
-    is then bisected down to width tol.
+    is then bisected down to width _CROSSING_WIDTH.
     """
     alpha = check_open("alpha", alpha, 0.0, 0.5)
-    if not tol > 0.0:
-        raise DomainError(f"tol must be positive, got {tol!r}")
     ha = binary_entropy(alpha)
 
     def gap(q: float) -> float:
@@ -207,7 +204,7 @@ def crossing_q(alpha: float, tol: float = 1e-6) -> float:
     i = brackets[0]
     lo, hi = float(grid[i]), float(grid[i + 1])
     glo = vals[i]
-    while hi - lo > tol:
+    while hi - lo > _CROSSING_WIDTH:
         mid = 0.5 * (lo + hi)
         gm = gap(mid)
         if (gm > 0.0) == (glo > 0.0):

@@ -276,6 +276,7 @@ class TestFigure:
         ("--points", "100002"),
         ("--samples", "10000000", "--burnin", "1"),
         ("--samples", "1", "--burnin", "10000000"),
+        ("--points", "3334"),
     ])
     def test_work_past_cap_exits_2(self, capsys, tmp_path, monkeypatch, flags):
         def refuse(*args, **kwargs):
@@ -287,6 +288,13 @@ class TestFigure:
         assert code == 2
         assert flags[0] in err
         assert not out.exists()
+
+    def test_total_work_cap_is_fig3_only(self, capsys, tmp_path):
+        # fig1a runs no Monte Carlo, so points past fig3's total-work cap pass
+        out = tmp_path / "many.csv"
+        code, msg, _ = run_cli(capsys, "figure", "fig1a", "--points", "3334", "--out", str(out))
+        assert code == 0
+        assert msg == f"wrote {out}: 3334 rows\n"
 
     def test_unwritable_path_exits_3(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "figure", "fig1a", "--points", "2",

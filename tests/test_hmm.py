@@ -125,6 +125,22 @@ class TestDyadicPermutation:
                 assert 4.0 * dy / n >= truncated - 1e-12
 
 
+def _mp_series_mmse(q):
+    """The dyadic series at 50 digits. Each bracket is -expm1(a) / (1 + e^a)
+    with a = 2^t log1p(-2q): the plain 1 - r^(2^t) cancels to 0 for q below
+    about 1e-50. The sum stops once the tail, at most twice the next weight,
+    is below 1e-55 of it."""
+    with mpmath.workdps(50):
+        log_r = mpmath.log1p(-2 * mpmath.mpf(q))
+        total, weight, t = mpmath.mpf(0), mpmath.mpf(1) / 2, 1
+        while total == 0 or 2 * weight > total * mpmath.mpf(10) ** -55:
+            a = log_r * 2**t
+            total += weight * -mpmath.expm1(a) / (1 + mpmath.exp(a))
+            weight /= 2
+            t += 1
+        return float(total)
+
+
 class TestSeriesMmse:
     def test_endpoint_values(self):
         assert series_mmse(0.0) == 0.0
@@ -161,6 +177,15 @@ class TestSeriesMmse:
             v = series_mmse(q)
             assert 0.0 < v < 1e-3
             assert v / binary_entropy(q) > 0.9
+
+    @pytest.mark.parametrize("q", [1e-300, 1e-100, 1e-30, 1e-15, 1e-12, 1e-11, 1e-9,
+                                   1e-6, 1e-3, 0.1, 0.3, 0.49])
+    def test_matches_50_digit_sum(self, q):
+        assert series_mmse(q) == pytest.approx(_mp_series_mmse(q), rel=1e-13, abs=0.0)
+
+    def test_subnormal_q_is_finite_and_positive(self):
+        v = series_mmse(5e-324)
+        assert math.isfinite(v) and v > 0.0
 
 
 class TestMarkovSeriesBound:
@@ -206,6 +231,11 @@ class TestCrossingQ:
 
 
 class TestSmallQRatio:
+    def test_rises_toward_one_down_to_tiny_q(self):
+        ratios = [small_q_ratio(q) for q in (1e-2, 1e-3, 1e-6, 1e-9, 1e-12, 1e-15, 1e-300)]
+        assert all(b > a for a, b in zip(ratios, ratios[1:]))
+        assert ratios[-1] < 1.0
+
     def test_increases_toward_small_q(self):
         # the series keeps a growing fraction of h(q) as q shrinks
         ratios = [small_q_ratio(q) for q in (1e-2, 1e-3, 1e-4, 1e-6)]

@@ -8,15 +8,22 @@ import numpy as np
 import pytest
 
 from bscbounds import (
+    DimensionError,
     ExplicitPmf,
+    best_case_mmse_given_output,
     conditional_mmse,
     conditional_vector_mmse_gerber,
     markov_joint_pmf,
     memory_noise_term,
+    noise_profile,
     noisy_conditional_mmse,
     random_pmf,
     vector_memory_noise,
+    vector_mmse_gerber,
+    vector_upper,
+    worst_case_mmse,
 )
+from bscbounds import dist
 from bscbounds.dist import _best_order, _cost_table
 
 ALPHAS = (0.0, 0.11, 0.3)
@@ -168,3 +175,29 @@ def test_memory_noise_search_matches_brute_force(n):
     assert res.value == pytest.approx(best, abs=1e-12)
     assert totals[res.inputs["order"]] == pytest.approx(best, abs=1e-12)
     assert memory_noise_term(x, z, res.inputs["order"]) == res.value
+
+
+_X9 = random_pmf(9, seed=0)
+_Z9 = markov_joint_pmf(9, 0.15)
+_ORDER9 = tuple(range(1, 10))
+
+
+@pytest.mark.parametrize("search", [
+    lambda: worst_case_mmse(_X9),
+    lambda: best_case_mmse_given_output(_X9, 0.11),
+    lambda: vector_mmse_gerber(_X9, 0.11),
+    lambda: vector_upper(_X9, 0.11),
+    lambda: conditional_vector_mmse_gerber([(1.0, _X9)], 0.11),
+    lambda: vector_memory_noise(_X9, _Z9),
+    lambda: memory_noise_term(_X9, _Z9, _ORDER9),
+    lambda: noise_profile(_Z9, _ORDER9),
+], ids=["worst_case_mmse", "best_case_mmse_given_output", "vector_mmse_gerber",
+        "vector_upper", "conditional_vector_mmse_gerber", "vector_memory_noise",
+        "memory_noise_term", "noise_profile"])
+def test_every_table_builder_refuses_n_above_cap_before_allocating(monkeypatch, search):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the size must be checked before any table is built")
+
+    monkeypatch.setattr(dist, "_expand", refuse)
+    with pytest.raises(DimensionError, match="cap 8"):
+        search()
