@@ -131,6 +131,8 @@ _FIGURES = {
 
 
 def _run_figure(args: argparse.Namespace) -> int:
+    if args.seed < 0:
+        raise DomainError(f"--seed must be nonnegative, got {args.seed}")
     if not 2 <= args.points <= _MAX_POINTS:
         raise DomainError(f"--points must be in 2..{_MAX_POINTS}, got {args.points}")
     if args.samples + args.burnin > _MAX_MC_STEPS:
@@ -155,6 +157,8 @@ def _run_figure(args: argparse.Namespace) -> int:
 def _run_validate(args: argparse.Namespace) -> int:
     if not 1 <= args.budget <= _MAX_BUDGET:
         raise DomainError(f"--budget must be in 1..{_MAX_BUDGET}, got {args.budget}")
+    if args.seed < 0:
+        raise DomainError(f"--seed must be nonnegative, got {args.seed}")
     results = validate_mod.run_suite(args.suite, seed=args.seed, budget=args.budget)
     failed = False
     for r in results:

@@ -35,6 +35,8 @@ __all__ = [
 
 MAX_COORDS = 16
 EXHAUSTIVE_CAP = 8
+# read_pmf reads at most 32 bytes a weight at MAX_COORDS; write_pmf uses <= 24
+_MAX_PMF_BYTES = 32 << MAX_COORDS
 
 # weight vectors further than this from unit mass are rejected, closer ones
 # are renormalized
@@ -405,7 +407,10 @@ def write_pmf(pmf: ExplicitPmf, path) -> None:
 def read_pmf(path) -> ExplicitPmf:
     """Parse a pmf file: first token n, then 2**n weights, whitespace-separated."""
     with open(path, "r", encoding="ascii") as fh:
-        tokens = fh.read().split()
+        text = fh.read(_MAX_PMF_BYTES + 1)
+    if len(text) > _MAX_PMF_BYTES:
+        raise DomainError(f"{path}: pmf file longer than {_MAX_PMF_BYTES} bytes")
+    tokens = text.split()
     if not tokens:
         raise DomainError(f"{path}: empty pmf file")
     try:

@@ -56,13 +56,16 @@ _RESIDUAL_TOL = 1e-9
 # crossing_q bisects its bracket down to this width in q
 _CROSSING_WIDTH = 1e-6
 _MAX_WINDOW = 20
+# Powers (1-2q)^k cap k here. Once 1 - 2q < 1 in floats the power at 2^63
+# is at most (1 - 2^-53)^(2^63) ~ e^-1024, lost against 1, so a larger k
+# changes no result; it would only overflow the conversion to float.
+_MAX_POWER = 1 << 63
 
 # The Monte Carlo draws and simulates _MC_CHUNK steps at a time, cut into
-# blocks of _MC_BLOCK steps that numpy runs side by side. Block maps are
-# rescaled every _MC_RESCALE steps: between rescales an entry grows by at
-# most eta**_MC_RESCALE < 1e64 for any rate above _TINY_RATE.
+# blocks that numpy runs side by side. Block maps are rescaled every
+# _MC_RESCALE steps: between rescales an entry grows by at most
+# eta**_MC_RESCALE < 1e64 for any rate above _TINY_RATE.
 _MC_CHUNK = 1 << 16
-_MC_BLOCK = 64
 _MC_RESCALE = 8
 # Entropy terms are evaluated over slices of this many steps: their 64 KB
 # temporaries stay below malloc's mmap threshold, while whole-chunk ones were
@@ -92,7 +95,7 @@ def disagreement_prob(k: int, q: float) -> float:
     if not isinstance(k, (int, np.integer)) or k < 0:
         raise DomainError(f"k must be a nonnegative integer, got {k!r}")
     q = check_range("q", q, 0.0, 0.5)
-    return 0.5 * (1.0 - (1.0 - 2.0 * q) ** int(k))
+    return 0.5 * (1.0 - (1.0 - 2.0 * q) ** min(int(k), _MAX_POWER))
 
 
 def mmse_two_sided(gap: int, q: float) -> float:
@@ -105,7 +108,7 @@ def mmse_two_sided(gap: int, q: float) -> float:
     """
     if not isinstance(gap, (int, np.integer)) or gap < 1:
         raise DomainError(f"gap must be a positive integer, got {gap!r}")
-    gap = int(gap)
+    gap = min(int(gap), _MAX_POWER)
     q = check_range("q", q, 0.0, 0.5)
     if q == 0.0:
         return 0.0
@@ -249,8 +252,10 @@ def propagate_llr(t: float, q: float) -> float:
 
         f(t) = ln((e^t (1-q) + q) / (q e^t + (1-q))).
 
-    Odd in t and saturating at ln((1-q)/q); evaluated through exp(-|t|) so
-    arbitrarily large inputs stay finite.
+    Odd in t and saturating at ln((1-q)/q). Taken as log1p of the ratio's
+    excess (1-2q)(1 - e^-|t|)/(q + (1-q) e^-|t|), with expm1 for 1 - e^-|t|,
+    so it keeps full relative precision as t -> 0 and stays finite for
+    arbitrarily large inputs.
     """
     q = check_range("q", q, 0.0, 0.5)
     if q == 0.0:
@@ -264,7 +269,7 @@ def propagate_llr(t: float, q: float) -> float:
     if q == 0.5 or t == 0.0:
         return 0.0
     e = math.exp(-abs(t))
-    val = math.log(((1.0 - q) + q * e) / (q + (1.0 - q) * e))
+    val = math.log1p((1.0 - 2.0 * q) * -math.expm1(-abs(t)) / (q + (1.0 - q) * e))
     return -val if t < 0.0 else val
 
 
@@ -288,8 +293,10 @@ def odds_cap(params: MarkovHmmParams) -> float:
         # exact here, where the formula below can round to 1 + 2**-52
         return 1.0
     eta = (1.0 - alpha) / alpha
-    disc = math.sqrt(4.0 * eta * q * q + ((eta - 1.0) * (1.0 - q)) ** 2)
-    return ((eta - 1.0) * (1.0 - q) + disc) / (2.0 * eta * q)
+    # eta - 1 as (1 - 2 alpha)/alpha, which does not cancel near alpha = 1/2
+    gain = (1.0 - 2.0 * alpha) / alpha * (1.0 - q)
+    disc = math.sqrt(4.0 * eta * q * q + gain * gain)
+    return (gain + disc) / (2.0 * eta * q)
 
 
 def mmse_given_odds(odds: float, params: MarkovHmmParams) -> float:
@@ -479,45 +486,37 @@ def _chunked_draws(rng: np.random.Generator, total: int):
     rng.bit_generator.state = s_bits.state
 
 
-def _mc_chunk(w0: float, r_neg: np.ndarray, s_neg: np.ndarray, q: float,
-              eta: float, ln_eta: float) -> np.ndarray:
-    """Log odds W after each step of one chunk, given W before its first step.
+def _mc_chunk(v0: float, neg: np.ndarray, q: float, eta: float,
+              ln_eta: float) -> np.ndarray:
+    """V after each step of one chunk of V_i = +-ln(eta) + f(V_{i-1}), given
+    V before its first step; neg flags the steps that add -ln(eta).
 
-    r_neg and s_neg flag the steps whose R and S are negative. In odds
-    x = e^W a step is the Moebius map of M = D J^s Q, with Q the Markov
-    matrix, J the row swap and D = diag(eta, 1), or diag(1, eta) when R is
-    negative (the same map as diag(1/eta, 1), without rounding 1/eta). The
-    chunk is cut into blocks of _MC_BLOCK steps. Pass A multiplies out each
-    block's map, every block at once; since J Q = Q J and J D J swaps D's
-    diagonal, a block's product is J^(swaps in the block) times the product
-    of the D Q, each D swapped by the parity of the swaps up to its own step,
-    so only the row that eta scales varies between blocks. All entries stay
-    nonnegative, so the products lose nothing to cancellation. Pass B
-    carries W across the blocks one map at a time. Pass C reruns every
-    block from its start with the log-odds step itself.
+    In odds x = e^V a step is the Moebius map of D Q, with Q the Markov
+    matrix and D = diag(eta, 1), or diag(1, eta) on a flagged step (the same
+    map as diag(1/eta, 1), without rounding 1/eta). The chunk is cut into
+    blocks of about sqrt(n/32) steps (45 for a full chunk), which balances
+    the numpy calls of passes A and C, one per step of a block, against the
+    turns of pass B's Python loop, one per block. Pass A multiplies out each
+    block's map, every block at once. All entries stay nonnegative, so the
+    products lose nothing to cancellation. Pass B carries V across the
+    blocks one map at a time. Pass C reruns every block from its start with
+    the log-odds step itself.
     """
-    n = r_neg.size
-    blocks = -(-n // _MC_BLOCK)
-    pad = blocks * _MC_BLOCK - n
-
-    def by_step(flags: np.ndarray) -> np.ndarray:
-        # row j holds step j of every block; padding steps are never read
-        return np.pad(flags, (0, pad)).reshape(blocks, _MC_BLOCK).T.copy()
-
-    r_neg, s_neg = by_step(r_neg), by_step(s_neg)
+    n = neg.size
+    size = max(1, round(math.sqrt(n / 32)))
+    blocks = -(-n // size)
+    # row j holds step j of every block; padding steps are never read
+    neg = np.pad(neg, (0, blocks * size - n)).reshape(blocks, size).T.copy()
     cq = 1.0 - q
 
     # pass A: rows (a, b) and (c, d) of every block's map on (x, 1)
-    swapped = np.logical_xor.accumulate(s_neg, axis=0)
-    eta_top = r_neg == swapped
-    eta_bot = ~eta_top
-    scale_top = eta_top * eta + eta_bot
-    scale_bot = eta_bot * eta + eta_top
+    scale_top = np.where(neg, 1.0, eta)
+    scale_bot = np.where(neg, eta, 1.0)
     top = np.zeros((2, blocks))
     top[0] = 1.0
     bot = np.zeros((2, blocks))
     bot[1] = 1.0
-    for j in range(_MC_BLOCK):
+    for j in range(size):
         mixed = cq * top + q * bot
         bot = (q * top + cq * bot) * scale_bot[j]
         top = mixed * scale_top[j]
@@ -525,44 +524,48 @@ def _mc_chunk(w0: float, r_neg: np.ndarray, s_neg: np.ndarray, q: float,
             peak = np.maximum(top.max(axis=0), bot.max(axis=0))
             top /= peak
             bot /= peak
-    odd = swapped[-1]
-    top, bot = np.where(odd, bot, top), np.where(odd, top, bot)
 
-    # pass B: W at the start of every block, in the stable form for either sign
+    # pass B: V at the start of every block, in the stable form for either sign
     starts = [0.0] * blocks
-    a, b = top[0].tolist(), top[1].tolist()
-    c, d = bot[0].tolist(), bot[1].tolist()
-    w = w0
+    (a, b), (c, d) = top.tolist(), bot.tolist()
+    v = v0
     for k in range(blocks):
-        starts[k] = w
-        if w >= 0.0:
-            e = math.exp(-w)
-            w = math.log((a[k] + b[k] * e) / (c[k] + d[k] * e))
+        starts[k] = v
+        if v >= 0.0:
+            e = math.exp(-v)
+            v = math.log((a[k] + b[k] * e) / (c[k] + d[k] * e))
         else:
-            e = math.exp(w)
-            w = math.log((a[k] * e + b[k]) / (c[k] * e + d[k]))
+            e = math.exp(v)
+            v = math.log((a[k] * e + b[k]) / (c[k] * e + d[k]))
 
     # pass C
-    r_step = ln_eta - (2.0 * ln_eta) * r_neg
-    s_sign = 1.0 - 2.0 * s_neg
-    ws = np.empty((blocks, _MC_BLOCK))
-    w = np.array(starts)
-    for j in range(_MC_BLOCK):
-        w = r_step[j] + s_sign[j] * _propagate_llr_vec(w, q)
-        ws[:, j] = w
-    return ws.reshape(-1)[:n]
+    r_step = ln_eta - (2.0 * ln_eta) * neg
+    vs = np.empty((blocks, size))
+    v = np.array(starts)
+    for j in range(size):
+        v = r_step[j] + _propagate_llr_vec(v, q)
+        vs[:, j] = v
+    return vs.reshape(-1)[:n]
 
 
 def _belief_path(q: float, alpha: float, total: int, rng: np.random.Generator):
     """Yield W_1 .. W_total of the belief recursion from W_0 = 0, one chunk
-    of at most _MC_CHUNK values at a time."""
+    of at most _MC_CHUNK values at a time.
+
+    Since f is odd, V_i = sigma_i W_i with sigma_i = S_1 ... S_i obeys
+    V_i = sigma_i R_i ln(eta) + f(V_{i-1}), which _mc_chunk runs; the parity
+    of sigma is carried across chunks. W is V with sigma's sign put back:
+    negation is exact and _propagate_llr_vec exactly odd, so this changes
+    no bit of a step.
+    """
     eta = (1.0 - alpha) / alpha
     ln_eta = math.log(eta)
-    w = 0.0
+    v, odd = 0.0, False
     for r_u, s_u in _chunked_draws(rng, total):
-        ws = _mc_chunk(w, r_u < alpha, s_u < q, q, eta, ln_eta)
-        w = float(ws[-1])
-        yield ws
+        flipped = np.logical_xor.accumulate(s_u < q) ^ odd
+        vs = _mc_chunk(v, (r_u < alpha) != flipped, q, eta, ln_eta)
+        v, odd = float(vs[-1]), bool(flipped[-1])
+        yield np.where(flipped, -vs, vs)
 
 
 def entropy_rate_mc(
@@ -582,11 +585,12 @@ def entropy_rate_mc(
     from a copy of the generator moved past all R draws, which keeps the
     stream above), and its entropy terms are folded into a running mean and
     sum of squared deviations (the pairwise update of Chan, Golub & LeVeque).
-    Within a chunk the recursion runs as a blocked scan (_mc_chunk): in odds
+    Since f is odd, V_i = S_1 ... S_i W_i takes one of two fixed steps,
+    V_i = S_1 ... S_i R_i ln(eta) + f(V_{i-1}), and W is V with that sign
+    put back (_belief_path). V runs as a blocked scan (_mc_chunk): in odds
     space each step is a Moebius map with a nonnegative 2x2 matrix, so numpy
-    multiplies out the maps of all blocks side by side, W is carried from
-    block to block, and every block is then rerun from its start with the
-    stable log-odds step.
+    multiplies out the maps of all blocks side by side, V is carried from
+    block to block, and every block is rerun from its start.
 
     The reported stderr uses the i.i.d. formula; consecutive W values are
     correlated, so it understates the true uncertainty and consumers should

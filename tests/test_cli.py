@@ -4,11 +4,12 @@ import math
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from bscbounds import cli
+from bscbounds import cli, hmm, validate
 from bscbounds.dist import markov_joint_pmf, random_pmf, write_pmf
 from bscbounds.scalar import binary_entropy
 
@@ -123,6 +124,12 @@ class TestBound:
                                  "--q", "0.1", "--n", "0")
         assert (code, out) == (2, "")
         assert "m must be a positive integer" in err
+
+    def test_cover_thomas_huge_order_saturates(self, capsys):
+        code, out, _ = run_cli(capsys, "bound", "cover-thomas", "--alpha", "0.11",
+                               "--q", "0.1", "--n", str(10**400))
+        assert code == 0
+        assert float(out.rsplit("=", 1)[1]) == 1.0
 
     def test_readme_table_matches_registry(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -303,6 +310,23 @@ class TestFigure:
         assert "file error" in err
 
 
+# the (alpha, q) points at which validate's hmm suite runs the Monte Carlo
+HMM_GRID = [(a, q) for a in (0.05, 0.11, 0.25) for q in (0.01, 0.05, 0.1, 0.2, 0.3, 0.45)]
+
+
+@pytest.mark.parametrize("argv", [("figure", "fig3"), ("validate", "hmm")])
+def test_negative_seed_exits_2_before_any_work(capsys, monkeypatch, tmp_path, argv):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the seed must be checked before any work")
+
+    monkeypatch.setattr(cli, "entropy_rate_mc", refuse)
+    monkeypatch.setattr(cli.validate_mod, "run_suite", refuse)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *argv, "--seed", "-1")
+    assert (code, out) == (2, "")
+    assert "--seed" in err
+
+
 class TestValidate:
     def test_scalar_suite_passes(self, capsys):
         code, out, _ = run_cli(capsys, "validate", "scalar", "--budget", "50")
@@ -347,6 +371,24 @@ class TestValidate:
         assert code == 2
         assert "budget" in err
 
+    def test_hmm_suite_simulates_each_grid_point_once(self, monkeypatch):
+        calls = []
+        real = hmm.entropy_rate_mc
+
+        def counted(params, samples, burnin, seed):
+            calls.append((params.alpha, params.q, seed))
+            return real(params, samples, burnin=burnin, seed=seed)
+
+        monkeypatch.setattr(hmm, "entropy_rate_mc", counted)
+        validate.run_suite("hmm", seed=2, budget=5)
+        assert sorted(calls) == sorted((a, q, (2, int(a * 1000), int(q * 1000)))
+                                       for a, q in HMM_GRID)
+
+    def test_belief_check_names_a_grid_point(self):
+        belief = validate.run_suite("hmm", seed=2, budget=5)[-1]
+        assert belief.name == "belief-bound-below-simulation"
+        assert belief.detail in {f"alpha={a} q={q}" for a, q in HMM_GRID}
+
     def test_unknown_suite_rejected_by_parser(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["validate", "nosuch"])
@@ -383,6 +425,19 @@ class TestPmfMmse:
         path.write_text("2\n0.5\nnot-a-number\n")
         code, _, err = run_cli(capsys, "pmf-mmse", str(path))
         assert code == 2
+
+    def test_oversized_file_exits_2_in_bounded_memory(self, capsys, tmp_path):
+        path = tmp_path / "huge.pmf"
+        path.write_text("2\n" + "0.25\n" * 800_000)  # 4 MB, twice the read limit
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, "pmf-mmse", str(path))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (2, "")
+        assert "longer than" in err
+        assert peak < 16 * 2**20
 
     def test_above_search_cap_prints_nothing(self, capsys, tmp_path):
         path = tmp_path / "nine.pmf"

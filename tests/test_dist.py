@@ -8,6 +8,7 @@ from bscbounds import (
     DimensionError,
     DomainError,
     ExplicitPmf,
+    MAX_COORDS,
     apply_bsc,
     best_case_mmse_given_output,
     conditional_mmse,
@@ -297,6 +298,13 @@ class TestPmfFiles:
         back = read_pmf(path)
         assert back.n == 3
         assert np.array_equal(back.weights, pmf.weights)
+
+    def test_largest_pmf_round_trips(self, tmp_path):
+        # write_pmf's longest file still fits read_pmf's byte limit
+        pmf = random_pmf(MAX_COORDS, seed=8)
+        path = tmp_path / "largest.pmf"
+        write_pmf(pmf, path)
+        assert np.array_equal(read_pmf(path).weights, pmf.weights)
 
     def test_malformed_files(self, tmp_path):
         bad = tmp_path / "bad.pmf"

@@ -3,6 +3,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bscbounds import (
     DimensionError,
@@ -61,8 +63,14 @@ class TestDisagreementProb:
         with pytest.raises(DomainError):
             disagreement_prob(-1, 0.2)
 
+    def test_huge_k_saturates(self):
+        assert disagreement_prob(10**400, 0.1) == 0.5
+
 
 class TestMmseTwoSided:
+    def test_huge_gap_saturates(self):
+        assert mmse_two_sided(10**400, 0.1) == 0.25
+
     def test_gap_one_closed_form(self):
         # q(1-q) / (2 (1 - 2q + 2q^2)) at q = 0.2
         assert mmse_two_sided(1, 0.2) == pytest.approx(0.16 / 1.36, abs=1e-15)
@@ -366,6 +374,51 @@ class TestMmseGivenOdds:
             mmse_given_odds(0.0, MarkovHmmParams(0.1, 0.11))
         with pytest.raises(DomainError):
             mmse_given_odds(-2.0, MarkovHmmParams(0.1, 0.11))
+
+
+# 50-digit oracles for the scalar belief kernels, each computed from the same
+# float inputs. Rates run from 1e-7 to 1/2; t and the odds cover many decades.
+RATE = st.floats(1e-7, 0.5)
+PROPERTY = settings(max_examples=300, deadline=None, derandomize=True)
+
+
+@PROPERTY
+@given(exponent=st.floats(-300.0, math.log10(60.0)), negative=st.booleans(), q=RATE)
+def test_propagate_llr_matches_50_digits(exponent, negative, q):
+    t = -(10.0**exponent) if negative else 10.0**exponent
+    with mpmath.workdps(50):
+        # the ratio form ln((e^t (1-q) + q) / (q e^t + 1-q)) loses all its
+        # digits below t ~ 1e-45 even at 50 digits; this form loses none
+        want = float(2 * mpmath.atanh((1 - 2 * mpmath.mpf(q)) * mpmath.tanh(mpmath.mpf(t) / 2)))
+    # a value below the normal range can be off by a few subnormal ulps
+    assert abs(propagate_llr(t, q) - want) <= 1e-14 * abs(want) + 1e-320, (t, q)
+
+
+@PROPERTY
+@given(q=RATE, alpha=RATE)
+# near alpha = 1/2 at small q, where eta - 1 taken as a difference cancels
+@example(q=6.6e-05, alpha=0.4994)
+def test_odds_cap_matches_50_digits(q, alpha):
+    with mpmath.workdps(50):
+        mq, ma = mpmath.mpf(q), mpmath.mpf(alpha)
+        eta = (1 - ma) / ma
+        disc = mpmath.sqrt(4 * eta * mq**2 + ((eta - 1) * (1 - mq)) ** 2)
+        want = float(((eta - 1) * (1 - mq) + disc) / (2 * eta * mq))
+    assert odds_cap(MarkovHmmParams(q, alpha)) == pytest.approx(want, rel=1e-14, abs=0)
+
+
+@PROPERTY
+@given(exponent=st.floats(-6.0, 6.0), q=RATE, alpha=RATE)
+def test_mmse_given_odds_matches_50_digits(exponent, q, alpha):
+    odds = 10.0**exponent
+    with mpmath.workdps(50):
+        mq, ma, mo = mpmath.mpf(q), mpmath.mpf(alpha), mpmath.mpf(odds)
+        eta = (1 - ma) / ma
+        m = ma * (1 - mq) + mq * (1 - ma)
+        hi, lo = eta * mo, mo / eta
+        want = float((1 - m) * hi / (1 + hi) ** 2 + m * lo / (1 + lo) ** 2)
+    got = mmse_given_odds(odds, MarkovHmmParams(q, alpha))
+    assert got == pytest.approx(want, rel=1e-14, abs=0)
 
 
 C07_GRID = [MarkovHmmParams(q, a) for a in (0.05, 0.11, 0.25)

@@ -12,13 +12,14 @@ from hypothesis import strategies as st
 from bscbounds import hmm
 from bscbounds.hmm import MarkovHmmParams, entropy_rate_mc, propagate_llr
 
-BLOCK = hmm._MC_BLOCK
+BLOCK = 64
 CHUNK = hmm._MC_CHUNK
 RATES = (1e-7, 0.001, 0.05, 0.25, 0.5 - 1e-9, 0.5)
 PAIRS = [(q, a) for q in RATES for a in RATES]
 TOTALS = (1, BLOCK - 1, BLOCK, BLOCK + 1, CHUNK + 1)
-# the longer runs take every rate once as q and once as alpha
-LONG_TOTALS = (CHUNK - 1, CHUNK, 3 * CHUNK + BLOCK + 1)
+# the longer runs take every rate once as q and once as alpha; CHUNK + 4464
+# is the length of a 70,000-step fig3-sweep row
+LONG_TOTALS = (CHUNK - 1, CHUNK, CHUNK + 4464, 3 * CHUNK + BLOCK + 1)
 LONG_PAIRS = list(zip(RATES, reversed(RATES)))
 
 # At q = 1e-7, alpha = 0.5 - 1e-9 the float64 loop drifts by itself: W stays
