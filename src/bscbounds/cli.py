@@ -31,7 +31,7 @@ from .dist import (
     read_pmf,
     worst_case_mmse,
 )
-from .errors import DomainError
+from .errors import DomainError, check_int
 from .hmm import (
     MarkovHmmParams,
     belief_bound,
@@ -131,10 +131,8 @@ _FIGURES = {
 
 
 def _run_figure(args: argparse.Namespace) -> int:
-    if args.seed < 0:
-        raise DomainError(f"--seed must be nonnegative, got {args.seed}")
-    if not 2 <= args.points <= _MAX_POINTS:
-        raise DomainError(f"--points must be in 2..{_MAX_POINTS}, got {args.points}")
+    check_int("--seed", args.seed, 0)
+    check_int("--points", args.points, 2, _MAX_POINTS)
     if args.samples + args.burnin > _MAX_MC_STEPS:
         raise DomainError(f"--samples + --burnin must be at most {_MAX_MC_STEPS}, "
                           f"got {args.samples + args.burnin}")
@@ -155,10 +153,8 @@ def _run_figure(args: argparse.Namespace) -> int:
 
 
 def _run_validate(args: argparse.Namespace) -> int:
-    if not 1 <= args.budget <= _MAX_BUDGET:
-        raise DomainError(f"--budget must be in 1..{_MAX_BUDGET}, got {args.budget}")
-    if args.seed < 0:
-        raise DomainError(f"--seed must be nonnegative, got {args.seed}")
+    check_int("--budget", args.budget, 1, _MAX_BUDGET)
+    check_int("--seed", args.seed, 0)
     results = validate_mod.run_suite(args.suite, seed=args.seed, budget=args.budget)
     failed = False
     for r in results:

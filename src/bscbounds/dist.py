@@ -12,7 +12,7 @@ from collections.abc import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, check_range
+from .errors import DimensionError, DomainError, check_int, check_range
 
 __all__ = [
     "MAX_COORDS",
@@ -79,14 +79,8 @@ class ExplicitPmf:
         return f"ExplicitPmf(n={self.n})"
 
 
-def _check_coords(pmf: ExplicitPmf, coords: Iterable[int], what: str = "coordinate") -> None:
-    for j in coords:
-        if not isinstance(j, (int, np.integer)) or not 1 <= int(j) <= pmf.n:
-            raise DomainError(f"{what} {j!r} outside 1..{pmf.n}")
-
-
 def _check_permutation(pmf: ExplicitPmf, order: Sequence[int]) -> tuple[int, ...]:
-    out = tuple(int(j) for j in order)
+    out = tuple(check_int("order entry", j, 1, pmf.n) for j in order)
     if sorted(out) != list(range(1, pmf.n + 1)):
         raise DomainError(f"order {tuple(order)!r} is not a permutation of 1..{pmf.n}")
     return out
@@ -130,10 +124,8 @@ def entropy(pmf: ExplicitPmf) -> float:
 def _conditional_mmse(pmf: ExplicitPmf, target: int, given: Sequence[int], alpha: float) -> float:
     """E[Var(X_target | X_given, each seen through flip rate alpha)]. At alpha = 0
     the channel mix would leave the table unchanged, so it is skipped."""
-    _check_coords(pmf, (target,), "target")
-    given = tuple(sorted({int(j) for j in given}))
-    _check_coords(pmf, given, "conditioning coordinate")
-    target = int(target)
+    target = check_int("target", target, 1, pmf.n)
+    given = tuple(sorted({check_int("conditioning coordinate", j, 1, pmf.n) for j in given}))
     if target in given:
         raise DomainError(f"target {target} also appears in the conditioning set")
     coords = tuple(sorted(given + (target,)))
@@ -348,9 +340,7 @@ def markov_joint_pmf(n: int, q: float) -> ExplicitPmf:
     """Joint law of n steps of the stationary symmetric Markov chain that
     flips with probability q, started from a fair bit."""
     q = check_range("q", q, 0.0, 0.5)
-    if not isinstance(n, (int, np.integer)) or not 1 <= int(n) <= MAX_COORDS:
-        raise DimensionError(f"n must be an integer in 1..{MAX_COORDS}, got {n!r}")
-    n = int(n)
+    n = check_int("n", n, 1, MAX_COORDS, DimensionError)
     w = np.array([0.5, 0.5])
     for m in range(2, n + 1):
         top = (np.arange(w.size) >> (m - 2)) & 1
@@ -388,10 +378,9 @@ def counterexample_pmf(eps: float) -> ExplicitPmf:
 
 def random_pmf(n: int, seed: int) -> ExplicitPmf:
     """Deterministic random pmf: 2**n uniform draws, normalized."""
-    if not isinstance(n, (int, np.integer)) or not 1 <= int(n) <= MAX_COORDS:
-        raise DimensionError(f"n must be an integer in 1..{MAX_COORDS}, got {n!r}")
+    n = check_int("n", n, 1, MAX_COORDS, DimensionError)
     rng = np.random.default_rng(seed)
-    w = rng.random(1 << int(n))
+    w = rng.random(1 << n)
     return ExplicitPmf(w / w.sum())
 
 
@@ -406,8 +395,11 @@ def write_pmf(pmf: ExplicitPmf, path) -> None:
 
 def read_pmf(path) -> ExplicitPmf:
     """Parse a pmf file: first token n, then 2**n weights, whitespace-separated."""
-    with open(path, "r", encoding="ascii") as fh:
-        text = fh.read(_MAX_PMF_BYTES + 1)
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            text = fh.read(_MAX_PMF_BYTES + 1)
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"{path}: pmf file is not ASCII ({exc})") from exc
     if len(text) > _MAX_PMF_BYTES:
         raise DomainError(f"{path}: pmf file longer than {_MAX_PMF_BYTES} bytes")
     tokens = text.split()

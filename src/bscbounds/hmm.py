@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bounds import BoundResult
-from .errors import DimensionError, DomainError, check_open, check_range
+from .errors import DimensionError, DomainError, check_int, check_open, check_range
 from .scalar import _entropy_vec, binary_convolve, binary_entropy
 
 __all__ = [
@@ -56,9 +56,9 @@ _RESIDUAL_TOL = 1e-9
 # crossing_q bisects its bracket down to this width in q
 _CROSSING_WIDTH = 1e-6
 _MAX_WINDOW = 20
-# Powers (1-2q)^k cap k here. Once 1 - 2q < 1 in floats the power at 2^63
-# is at most (1 - 2^-53)^(2^63) ~ e^-1024, lost against 1, so a larger k
-# changes no result; it would only overflow the conversion to float.
+# Powers (1-2q)^k = exp(k log1p(-2q)) cap k here, so k converts to a float.
+# For q >= 2.1e-18, k log1p(-2q) at k = 2^63 is below -37.4, where expm1
+# rounds to -1 and tanh to 1, so a larger k changes no result there.
 _MAX_POWER = 1 << 63
 
 # The Monte Carlo draws and simulates _MC_CHUNK steps at a time, cut into
@@ -91,29 +91,29 @@ class McEstimate(NamedTuple):
 
 
 def disagreement_prob(k: int, q: float) -> float:
-    """Pr(X_{m+k} != X_m) after k Markov steps: (1 - (1-2q)^k) / 2."""
-    if not isinstance(k, (int, np.integer)) or k < 0:
-        raise DomainError(f"k must be a nonnegative integer, got {k!r}")
+    """Pr(X_{m+k} != X_m) after k Markov steps: (1 - (1-2q)^k) / 2, taken as
+    -expm1(k log1p(-2q)) / 2 to keep full relative precision at small q."""
+    k = min(check_int("k", k, 0), _MAX_POWER)
     q = check_range("q", q, 0.0, 0.5)
-    return 0.5 * (1.0 - (1.0 - 2.0 * q) ** min(int(k), _MAX_POWER))
+    if q == 0.5:
+        return 0.5 if k else 0.0
+    return -0.5 * math.expm1(k * math.log1p(-2.0 * q))
 
 
 def mmse_two_sided(gap: int, q: float) -> float:
     """MMSE of a source bit given both neighbors `gap` steps away.
 
-    Closed form (1/4)(1 - r)/(1 + r) with r = (1-2q)^(2 gap), cross-checked
-    on every call against the posterior-ratio form
+    Closed form (1/4)(1 - r)/(1 + r) with r = (1-2q)^(2 gap), evaluated as
+    (1/4) tanh(-gap log1p(-2q)) to keep full relative precision at small q,
+    and cross-checked on every call against the posterior-ratio form
     (P_gap (1-P_gap))^2 / (P_{2 gap} (1-P_{2 gap})) built from
     disagreement_prob.
     """
-    if not isinstance(gap, (int, np.integer)) or gap < 1:
-        raise DomainError(f"gap must be a positive integer, got {gap!r}")
-    gap = min(int(gap), _MAX_POWER)
+    gap = min(check_int("gap", gap, 1), _MAX_POWER)
     q = check_range("q", q, 0.0, 0.5)
     if q == 0.0:
         return 0.0
-    r = 0.0 if q == 0.5 else math.exp(2.0 * gap * math.log1p(-2.0 * q))
-    value = 0.25 * (1.0 - r) / (1.0 + r)
+    value = 0.25 if q == 0.5 else 0.25 * math.tanh(-gap * math.log1p(-2.0 * q))
     pg = disagreement_prob(gap, q)
     p2 = disagreement_prob(2 * gap, q)
     ratio_form = (pg * (1.0 - pg)) ** 2 / (p2 * (1.0 - p2))
@@ -129,9 +129,9 @@ def dyadic_permutation(n: int) -> tuple[int, ...]:
     """Prediction order that keeps halving the gaps: n first, then the odd
     multiples of each refinement step, so every later bit sees neighbors at
     equal distance on both sides."""
-    if not isinstance(n, (int, np.integer)) or n < 1 or n & (n - 1):
+    n = check_int("n", n, 1)
+    if n & (n - 1):
         raise DomainError(f"n must be a power of two, got {n!r}")
-    n = int(n)
     order = [n]
     step = n
     while step > 1:
@@ -232,9 +232,8 @@ def cover_thomas_ceiling(params: MarkovHmmParams, m: int = 1) -> float:
     This is the ceiling under which the order-m block upper bounds sit, not
     itself an upper bound on the entropy rate: it grows with m toward 1.
     """
-    if not isinstance(m, (int, np.integer)) or m < 1:
-        raise DomainError(f"m must be a positive integer, got {m!r}")
-    return binary_entropy(binary_convolve(disagreement_prob(int(m), params.q), params.alpha))
+    m = check_int("m", m, 1)
+    return binary_entropy(binary_convolve(disagreement_prob(m, params.q), params.alpha))
 
 
 def rare_transition_baseline(params: MarkovHmmParams) -> float:
@@ -598,16 +597,13 @@ def entropy_rate_mc(
     h(q) and h(alpha) with zero stderr.
     """
     q, alpha = params.q, params.alpha
-    if not isinstance(samples, (int, np.integer)) or samples < 1:
-        raise DomainError(f"samples must be a positive integer, got {samples!r}")
-    if not isinstance(burnin, (int, np.integer)) or burnin < 0:
-        raise DomainError(f"burnin must be a nonnegative integer, got {burnin!r}")
+    samples = check_int("samples", samples, 1)
+    burnin = check_int("burnin", burnin, 0)
     if alpha <= _TINY_RATE:
         return McEstimate(binary_entropy(q), 0.0)
     if q <= _TINY_RATE:
         return McEstimate(binary_entropy(alpha), 0.0)
 
-    burnin, samples = int(burnin), int(samples)
     rng = np.random.default_rng(seed)
     # with z = exp(-|W|), (1 - m + m z) / (1 + z) is the predicted probability
     # of the likelier next output, m = alpha * q; h is even in W
@@ -637,9 +633,7 @@ def exact_conditional_entropy(params: MarkovHmmParams, n: int) -> float:
     bit; each extension doubles them, so n is capped at 20. n = 1 returns the
     marginal output entropy, exactly 1 for this symmetric source.
     """
-    if not isinstance(n, (int, np.integer)) or not 1 <= n <= _MAX_WINDOW:
-        raise DimensionError(f"n must be an integer in 1..{_MAX_WINDOW}, got {n!r}")
-    n = int(n)
+    n = check_int("n", n, 1, _MAX_WINDOW, DimensionError)
     if n == 1:
         return 1.0
     q, alpha = params.q, params.alpha

@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, check_range
+from .errors import check_int, check_range
 
 __all__ = [
     "binary_entropy",
@@ -83,12 +83,11 @@ def entropy_taylor(p: float, terms: int) -> float:
     monotonically toward the true value.
     """
     p = check_range("p", p, -1.0, 1.0)
-    if not isinstance(terms, (int, np.integer)) or terms < 1:
-        raise DomainError(f"terms must be a positive integer, got {terms!r}")
+    terms = check_int("terms", terms, 1)
     p2 = p * p
     power = 1.0
     total = 1.0
-    for k in range(1, int(terms) + 1):
+    for k in range(1, terms + 1):
         power *= p2
         total -= _LOG2E / (2 * k * (2 * k - 1)) * power
     return total

@@ -326,10 +326,13 @@ def run_hmm(seed: int = 0, budget: int = 500) -> list[CheckResult]:
     steps = min(1_000_000, max(10_000, budget * 2000))
     params = hmm.MarkovHmmParams(0.1, 0.11)
     cap = hmm.odds_cap(params)
-    # the path is W_1 .. W_steps; f(W_0) = f(0) = 0, so the largest |f| over
-    # W_0 .. W_{steps-1} is the largest over W_1 .. W_{steps-1}
-    path = np.concatenate(list(hmm._belief_path(params.q, params.alpha, steps, rng)))
-    max_abs_f = float(np.abs(hmm._propagate_llr_vec(path[:-1], params.q)).max())
+    # the path is W_1 .. W_steps, taken chunk by chunk; f(W_0) = f(0) = 0, so
+    # the largest |f| over W_0 .. W_{steps-1} starts at 0 and skips W_steps
+    max_abs_f, seen = 0.0, 0
+    for ws in hmm._belief_path(params.q, params.alpha, steps, rng):
+        seen += ws.size
+        fs = hmm._propagate_llr_vec(ws[:-1] if seen == steps else ws, params.q)
+        max_abs_f = max(max_abs_f, float(np.abs(fs).max(initial=0.0)))
     worst = _track(worst, math.log(cap) * (1.0 + 1e-12) - max_abs_f,
                    f"simulated {steps} steps")
     out.append(_result("belief-stays-in-support", *worst))

@@ -1,6 +1,7 @@
 """End-to-end checks of the command line front end."""
 
 import math
+import os
 import re
 import subprocess
 import sys
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import bscbounds
 from bscbounds import cli, hmm, validate
 from bscbounds.dist import markov_joint_pmf, random_pmf, write_pmf
 from bscbounds.scalar import binary_entropy
@@ -389,6 +391,19 @@ class TestValidate:
         assert belief.name == "belief-bound-below-simulation"
         assert belief.detail in {f"alpha={a} q={q}" for a, q in HMM_GRID}
 
+    def test_hmm_suite_streams_the_belief_path(self, monkeypatch):
+        # the 1M-step belief-stays-in-support path is scanned chunk by chunk;
+        # the simulations, which stream on their own, are stubbed out
+        monkeypatch.setattr(hmm, "entropy_rate_mc", lambda *a, **k: hmm.McEstimate(1.0, 0.0))
+        tracemalloc.start()
+        try:
+            results = validate.run_suite("hmm", seed=0, budget=500)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert all(r.passed for r in results)
+        assert peak < 16 * 2**20
+
     def test_unknown_suite_rejected_by_parser(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["validate", "nosuch"])
@@ -426,6 +441,13 @@ class TestPmfMmse:
         code, _, err = run_cli(capsys, "pmf-mmse", str(path))
         assert code == 2
 
+    def test_non_ascii_file_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "binary.pmf"
+        path.write_bytes(b"1\n0.5\n0.5\xff\n")
+        code, out, err = run_cli(capsys, "pmf-mmse", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("domain error:")
+
     def test_oversized_file_exits_2_in_bounded_memory(self, capsys, tmp_path):
         path = tmp_path / "huge.pmf"
         path.write_text("2\n" + "0.25\n" * 800_000)  # 4 MB, twice the read limit
@@ -449,10 +471,13 @@ class TestPmfMmse:
 
 class TestModuleEntry:
     def test_python_dash_m_invocation(self):
+        # the child imports the package under test, not an installed copy
+        src = str(Path(bscbounds.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
         proc = subprocess.run(
             [sys.executable, "-m", "bscbounds.cli", "bound", "mgl",
              "--alpha", "0.11", "--entropy", "0.5"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=env,
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith("mgl(alpha=0.11, entropy=0.5) = ")

@@ -421,6 +421,43 @@ def test_mmse_given_odds_matches_50_digits(exponent, q, alpha):
     assert got == pytest.approx(want, rel=1e-14, abs=0)
 
 
+# 1 - (1-2q)^k taken at 50 digits through log1p/expm1, which keep the digits
+# of q that 1 - 2q rounds away; q runs log-uniform from 1e-300 to 0.4999
+def _mp_disagreement(k, q):
+    with mpmath.workdps(50):
+        return float(-mpmath.expm1(k * mpmath.log1p(-2 * mpmath.mpf(q))) / 2)
+
+
+def _mp_two_sided(gap, q):
+    with mpmath.workdps(50):
+        return float(mpmath.tanh(-gap * mpmath.log1p(-2 * mpmath.mpf(q))) / 4)
+
+
+SMALL_Q_EXPONENT = st.floats(-300.0, math.log10(0.4999))
+
+
+@PROPERTY
+@given(k=st.integers(0, 10**6), exponent=SMALL_Q_EXPONENT)
+def test_disagreement_prob_matches_50_digits(k, exponent):
+    q = 10.0**exponent
+    assert disagreement_prob(k, q) == pytest.approx(_mp_disagreement(k, q), rel=1e-14, abs=0)
+
+
+@PROPERTY
+@given(gap=st.integers(1, 10**6), exponent=SMALL_Q_EXPONENT)
+def test_mmse_two_sided_matches_50_digits(gap, exponent):
+    q = 10.0**exponent
+    assert mmse_two_sided(gap, q) == pytest.approx(_mp_two_sided(gap, q), rel=1e-14, abs=0)
+
+
+# the float power made these fail the cross-check (the first two) or divide
+# 0 by 0 (the last)
+@pytest.mark.parametrize("gap, q", [(10**6, 1e-9), (10**6, 1e-12), (3, 1e-17)])
+def test_two_sided_at_small_q(gap, q):
+    assert disagreement_prob(gap, q) == pytest.approx(_mp_disagreement(gap, q), rel=1e-14, abs=0)
+    assert mmse_two_sided(gap, q) == pytest.approx(_mp_two_sided(gap, q), rel=1e-14, abs=0)
+
+
 C07_GRID = [MarkovHmmParams(q, a) for a in (0.05, 0.11, 0.25)
             for q in (0.05, 0.1, 0.2, 0.3, 0.45)]
 NEAR_HALF = [MarkovHmmParams(float(q), a) for q in np.linspace(0.001, 0.499, 25)
