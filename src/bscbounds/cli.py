@@ -43,9 +43,9 @@ from .hmm import (
 from .scalar import binary_convolve, binary_entropy
 
 # Largest inputs that set work or memory. The Monte Carlo streams its steps
-# in fixed chunks and peaks near 5 MB at any length, so the step caps bound
-# work: at about 0.1 us per step one fig3 row at the row cap takes about 1 s
-# and a whole fig3 run at the total cap about 100 s.
+# in fixed chunks and peaks near 3 MB at any length, so the step caps bound
+# work: at about 0.05 us per step one fig3 row at the row cap takes about
+# 0.5 s and a whole fig3 run at the total cap about 50 s.
 _MAX_POINTS = 100_001
 _MAX_MC_STEPS = 10_000_000
 _MAX_FIG3_STEPS = 1_000_000_000

@@ -53,23 +53,23 @@ __all__ = [
 _TINY_RATE = 1e-8
 
 _RESIDUAL_TOL = 1e-9
+# companion eigenvalues this close (relative) to the real axis, or to each
+# other, are taken as one real root: a double root splits by about 1e-8
+_NEAR_REAL = 1e-6
 # crossing_q bisects its bracket down to this width in q
 _CROSSING_WIDTH = 1e-6
 _MAX_WINDOW = 20
 # Powers (1-2q)^k = exp(k log1p(-2q)) cap k here, so k converts to a float.
-# For q >= 2.1e-18, k log1p(-2q) at k = 2^63 is below -37.4, where expm1
+# For q >= 2.1e-307, k log1p(-2q) at k = 2^1023 is below -37.4, where expm1
 # rounds to -1 and tanh to 1, so a larger k changes no result there.
-_MAX_POWER = 1 << 63
+_MAX_POWER = 1 << 1023
 
-# The Monte Carlo draws and simulates _MC_CHUNK steps at a time, cut into
-# blocks that numpy runs side by side. Block maps are rescaled every
-# _MC_RESCALE steps: between rescales an entry grows by at most
-# eta**_MC_RESCALE < 1e64 for any rate above _TINY_RATE.
+# The Monte Carlo draws and simulates _MC_CHUNK steps at a time, with its
+# step flags packed 8 to a byte. The steps are read off their bytes' tables
+# _MC_PIECE at a time: the 64 KB temporaries of a piece stay below malloc's
+# mmap threshold, while whole-chunk ones were mapped fresh each time and made
+# this stage about 2.5x slower.
 _MC_CHUNK = 1 << 16
-_MC_RESCALE = 8
-# Entropy terms are evaluated over slices of this many steps: their 64 KB
-# temporaries stay below malloc's mmap threshold, while whole-chunk ones were
-# mapped fresh each time and made this stage about 2.5x slower.
 _MC_PIECE = 1 << 13
 
 
@@ -369,17 +369,46 @@ def quartic_coefficients(params: MarkovHmmParams) -> QuarticCoefficients:
     return QuarticCoefficients(c4, c3, c2, c1, c0, eta)
 
 
+def _real_roots(poly: QuarticCoefficients) -> list[float]:
+    """Real roots of the quartic, ascending, from the eigenvalues of its
+    companion matrix (numpy.roots).
+
+    A tangent (double) root comes back as two eigenvalues about 1e-8 of its
+    size apart, either both real or as a complex pair, so an eigenvalue
+    counts as real when its imaginary part is within _NEAR_REAL of its
+    size. Each is polished by at most three Newton steps, each taken only if
+    it lowers |p|: at a double root the slope is near 0 and a plain step can
+    jump far. Polished roots within _NEAR_REAL of an earlier one are dropped.
+    """
+    roots: list[float] = []
+    for z in np.roots((poly.c4, poly.c3, poly.c2, poly.c1, poly.c0)):
+        if abs(z.imag) > _NEAR_REAL * abs(z):
+            continue
+        root = float(z.real)
+        for _ in range(3):
+            d = poly.derivative(root)
+            if d == 0.0:
+                break
+            step = root - poly(root) / d
+            if not abs(poly(step)) < abs(poly(root)):
+                break
+            root = step
+        if all(abs(root - r) > _NEAR_REAL * abs(r) for r in roots):
+            roots.append(root)
+    return sorted(roots)
+
+
 def stationary_odds(params: MarkovHmmParams) -> tuple[float, ...]:
     """Roots of the slope quartic inside the open interval (1, odds_cap),
     ascending: the odds values where the conditioned MMSE turns around.
 
-    The candidates are the real eigenvalues of the quartic's companion matrix
-    (numpy.roots), each polished by at most three Newton steps. Every
-    returned root must pass the scaled-residual check at 1e-9. The quartic at
-    s = 1 must match its closed form (eta-1)(eta+1)^3 (1-2m)/m to 1e-9 of
-    the coefficient norm; that value is positive (the MMSE always slopes down
-    there) but can be smaller than the rounding of the expanded sum near
-    rate 1/2, so its sign alone is not checked.
+    The candidates are the quartic's real roots (_real_roots), a tangent
+    root among them. Every returned root must pass the scaled-residual check
+    at 1e-9. The quartic at s = 1 must match its closed form
+    (eta-1)(eta+1)^3 (1-2m)/m to 1e-9 of the coefficient norm; that value is
+    positive (the MMSE always slopes down there) but can be smaller than the
+    rounding of the expanded sum near rate 1/2, so its sign alone is not
+    checked.
     """
     cap = odds_cap(params)
     if not cap > 1.0:
@@ -391,22 +420,11 @@ def stationary_odds(params: MarkovHmmParams) -> tuple[float, ...]:
     at_one = (eta - 1.0) * (eta + 1.0) ** 3 * (1.0 - 2.0 * m) / m
     if abs(poly(1.0) - at_one) > _RESIDUAL_TOL * math.hypot(*coeffs):
         raise AssertionError(f"quartic at s=1 misses its closed form for {params!r}")
-    roots = []
-    for z in np.roots(coeffs):
-        if z.imag != 0.0:
-            continue
-        root = float(z.real)
-        for _ in range(3):
-            d = poly.derivative(root)
-            if d == 0.0:
-                break
-            root -= poly(root) / d
-        if 1.0 < root < cap:
-            roots.append(root)
+    roots = tuple(r for r in _real_roots(poly) if 1.0 < r < cap)
     for r in roots:
         if poly.scaled_residual(r) > _RESIDUAL_TOL:
             raise AssertionError(f"root {r!r} fails the residual check for {params!r}")
-    return tuple(sorted(roots))
+    return roots
 
 
 def minimizing_odds(params: MarkovHmmParams) -> float:
@@ -485,48 +503,79 @@ def _chunked_draws(rng: np.random.Generator, total: int):
     rng.bit_generator.state = s_bits.state
 
 
-def _mc_chunk(v0: float, neg: np.ndarray, q: float, eta: float,
-              ln_eta: float) -> np.ndarray:
-    """V after each step of one chunk of V_i = +-ln(eta) + f(V_{i-1}), given
-    V before its first step; neg flags the steps that add -ln(eta).
+def _byte_maps(q: float, alpha: float) -> np.ndarray:
+    """The odds maps of every flag byte and of each of its prefixes.
 
-    In odds x = e^V a step is the Moebius map of D Q, with Q the Markov
-    matrix and D = diag(eta, 1), or diag(1, eta) on a flagged step (the same
-    map as diag(1/eta, 1), without rounding 1/eta). The chunk is cut into
-    blocks of about sqrt(n/32) steps (45 for a full chunk), which balances
-    the numpy calls of passes A and C, one per step of a block, against the
-    turns of pass B's Python loop, one per block. Pass A multiplies out each
-    block's map, every block at once. All entries stay nonnegative, so the
-    products lose nothing to cancellation. Pass B carries V across the
-    blocks one map at a time. Pass C reruns every block from its start with
-    the log-odds step itself.
+    A step takes the odds x = e^V to (a x + b)/(c x + d), the Moebius map of
+    D Q, with Q the Markov matrix and D = diag(eta, 1), or diag(1, eta) on a
+    flagged step (the same map as diag(1/eta, 1), without rounding 1/eta).
+    Entries [:, byte, k] hold (a, b, c, d) of steps 0..k of the byte, step j
+    flagged by bit j (little-endian, as np.packbits(..., bitorder="little")
+    packs them), scaled so that the largest is 1. Prefix k depends on the
+    low k+1 bits only, so it is built on 2^(k+1) bytes and broadcast.
+
+    All entries are positive, so the products lose nothing to cancellation.
+    Unscaled they stay within [q^8, eta^8], inside 1e+-64 for any rate above
+    _TINY_RATE, and scaled no entry is below 1e-32 of the largest, the square
+    of a single step's ratio q/(eta (1-q)). The products are written out,
+    not left to matmul, so that the table is exactly mirror-symmetric:
+    complementing a byte's flags turns (a, b, c, d) into (d, c, b, a), as it
+    swaps the two steps. Where V stays near 0 and hardly contracts (q small,
+    alpha near 1/2), rounding errors then cancel between complementary bytes
+    instead of adding up over a chunk as a bias.
     """
-    n = neg.size
-    size = max(1, round(math.sqrt(n / 32)))
-    blocks = -(-n // size)
-    # row j holds step j of every block; padding steps are never read
-    neg = np.pad(neg, (0, blocks * size - n)).reshape(blocks, size).T.copy()
+    eta = (1.0 - alpha) / alpha
     cq = 1.0 - q
+    # column 0 is the plain step, column 1 the flagged one
+    sa, sb, sc, sd = (np.array([[u], [v]]) for u, v in
+                      ((eta * cq, cq), (eta * q, q), (q, eta * q), (cq, eta * cq)))
+    table = np.empty((4, 256, 8))
+    a, b, c, d = 1.0, 0.0, 0.0, 1.0
+    for k in range(8):
+        a, b, c, d = ((sa * a + sb * c).ravel(), (sa * b + sb * d).ravel(),
+                      (sc * a + sd * c).ravel(), (sc * b + sd * d).ravel())
+        table.reshape(4, 128 >> k, 2 << k, 8)[..., k] = np.stack((a, b, c, d))[:, None]
+    table /= table.max(axis=0)
+    return table
 
-    # pass A: rows (a, b) and (c, d) of every block's map on (x, 1)
-    scale_top = np.where(neg, 1.0, eta)
-    scale_bot = np.where(neg, eta, 1.0)
-    top = np.zeros((2, blocks))
-    top[0] = 1.0
-    bot = np.zeros((2, blocks))
-    bot[1] = 1.0
-    for j in range(size):
-        mixed = cq * top + q * bot
-        bot = (q * top + cq * bot) * scale_bot[j]
-        top = mixed * scale_top[j]
-        if j % _MC_RESCALE == _MC_RESCALE - 1:
-            peak = np.maximum(top.max(axis=0), bot.max(axis=0))
-            top /= peak
-            bot /= peak
+
+def _mc_chunk(v0: float, neg: np.ndarray, table: np.ndarray):
+    """Run one chunk of V_i = +-ln(eta) + f(V_{i-1}) from V before its first
+    step; neg flags the steps that add -ln(eta), and table is _byte_maps.
+
+    Returns the flag bytes and the odds x = e^V before each byte, from which
+    _steps_odds reads every step. The bytes are cut into blocks of about
+    sqrt(bytes/32), 16 for a full chunk, which balances the numpy calls of
+    passes A and C1, a few per byte of a block, against the turns of pass
+    B's Python loop, one per block. Pass A multiplies out each block's map
+    from its bytes' 8-step maps, every block at once. Pass B carries V
+    across the blocks one map at a time, in the log-stable form. Pass C1
+    carries the odds across the bytes of every block, all blocks side by
+    side. The last byte and block are padded with unflagged steps, which
+    are never read.
+    """
+    nbytes = -(-neg.size // 8)
+    size = max(1, round(math.sqrt(nbytes / 32)))
+    blocks = -(-nbytes // size)
+    codes = np.packbits(neg, bitorder="little")
+    # maps[:, j] holds (a, b, c, d) of byte j of every block
+    padded = np.pad(codes, (0, blocks * size - nbytes)).reshape(blocks, size)
+    maps = table[:, :, 7].take(padded.T, axis=1)
+
+    # pass A; rescaled every 4 bytes, over which the largest entry of a
+    # product grows at most 16-fold and, as no table entry is below 1e-32 of
+    # its map's largest, shrinks at most 1e-128-fold
+    a, b, c, d = maps[:, 0]
+    for j in range(1, size):
+        ta, tb, tc, td = maps[:, j]
+        a, b, c, d = ta * a + tb * c, ta * b + tb * d, tc * a + td * c, tc * b + td * d
+        if j % 4 == 3:
+            peak = 1.0 / np.maximum(np.maximum(a, b), np.maximum(c, d))
+            a, b, c, d = a * peak, b * peak, c * peak, d * peak
 
     # pass B: V at the start of every block, in the stable form for either sign
     starts = [0.0] * blocks
-    (a, b), (c, d) = top.tolist(), bot.tolist()
+    a, b, c, d = a.tolist(), b.tolist(), c.tolist(), d.tolist()
     v = v0
     for k in range(blocks):
         starts[k] = v
@@ -537,34 +586,63 @@ def _mc_chunk(v0: float, neg: np.ndarray, q: float, eta: float,
             e = math.exp(v)
             v = math.log((a[k] * e + b[k]) / (c[k] * e + d[k]))
 
-    # pass C
-    r_step = ln_eta - (2.0 * ln_eta) * neg
-    vs = np.empty((blocks, size))
-    v = np.array(starts)
+    # pass C1
+    x = np.exp(starts)
+    odds = np.empty((size, blocks))
     for j in range(size):
-        v = r_step[j] + _propagate_llr_vec(v, q)
-        vs[:, j] = v
-    return vs.reshape(-1)[:n]
+        odds[j] = x
+        ta, tb, tc, td = maps[:, j]
+        x = (ta * x + tb) / (tc * x + td)
+    return codes, odds.T.reshape(-1)[:nbytes]
+
+
+def _steps_odds(table: np.ndarray, codes: np.ndarray, starts: np.ndarray,
+                lo: int, hi: int) -> np.ndarray:
+    """Pass C2: the odds after steps lo..hi-1 of a chunk that _mc_chunk ran,
+    each as its byte's prefix map applied to the odds before the byte."""
+    first = lo // 8
+    part = codes[first:-(-hi // 8)]
+    x = starts[first:first + part.size, None]
+    num, den = table[0].take(part, axis=0), table[2].take(part, axis=0)
+    num *= x
+    num += table[1].take(part, axis=0)
+    den *= x
+    den += table[3].take(part, axis=0)
+    num /= den
+    return num.reshape(-1)[lo - 8 * first:hi - 8 * first]
+
+
+def _odds_path(q: float, alpha: float, total: int, rng: np.random.Generator,
+               skip: int = 0):
+    """Yield (x, flipped) for steps skip+1 .. total of the belief recursion
+    from W_0 = 0, in pieces of at most _MC_PIECE steps: x is the odds e^V of
+    V_i = sigma_i W_i and flipped marks sigma_i = S_1 ... S_i = -1.
+
+    Since f is odd, V obeys V_i = sigma_i R_i ln(eta) + f(V_{i-1}), one of
+    two fixed steps, which _mc_chunk runs a chunk at a time. The skipped
+    steps still run, but only byte by byte. V and the parity of sigma are
+    carried across chunks, V from the chunk's last real step.
+    """
+    table = _byte_maps(q, alpha)
+    v, odd, start = 0.0, False, 0
+    for r_u, s_u in _chunked_draws(rng, total):
+        flipped = np.logical_xor.accumulate(s_u < q) ^ odd
+        codes, starts = _mc_chunk(v, (r_u < alpha) != flipped, table)
+        n = flipped.size
+        for lo in range(max(0, skip - start), n, _MC_PIECE):
+            hi = min(lo + _MC_PIECE, n)
+            yield _steps_odds(table, codes, starts, lo, hi), flipped[lo:hi]
+        v = math.log(_steps_odds(table, codes, starts, n - 1, n)[0])
+        odd, start = bool(flipped[-1]), start + n
 
 
 def _belief_path(q: float, alpha: float, total: int, rng: np.random.Generator):
-    """Yield W_1 .. W_total of the belief recursion from W_0 = 0, one chunk
-    of at most _MC_CHUNK values at a time.
-
-    Since f is odd, V_i = sigma_i W_i with sigma_i = S_1 ... S_i obeys
-    V_i = sigma_i R_i ln(eta) + f(V_{i-1}), which _mc_chunk runs; the parity
-    of sigma is carried across chunks. W is V with sigma's sign put back:
-    negation is exact and _propagate_llr_vec exactly odd, so this changes
-    no bit of a step.
-    """
-    eta = (1.0 - alpha) / alpha
-    ln_eta = math.log(eta)
-    v, odd = 0.0, False
-    for r_u, s_u in _chunked_draws(rng, total):
-        flipped = np.logical_xor.accumulate(s_u < q) ^ odd
-        vs = _mc_chunk(v, (r_u < alpha) != flipped, q, eta, ln_eta)
-        v, odd = float(vs[-1]), bool(flipped[-1])
-        yield np.where(flipped, -vs, vs)
+    """Yield W_1 .. W_total of the belief recursion from W_0 = 0, at most
+    _MC_PIECE values at a time: W = +-ln x of _odds_path's odds, with the
+    sign of sigma put back."""
+    for x, flipped in _odds_path(q, alpha, total, rng):
+        v = np.log(x)
+        yield np.where(flipped, -v, v)
 
 
 def entropy_rate_mc(
@@ -585,11 +663,15 @@ def entropy_rate_mc(
     stream above), and its entropy terms are folded into a running mean and
     sum of squared deviations (the pairwise update of Chan, Golub & LeVeque).
     Since f is odd, V_i = S_1 ... S_i W_i takes one of two fixed steps,
-    V_i = S_1 ... S_i R_i ln(eta) + f(V_{i-1}), and W is V with that sign
-    put back (_belief_path). V runs as a blocked scan (_mc_chunk): in odds
-    space each step is a Moebius map with a nonnegative 2x2 matrix, so numpy
-    multiplies out the maps of all blocks side by side, V is carried from
-    block to block, and every block is rerun from its start.
+    V_i = S_1 ... S_i R_i ln(eta) + f(V_{i-1}), and h is even in W, so only
+    the odds x = e^V are needed (_odds_path). In odds each step is a Moebius
+    map with a nonnegative 2x2 matrix, and a flag byte of 8 steps one of 256
+    fixed maps: one table per (q, alpha) holds them and their prefixes
+    (_byte_maps). The chunk runs as a byte-table scan (_mc_chunk): the maps
+    of each block of bytes are multiplied out, all blocks side by side, V is
+    carried from block to block and the odds from byte to byte, and every
+    step is then its byte's prefix map applied to the odds before the byte.
+    With z = min(x, 1/x), the entropy terms need no exp or log1p.
 
     The reported stderr uses the i.i.d. formula; consecutive W values are
     correlated, so it understates the true uncertainty and consumers should
@@ -605,23 +687,25 @@ def entropy_rate_mc(
         return McEstimate(binary_entropy(alpha), 0.0)
 
     rng = np.random.default_rng(seed)
-    # with z = exp(-|W|), (1 - m + m z) / (1 + z) is the predicted probability
-    # of the likelier next output, m = alpha * q; h is even in W
+    # with z = min(x, 1/x) = exp(-|W|), (1 - m + m z)/(1 + z) is the predicted
+    # probability of the likelier next output, m = alpha * q, and
+    # (m + (1 - m) z)/(1 + z) its complement
     m = binary_convolve(alpha, q)
     count, mean, sq_dev = 0, 0.0, 0.0
-    start = 0
-    for ws in _belief_path(q, alpha, burnin + samples, rng):
-        for lo in range(max(0, burnin - start), ws.size, _MC_PIECE):
-            z = np.exp(-np.abs(ws[lo:lo + _MC_PIECE]))
-            hv = _entropy_vec(((1.0 - m) + m * z) / (1.0 + z))
-            part_mean = float(hv.mean())
-            part_sq = float(((hv - part_mean) ** 2).sum())
-            merged = count + hv.size
-            delta = part_mean - mean
-            mean += delta * (hv.size / merged)
-            sq_dev += part_sq + delta * delta * (count * hv.size / merged)
-            count = merged
-        start += ws.size
+    for x, _ in _odds_path(q, alpha, burnin + samples, rng, skip=burnin):
+        z = np.minimum(x, 1.0 / x)
+        weight = 1.0 + z
+        p = ((1.0 - m) + m * z) / weight
+        p_c = (m + (1.0 - m) * z) / weight
+        # -h, whose mean is negated below: the squared deviations are even
+        hv = p * np.log2(p) + p_c * np.log2(p_c)
+        part_mean = -float(hv.mean())
+        part_sq = float(((hv + part_mean) ** 2).sum())
+        merged = count + hv.size
+        delta = part_mean - mean
+        mean += delta * (hv.size / merged)
+        sq_dev += part_sq + delta * delta * (count * hv.size / merged)
+        count = merged
     se = 0.0 if samples < 2 else math.sqrt(sq_dev / (samples - 1)) / math.sqrt(samples)
     return McEstimate(mean, se)
 

@@ -45,24 +45,46 @@ def _entropy_vec(p: np.ndarray) -> np.ndarray:
 
 
 def inv_binary_entropy(u: float) -> float:
-    """The p in [0, 1/2] with binary_entropy(p) = u, by bisection until the
-    bracket is narrower than 1e-12 of p itself, so small u keep their
-    relative precision."""
+    """The p in [0, 1/2] with binary_entropy(p) = u, to within 1e-12 of p
+    itself, so small u keep their relative precision. Near u = 1, where h is
+    flat, the rounding of h itself moves the root by more: up to 1e-10 of p
+    at u = 1 - 1e-15.
+
+    A safeguarded Newton search: Newton steps on h(p) - u, with
+    h'(p) = log2((1-p)/p), stay inside a bisection bracket. A step that
+    would leave the bracket, or that is not at most half the one before, is
+    replaced by a bisection. Each step is pushed on by a quarter of the
+    tolerance, so once Newton has converged the next point lands past the
+    root and closes the bracket.
+    """
     u = check_range("u", u, 0.0, 1.0)
     if u == 0.0:
         return 0.0
     if u == 1.0:
         return 0.5
     lo, hi = 0.0, 0.5
+    # for u <= 1/2 right of the root, as h(p) > p log2(1/p), and near it for
+    # small u; u itself where the quotient underflows
+    p = min(u / -math.log2(u), 0.25) or u
+    last = hi - lo
     while hi - lo > _BISECT_RTOL * hi:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            # only for subnormal p: the bracket is down to adjacent floats
-            break
-        if binary_entropy(mid) < u:
-            lo = mid
+        h = binary_entropy(p)
+        if h < u:
+            lo = p
         else:
-            hi = mid
+            hi = p
+        step = (u - h) / math.log2((1.0 - p) / p)
+        step += math.copysign(0.25 * _BISECT_RTOL * p, step)
+        if lo < p + step < hi and abs(step) <= 0.5 * last:
+            p += step
+            last = abs(step)
+        else:
+            mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:
+                # only for subnormal p: the bracket is down to adjacent floats
+                break
+            last = mid - lo
+            p = mid
     return 0.5 * (lo + hi)
 
 

@@ -10,6 +10,7 @@ from bscbounds import (
     DimensionError,
     DomainError,
     MarkovHmmParams,
+    QuarticCoefficients,
     belief_bound,
     binary_convolve,
     binary_entropy,
@@ -34,6 +35,7 @@ from bscbounds import (
     small_q_ratio,
     stationary_odds,
 )
+from bscbounds import hmm
 
 
 class TestParams:
@@ -66,10 +68,17 @@ class TestDisagreementProb:
     def test_huge_k_saturates(self):
         assert disagreement_prob(10**400, 0.1) == 0.5
 
+    def test_huge_k_saturates_at_tiny_q(self):
+        # (1 - 2q)^k rounds away once k q > 19; capping k at 2^63 gave 0.42
+        assert disagreement_prob(10**400, 1e-19) == 0.5
+
 
 class TestMmseTwoSided:
     def test_huge_gap_saturates(self):
         assert mmse_two_sided(10**400, 0.1) == 0.25
+
+    def test_huge_gap_saturates_at_tiny_q(self):
+        assert mmse_two_sided(10**400, 1e-19) == 0.25
 
     def test_gap_one_closed_form(self):
         # q(1-q) / (2 (1 - 2q + 2q^2)) at q = 0.2
@@ -567,6 +576,19 @@ class TestQuartic:
         assert len(got) == len(want)
         for g, w in zip(got, want):
             assert g == pytest.approx(w, rel=1e-9, abs=0)
+
+    # numpy.roots splits the double root 2 of (s-2)^2 (s+1)(s+3) into two
+    # reals about 1e-8 apart, and that of (s-2)^2 (s+1)(s-6) into a complex
+    # pair; either way it is one real root
+    @pytest.mark.parametrize("coeffs, want", [
+        ((1.0, 0.0, -9.0, 4.0, 12.0), [-3.0, -1.0, 2.0]),
+        ((1.0, -9.0, 18.0, 4.0, -24.0), [-1.0, 2.0, 6.0]),
+    ])
+    def test_tangent_root_is_found_once(self, coeffs, want):
+        poly = QuarticCoefficients(*coeffs, eta=1.0)
+        got = hmm._real_roots(poly)
+        assert got == pytest.approx(want, rel=1e-8)
+        assert all(poly.scaled_residual(r) < 1e-9 for r in got)
 
     def test_rejects_zero_rates(self):
         with pytest.raises(DomainError):

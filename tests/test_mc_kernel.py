@@ -26,9 +26,17 @@ LONG_PAIRS = list(zip(RATES, reversed(RATES)))
 # within 2e-6 of 0, so the ratio inside its log is within about 1e-6 of 1 and
 # each step rounds by about 1e-16 absolute, with a sign that persists while W
 # moves slowly. Against an 80-bit run of the same draws the loop is 3.0e-12
-# off after 65535 steps and the kernel 3.7e-14, so the 80-bit run is the
-# reference there.
+# off after 65535 steps and the kernel 6.3e-14, so the 80-bit run is the
+# reference there. So it is at q = 1.01e-8, where after 65539 steps the loop
+# is 1.1e-12 off and the kernel 2.4e-14.
 DRIFTING = (1e-7, 0.5 - 1e-9)
+DRIFTING_PAIRS = (DRIFTING, (1.01e-8, 0.5 - 1e-9))
+
+# just above the rates that shortcut to exact limits, a middle rate, and just
+# below 1/2; totals that end mid-byte and mid-piece, and 3 steps into a chunk
+EDGE_RATES = (1.01e-8, 0.25, 0.5 - 1e-9)
+EDGE_PAIRS = [(q, a) for q in EDGE_RATES for a in EDGE_RATES]
+EDGE_TOTALS = (hmm._MC_PIECE - 1, hmm._MC_PIECE + 1, CHUNK + 3)
 
 
 def oracle_path(q, alpha, total, seed):
@@ -92,7 +100,7 @@ def kernel_path(q, alpha, total, seed):
 def check_against_oracle(q, alpha, total, seed):
     path = kernel_path(q, alpha, total, seed)
     oracle = oracle_path(q, alpha, total, seed)
-    reference = extended_path(q, alpha, total, seed) if (q, alpha) == DRIFTING else oracle
+    reference = extended_path(q, alpha, total, seed) if (q, alpha) in DRIFTING_PAIRS else oracle
     assert path.shape == (total,)
     assert float(np.max(np.abs(path - reference))) <= 1e-12, (q, alpha, total)
     for burnin in sorted({0, total // 3, total - 1}):
@@ -116,6 +124,29 @@ def test_paths_and_estimates_match_oracle(q, alpha):
 def test_long_runs_match_oracle(q, alpha):
     for total in LONG_TOTALS:
         check_against_oracle(q, alpha, total, seed=(5, total))
+
+
+@pytest.mark.parametrize("q,alpha", EDGE_PAIRS)
+def test_edge_rates_match_oracle(q, alpha):
+    for total in EDGE_TOTALS:
+        check_against_oracle(q, alpha, total, seed=(5, total))
+
+
+@pytest.mark.parametrize("q,alpha", EDGE_PAIRS)
+def test_byte_table_matches_eight_single_steps(q, alpha):
+    table = hmm._byte_maps(q, alpha)
+    eta = (1.0 - alpha) / alpha
+    cq = 1.0 - q
+    flags = np.arange(256)
+    for x0 in (1e-12, 0.3, 1.0, 7.0, 1e12):
+        x = np.full(256, x0)
+        for k in range(8):
+            plain = eta * (cq * x + q) / (q * x + cq)
+            x = np.where((flags >> k) & 1, (cq * x + q) / (eta * (q * x + cq)), plain)
+            a, b, c, d = table[:, :, k]
+            assert np.allclose((a * x0 + b) / (c * x0 + d), x, rtol=1e-14, atol=0), (x0, k)
+    # complementing the flags swaps the two steps: (a, b, c, d) -> (d, c, b, a)
+    assert np.array_equal(table[::-1, ::-1], table)
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,

@@ -67,6 +67,32 @@ def test_inverse_entropy_relative_precision():
         assert binary_entropy(inv_binary_entropy(u)) == pytest.approx(u, rel=1e-10, abs=0.0)
 
 
+def _inv_entropy_50_digits(u):
+    # bisection on t = -log2(p), p from 1/2 down to 2^-1100, in 50 digits
+    with mpmath.workdps(50):
+        lo, hi = mpmath.mpf(1), mpmath.mpf(1100)
+        for _ in range(200):
+            mid = (lo + hi) / 2
+            if _entropy_50_digits(2 ** -mid) > u:
+                lo = mid
+            else:
+                hi = mid
+        return 2 ** -((lo + hi) / 2)
+
+
+@pytest.mark.parametrize("u", [*np.logspace(-300, -1, 31), 0.25, 0.5, 0.75, 0.9,
+                               *(1.0 - np.logspace(-1, -15, 15))])
+def test_inverse_entropy_matches_50_digits(u):
+    # within 1e-12 of p, plus what a few ulps of h move the root: near u = 1
+    # h is flat and its rounding, not the search, sets the error
+    u = float(u)
+    want = _inv_entropy_50_digits(u)
+    with mpmath.workdps(50):
+        slope = float(mpmath.log((1 - want) / want) / mpmath.log(2))
+        err = float(abs(inv_binary_entropy(u) - want))
+    assert err <= 1e-12 * float(want) + 4 * 2.2e-16 * u / slope
+
+
 def test_inverse_entropy_ends_for_subnormal_targets():
     for u in (5e-324, 1e-320, 1e-310):
         p = inv_binary_entropy(u)
