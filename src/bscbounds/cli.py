@@ -34,6 +34,7 @@ from .dist import (
 from .errors import DomainError, check_int
 from .hmm import (
     MarkovHmmParams,
+    _belief_result,
     belief_bound,
     cover_thomas_ceiling,
     entropy_rate_mc,
@@ -106,10 +107,13 @@ def _new_curve(alpha: float, u: float) -> tuple[float, float, float]:
 def _fig3_row(args: argparse.Namespace, i: int, q: float) -> tuple[float, ...]:
     params = MarkovHmmParams(q, args.alpha)
     est, se = entropy_rate_mc(params, args.samples, burnin=args.burnin, seed=(args.seed, i))
+    # one root search per row: the printed variant reuses factor4's odds and floor
+    t6 = belief_bound(params, "factor4")
+    printed = _belief_result(params, t6.inputs["odds"], t6.inputs["mmse_floor"], "printed")
     return (binary_entropy(binary_convolve(args.alpha, q)),
             markov_series_bound(params).value,
-            belief_bound(params, "factor4").value,
-            belief_bound(params, "printed").value,
+            t6.value,
+            printed.value,
             est, se)
 
 

@@ -8,6 +8,7 @@ stores coordinate x_{k+1}; coordinates are numbered 1..n throughout.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Iterable, Sequence
 
 import numpy as np
@@ -48,9 +49,12 @@ class ExplicitPmf:
 
     The coordinate count n is inferred from the table length. Negative,
     non-finite, or badly normalized weights are rejected at construction.
+    Since the weights never change, the order searches keep what they derive
+    from them in a private memo: the clean cost table (read-only) and the
+    result of worst_case_mmse.
     """
 
-    __slots__ = ("n", "weights")
+    __slots__ = ("n", "weights", "_memo")
 
     def __init__(self, weights: Iterable[float]) -> None:
         arr = np.array(np.asarray(weights, dtype=float).ravel(), dtype=float)
@@ -71,6 +75,7 @@ class ExplicitPmf:
         arr.setflags(write=False)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "weights", arr)
+        object.__setattr__(self, "_memo", {})
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError("ExplicitPmf is immutable")
@@ -96,16 +101,19 @@ def _marginal(weights: np.ndarray, n: int, coords: Sequence[int]) -> np.ndarray:
     return t.reshape(-1)
 
 
+def _pair_mmse(a: np.ndarray, b: np.ndarray, tot: np.ndarray) -> float:
+    """Sum of a b / tot over the contexts, tot = a + b the context's mass;
+    zero-mass contexts drop out."""
+    mask = tot > 0.0
+    return float((a[mask] * b[mask] / tot[mask]).sum())
+
+
 def _split_mmse(m: np.ndarray, t: int) -> float:
-    """E[P(1-P)] for bit t of a flat joint table; zero-mass contexts drop out."""
+    """E[P(1-P)] for bit t of a flat joint table."""
     m3 = m.reshape(-1, 2, 1 << t)
     a = m3[:, 0, :]
     b = m3[:, 1, :]
-    tot = a + b
-    mask = tot > 0.0
-    if not mask.any():
-        return 0.0
-    return float((a[mask] * b[mask] / tot[mask]).sum())
+    return _pair_mmse(a, b, a + b)
 
 
 def _channel_mix(m: np.ndarray, t: int, alpha: float) -> np.ndarray:
@@ -155,11 +163,26 @@ def noisy_conditional_mmse(
 
 
 def mmse_along_permutation(pmf: ExplicitPmf, order: Sequence[int]) -> float:
-    """Sum of conditional bit variances taken in the given prediction order."""
+    """Sum of conditional bit variances taken in the given prediction order.
+
+    One pass over the weight table with its axes put in prediction order,
+    last coordinate first: splitting the last axis gives that coordinate's
+    term, and summing it away leaves the marginal of the ones before it.
+    The terms are then added in order. It shares no code with the subset
+    search, which validate checks against it.
+    """
     order = _check_permutation(pmf, order)
+    n = pmf.n
+    # axis n - j of the C-order table holds coordinate j
+    t = pmf.weights.reshape((2,) * n).transpose([n - j for j in order])
+    terms = []
+    for _ in order:
+        a, b = t[..., 0], t[..., 1]
+        t = a + b
+        terms.append(_pair_mmse(a, b, t))
     total = 0.0
-    for i, j in enumerate(order):
-        total += conditional_mmse(pmf, j, order[:i])
+    for v in reversed(terms):
+        total += v
     return total
 
 
@@ -196,6 +219,27 @@ def _fold(r: np.ndarray, axes: Iterable[int]) -> np.ndarray:
     return r
 
 
+@functools.cache
+def _cost_plan(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The index arrays of _cost_table at n coordinates, read-only: the gather
+    that regroups the weights, and the (mask, bit) scatter of the result.
+
+    masks[j-1, c] is the (n-1)-bit context index c with a 0 put in at bit
+    j-1, and the gather puts the weight with x_j = x and the other
+    coordinates given by c at flat index (j-1, x, c). Only sizes the cap
+    admits are built, so the cache holds at most EXHAUSTIVE_CAP plans.
+    """
+    _check_table_size(n)
+    packed = np.arange(1 << (n - 1))
+    bit = np.arange(n)[:, None]
+    masks = (packed & ((1 << bit) - 1)) | ((packed >> bit) << (bit + 1))
+    xj = np.arange(2)[:, None] << bit[:, None]
+    gather = (masks[:, None, :] | xj).reshape(-1)
+    for arr in (gather, masks, bit):
+        arr.setflags(write=False)
+    return gather, masks, bit
+
+
 def _cost_table(pmf: ExplicitPmf, alpha: float = 0.0) -> np.ndarray:
     """cost[mask, j-1] = MMSE(X_j | the coordinates in mask, each seen
     through a symmetric channel with flip rate alpha).
@@ -206,16 +250,15 @@ def _cost_table(pmf: ExplicitPmf, alpha: float = 0.0) -> np.ndarray:
     marginals; x_j splits each context's mass into (a, b), which adds
     a b / (a + b) (zero-mass contexts drop out); and the contexts fold to
     masks. Entries whose mask contains j are undefined and hold NaN.
+
+    The clean table (alpha = 0) is built once per pmf and kept read-only in
+    its memo.
     """
+    if not alpha and "cost" in pmf._memo:
+        return pmf._memo["cost"]
     n = pmf.n
-    _check_table_size(n)
-    # masks[j-1, c]: the (n-1)-bit context index c with a 0 put in at bit j-1
-    packed = np.arange(1 << (n - 1))
-    bit = np.arange(n)[:, None]
-    masks = (packed & ((1 << bit) - 1)) | ((packed >> bit) << (bit + 1))
-    # t[j-1, x, c]: the weight with x_j = x and the other coordinates given by c
-    xj = np.arange(2)[:, None] << bit[:, None]
-    t = pmf.weights[masks[:, None, :] | xj].reshape(-1)
+    gather, masks, bit = _cost_plan(n)
+    t = pmf.weights[gather]
     if alpha:
         # the context coordinates are the low n-1 bits of the flat index
         for s in range(n - 1):
@@ -227,6 +270,9 @@ def _cost_table(pmf: ExplicitPmf, alpha: float = 0.0) -> np.ndarray:
     folded = _fold(ctx, range(1, n)).reshape(n, -1)
     cost = np.full((1 << n, n), np.nan)
     cost[masks, bit] = folded
+    if not alpha:
+        cost.setflags(write=False)
+        pmf._memo["cost"] = cost
     return cost
 
 
@@ -252,9 +298,14 @@ def _along_order(table: np.ndarray, order: Sequence[int]) -> list[float]:
     return out
 
 
-def _lattice(n: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+@functools.cache
+def _lattice(n: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
     """For each subset size k = 1..n: the masks of that size, and per mask
-    the k masks one coordinate smaller and the bit index j-1 that was removed."""
+    the k masks one coordinate smaller and the bit index j-1 that was removed.
+
+    Built once per n and read-only; only sizes the cap admits are built, so
+    the cache holds at most EXHAUSTIVE_CAP lattices."""
+    _check_table_size(n)
     masks = np.arange(1 << n)
     has = (masks[:, None] >> np.arange(n)) & 1 == 1
     size = has.sum(axis=1)
@@ -262,8 +313,11 @@ def _lattice(n: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     for k in range(1, n + 1):
         sub = np.flatnonzero(size == k)
         col = np.nonzero(has[sub])[1].reshape(-1, k)
-        levels.append((sub, sub[:, None] ^ (1 << col), col))
-    return levels
+        level = (sub, sub[:, None] ^ (1 << col), col)
+        for arr in level:
+            arr.setflags(write=False)
+        levels.append(level)
+    return tuple(levels)
 
 
 def _best_order(n: int, step: np.ndarray, pick_max: bool) -> tuple[float, tuple[int, ...]]:
@@ -309,9 +363,12 @@ def worst_case_mmse(pmf: ExplicitPmf) -> tuple[float, tuple[int, ...]]:
     dynamic program over coordinate subsets.
 
     Returns (value, order), the order being the lexicographically first one
-    whose every prefix is optimal. Refuses n above EXHAUSTIVE_CAP.
+    whose every prefix is optimal. Refuses n above EXHAUSTIVE_CAP. The result
+    is kept in the pmf's memo, so later calls on the same pmf return it.
     """
-    return _best_order(pmf.n, _cost_table(pmf), pick_max=True)
+    if "worst" not in pmf._memo:
+        pmf._memo["worst"] = _best_order(pmf.n, _cost_table(pmf), pick_max=True)
+    return pmf._memo["worst"]
 
 
 def best_case_mmse_given_output(pmf: ExplicitPmf, alpha: float) -> tuple[float, tuple[int, ...]]:

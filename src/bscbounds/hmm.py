@@ -53,6 +53,8 @@ __all__ = [
 _TINY_RATE = 1e-8
 
 _RESIDUAL_TOL = 1e-9
+# belief_bound's variants and the factor on its MMSE floor
+_BELIEF_FACTORS = {"factor4": 4.0, "printed": 1.0}
 # companion eigenvalues this close (relative) to the real axis, or to each
 # other, are taken as one real root: a double root splits by about 1e-8
 _NEAR_REAL = 1e-6
@@ -449,22 +451,25 @@ def belief_bound(params: MarkovHmmParams, variant: str = "factor4") -> BoundResu
     is strictly weaker everywhere. Zero rates take their continuity limits,
     h(alpha) as q -> 0 and h(q) as alpha -> 0.
     """
-    if variant not in ("factor4", "printed"):
+    if variant not in _BELIEF_FACTORS:
         raise DomainError(f"variant must be 'factor4' or 'printed', got {variant!r}")
     q, alpha = params.q, params.alpha
     if q == 0.0 or alpha == 0.0:
-        value = binary_entropy(alpha) if q == 0.0 else binary_entropy(q)
-        return BoundResult(
-            "theorem6",
-            value,
-            {"alpha": alpha, "q": q, "odds": None, "mmse_floor": 0.0},
-            variant=variant,
-        )
-    star = minimizing_odds(params)
-    floor = mmse_given_odds(star, params)
+        # m is alpha or q exactly, and the floor of 0 leaves h(m)
+        star, floor = None, 0.0
+    else:
+        star = minimizing_odds(params)
+        floor = mmse_given_odds(star, params)
+    return _belief_result(params, star, floor, variant)
+
+
+def _belief_result(params: MarkovHmmParams, star: float | None, floor: float,
+                   variant: str) -> BoundResult:
+    """belief_bound's result in `variant` from the minimizing odds and the
+    MMSE floor there, so that both variants can share one root search."""
+    q, alpha = params.q, params.alpha
     hm = binary_entropy(binary_convolve(alpha, q))
-    factor = 4.0 if variant == "factor4" else 1.0
-    value = hm + (1.0 - hm) * factor * floor
+    value = hm + (1.0 - hm) * _BELIEF_FACTORS[variant] * floor
     return BoundResult(
         "theorem6",
         value,

@@ -31,6 +31,11 @@ def binary_entropy(p: float) -> float:
     p = check_range("p", p, 0.0, 1.0)
     if p == 0.0 or p == 1.0:
         return 0.0
+    return _h(p)
+
+
+def _h(p: float) -> float:
+    # binary_entropy for a float 0 < p < 1, unchecked
     return -(p * math.log2(p) + (1.0 - p) * math.log1p(-p) / _LN2)
 
 
@@ -68,7 +73,8 @@ def inv_binary_entropy(u: float) -> float:
     p = min(u / -math.log2(u), 0.25) or u
     last = hi - lo
     while hi - lo > _BISECT_RTOL * hi:
-        h = binary_entropy(p)
+        # 0 < p < 1/2: p starts there and only moves inside (lo, hi)
+        h = _h(p)
         if h < u:
             lo = p
         else:

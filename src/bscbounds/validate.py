@@ -30,7 +30,12 @@ def _result(name: str, slack: float, detail: str = "") -> CheckResult:
 
 
 def _track(current: tuple[float, str], slack: float, detail: str) -> tuple[float, str]:
-    return (slack, detail) if slack < current[0] else current
+    """Keep the smaller slack. A NaN slack counts as the worst and sticks,
+    so a check that computed NaN fails."""
+    worst = current[0]
+    if math.isnan(worst) or slack >= worst:
+        return current
+    return slack, detail
 
 
 def _product(margs) -> dist.ExplicitPmf:
@@ -233,6 +238,25 @@ def run_bounds(seed: int = 0, budget: int = 500) -> list[CheckResult]:
     return out
 
 
+def _max_abs_f(params: hmm.MarkovHmmParams, steps: int, rng: np.random.Generator) -> float:
+    """Largest |f(W)| over W_0 .. W_{steps-1} of a simulated belief path.
+
+    f is odd and increasing, so that is f(max |W|), and |W| = |ln x| for the
+    path's odds x: only the extreme odds are kept. The path is W_1 ..
+    W_steps, taken piece by piece; W_0 = 0 (x = 1) starts the extremes, and
+    W_steps is skipped.
+    """
+    lo = hi = 1.0
+    seen = 0
+    for x, _ in hmm._odds_path(params.q, params.alpha, steps, rng):
+        seen += x.size
+        if seen == steps:
+            x = x[:-1]
+        if x.size:
+            lo, hi = min(lo, float(x.min())), max(hi, float(x.max()))
+    return hmm.propagate_llr(max(math.log(hi), -math.log(lo)), params.q)
+
+
 def run_hmm(seed: int = 0, budget: int = 500) -> list[CheckResult]:
     out: list[CheckResult] = []
     mc_samples = max(2000, min(200_000, budget * 400))
@@ -326,14 +350,7 @@ def run_hmm(seed: int = 0, budget: int = 500) -> list[CheckResult]:
     steps = min(1_000_000, max(10_000, budget * 2000))
     params = hmm.MarkovHmmParams(0.1, 0.11)
     cap = hmm.odds_cap(params)
-    # the path is W_1 .. W_steps, taken chunk by chunk; f(W_0) = f(0) = 0, so
-    # the largest |f| over W_0 .. W_{steps-1} starts at 0 and skips W_steps
-    max_abs_f, seen = 0.0, 0
-    for ws in hmm._belief_path(params.q, params.alpha, steps, rng):
-        seen += ws.size
-        fs = hmm._propagate_llr_vec(ws[:-1] if seen == steps else ws, params.q)
-        max_abs_f = max(max_abs_f, float(np.abs(fs).max(initial=0.0)))
-    worst = _track(worst, math.log(cap) * (1.0 + 1e-12) - max_abs_f,
+    worst = _track(worst, math.log(cap) * (1.0 + 1e-12) - _max_abs_f(params, steps, rng),
                    f"simulated {steps} steps")
     out.append(_result("belief-stays-in-support", *worst))
 

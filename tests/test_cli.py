@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import bscbounds
-from bscbounds import cli, hmm, validate
+from bscbounds import cli, hmm, scalar, validate
 from bscbounds.dist import markov_joint_pmf, random_pmf, write_pmf
 from bscbounds.scalar import binary_entropy
 
@@ -254,6 +254,26 @@ class TestFigure:
                              "--out", str(tmp_path / "a05.csv"))
         assert code == 0
 
+    def test_fig3_runs_one_root_search_per_row(self, capsys, monkeypatch, tmp_path):
+        calls = []
+        real = hmm.minimizing_odds
+
+        def counted(params):
+            calls.append(params.q)
+            return real(params)
+
+        monkeypatch.setattr(hmm, "minimizing_odds", counted)
+        out = tmp_path / "one.csv"
+        run_cli(capsys, "figure", "fig3", "--points", "5", "--samples", "2000",
+                "--burnin", "500", "--out", str(out))
+        # the q = 0 row takes its exact limit and searches nothing
+        assert calls == [0.125, 0.25, 0.375, 0.5]
+        for line in out.read_text(encoding="ascii").splitlines()[1:]:
+            row = line.split(",")
+            params = hmm.MarkovHmmParams(float(row[0]), 0.11)
+            assert row[3:5] == [cli._fmt9(hmm.belief_bound(params, v).value)
+                                for v in ("factor4", "printed")]
+
     def test_fig3_seeded_rerun_is_byte_identical(self, capsys, tmp_path):
         out1, out2 = tmp_path / "r1.csv", tmp_path / "r2.csv"
         argv = ("figure", "fig3", "--seed", "1", "--points", "3",
@@ -336,6 +356,22 @@ class TestValidate:
         lines = out.strip().splitlines()
         assert all(line.startswith("PASS") for line in lines[:-1])
         assert lines[-1] == "4/4 checks passed"
+
+    def test_nan_slack_fails_the_check(self, capsys, monkeypatch):
+        # every instance of taylor-matches-entropy computes NaN
+        monkeypatch.setattr(scalar, "entropy_taylor", lambda p, terms: math.nan)
+        code, out, _ = run_cli(capsys, "validate", "scalar", "--budget", "50")
+        assert code == 1
+        lines = out.strip().splitlines()
+        assert lines[2] == "FAIL taylor-matches-entropy           worst_slack= nan  (p=0.3)"
+        assert [line[:4] for line in lines[:-1]] == ["PASS", "PASS", "FAIL", "PASS"]
+        assert lines[-1] == "3/4 checks passed"
+
+    def test_nan_slack_sticks_as_the_worst(self):
+        worst = (math.inf, "")
+        for slack, detail in ((1.0, "a"), (math.nan, "b"), (-1.0, "c"), (math.nan, "d")):
+            worst = validate._track(worst, slack, detail)
+        assert math.isnan(worst[0]) and worst[1] == "b"
 
     def test_dist_suite_passes(self, capsys):
         code, out, _ = run_cli(capsys, "validate", "dist", "--seed", "3", "--budget", "40")

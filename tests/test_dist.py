@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from bscbounds import dist
 from bscbounds import (
     DimensionError,
     DomainError,
@@ -11,6 +12,7 @@ from bscbounds import (
     MAX_COORDS,
     apply_bsc,
     best_case_mmse_given_output,
+    conditional_vector_mmse_gerber,
     conditional_mmse,
     counterexample_pmf,
     entropy,
@@ -20,6 +22,7 @@ from bscbounds import (
     noisy_conditional_mmse,
     random_pmf,
     read_pmf,
+    vector_mmse_gerber,
     worst_case_mmse,
     write_pmf,
 )
@@ -66,6 +69,10 @@ class TestExplicitPmf:
             pmf.n = 3
         with pytest.raises(ValueError):
             pmf.weights[0] = 1.0
+        worst_case_mmse(pmf)
+        for name in ("n", "weights", "_memo", "other"):
+            with pytest.raises(AttributeError):
+                setattr(pmf, name, {})
 
 
 class TestEntropy:
@@ -124,6 +131,29 @@ class TestMmseAlongPermutation:
         with pytest.raises(DomainError):
             mmse_along_permutation(pmf, (1,))
 
+    @staticmethod
+    def _chain(pmf, order):
+        """The chain of one conditional_mmse call per term that the one-pass
+        form replaced, added left to right."""
+        total = 0.0
+        for i, j in enumerate(order):
+            total += conditional_mmse(pmf, j, order[:i])
+        return total
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_matches_chain_of_conditional_mmse(self, n):
+        rng = np.random.default_rng(n)
+        pmfs = [random_pmf(n, seed=s) for s in range(3)]
+        pmfs += [markov_joint_pmf(n, q) for q in (0.05, 0.3)]
+        # p = 0 and 1 leave whole contexts without mass
+        pmfs += [_product(rng.choice([0.0, 1.0, 0.3, 0.7], size=n)) for _ in range(3)]
+        pmfs += [_product([0.0] * n), _product([1.0] * n)]
+        if n == 2:
+            pmfs += [counterexample_pmf(eps) for eps in (1e-9, 0.1, 0.25, 0.5 - 1e-9)]
+        for pmf in pmfs:
+            for perm in _minor_perms(n):
+                assert abs(mmse_along_permutation(pmf, perm) - self._chain(pmf, perm)) <= 1e-15
+
 
 class TestWorstCase:
     def test_iid_fair_bits(self):
@@ -146,6 +176,50 @@ class TestWorstCase:
         pmf = random_pmf(9, seed=0)
         with pytest.raises(DimensionError):
             worst_case_mmse(pmf)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_memoized_result_equals_a_fresh_search(self, n):
+        for make in (lambda: random_pmf(n, seed=n), lambda: markov_joint_pmf(n, 0.2)):
+            pmf = make()
+            first = worst_case_mmse(pmf)
+            vector_mmse_gerber(pmf, 0.11)
+            assert worst_case_mmse(pmf) == first
+            fresh = make()
+            assert np.array_equal(fresh.weights, pmf.weights)
+            assert worst_case_mmse(fresh) == first
+
+
+class TestSearchSetup:
+    """Per-n plans and the per-pmf memo are shared between calls, so none of
+    their arrays may be written."""
+
+    @staticmethod
+    def _assert_read_only(arr):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[(0,) * arr.ndim] = 1
+
+    def test_plans_are_read_only(self):
+        for n in range(1, 9):
+            for arr in dist._cost_plan(n):
+                self._assert_read_only(arr)
+            for level in dist._lattice(n):
+                for arr in level:
+                    self._assert_read_only(arr)
+
+    def test_plans_refuse_sizes_above_cap(self):
+        for plan in (dist._cost_plan, dist._lattice):
+            with pytest.raises(DimensionError):
+                plan(9)
+
+    def test_memo_holds_the_read_only_clean_table(self):
+        pmf = random_pmf(4, seed=3)
+        conditional_vector_mmse_gerber([(1.0, pmf)], 0.11)
+        cost = dist._cost_table(pmf)
+        assert pmf._memo["cost"] is cost
+        self._assert_read_only(cost)
+        noisy = dist._cost_table(pmf, 0.11)
+        assert noisy.flags.writeable and set(pmf._memo) <= {"cost", "worst"}
 
 
 class TestBestCaseGivenOutput:

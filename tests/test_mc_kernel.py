@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bscbounds import hmm
+from bscbounds import hmm, validate
 from bscbounds.hmm import MarkovHmmParams, entropy_rate_mc, propagate_llr
 
 BLOCK = 64
@@ -221,3 +221,15 @@ def test_vectorised_step_matches_propagate_llr(t, q):
     assert np.array_equal(hmm._propagate_llr_vec(-t, q), -got)
     cap = math.log((1.0 - q) / q)
     assert np.all(np.abs(got) <= np.minimum(np.abs(t), cap) + _llr_tol(cap))
+
+
+def test_support_check_reads_the_extreme_odds():
+    # validate's belief-stays-in-support takes max |f(W)| from the extreme
+    # odds alone; the per-step route over the whole path is the reference
+    params = MarkovHmmParams(0.1, 0.11)
+    steps = 100_000
+    path = np.concatenate(list(hmm._belief_path(params.q, params.alpha, steps,
+                                                np.random.default_rng(4))))
+    want = float(np.abs(hmm._propagate_llr_vec(path[:-1], params.q)).max())
+    got = validate._max_abs_f(params, steps, np.random.default_rng(4))
+    assert abs(got - want) <= 1e-15 * want
