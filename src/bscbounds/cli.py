@@ -9,6 +9,7 @@ validation suite failed, 2 domain error, 3 file error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -197,7 +198,10 @@ def _run_pmf_mmse(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and then shared: parsing
+    leaves nothing in it, so every main() call in a process reuses it."""
     parser = argparse.ArgumentParser(
         prog="bscbounds",
         description="MMSE-driven entropy bounds for binary processes "

@@ -51,7 +51,8 @@ class ExplicitPmf:
     non-finite, or badly normalized weights are rejected at construction.
     Since the weights never change, the order searches keep what they derive
     from them in a private memo: the clean cost table (read-only) and the
-    result of worst_case_mmse.
+    result of worst_case_mmse. A pickled or copied pmf gets the same weights,
+    bit for bit, and an empty memo.
     """
 
     __slots__ = ("n", "weights", "_memo")
@@ -72,16 +73,33 @@ class ExplicitPmf:
         if abs(total - 1.0) > _SUM_TOL:
             raise DomainError(f"weights sum to {total!r}, further than {_SUM_TOL} from 1")
         arr /= total
+        self._store(arr)
+
+    def _store(self, arr: np.ndarray) -> None:
         arr.setflags(write=False)
-        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "n", arr.size.bit_length() - 1)
         object.__setattr__(self, "weights", arr)
         object.__setattr__(self, "_memo", {})
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError("ExplicitPmf is immutable")
 
+    def __reduce__(self):
+        # pickle and copy rebuild from the weights alone, so the memo starts
+        # empty
+        return _restore_pmf, (self.weights,)
+
     def __repr__(self) -> str:
         return f"ExplicitPmf(n={self.n})"
+
+
+def _restore_pmf(weights: np.ndarray) -> ExplicitPmf:
+    """Rebuild a pickled or copied ExplicitPmf. Its weights were checked and
+    normalized when it was built, so they are kept bit for bit: normalizing
+    them again could move them by a rounding."""
+    pmf = object.__new__(ExplicitPmf)
+    pmf._store(np.array(weights, dtype=float))
+    return pmf
 
 
 def _check_permutation(pmf: ExplicitPmf, order: Sequence[int]) -> tuple[int, ...]:
@@ -195,28 +213,47 @@ def _check_table_size(n: int) -> None:
         raise DimensionError(f"n={n} above the exhaustive-search cap {EXHAUSTIVE_CAP}")
 
 
-def _expand(t: np.ndarray, axes: Iterable[int]) -> np.ndarray:
-    """Append to each listed axis of size 2 the entry that sums it out.
+def _expand(t: np.ndarray, first: int) -> np.ndarray:
+    """Append to every axis from `first` on, each of size 2, the entry that
+    sums it out.
 
     Afterwards index 0 or 1 on such an axis fixes the coordinate's value and
     index 2 leaves it unobserved, so every subset marginal sits in one
-    3-valued table, each derived from its parent by summing one axis.
+    3-valued table, each derived from its parent by summing one axis. The
+    table is written into one new array, last axis first, each sum reading
+    the entries the later axes already hold.
     """
-    for ax in axes:
-        t = np.concatenate((t, t.sum(axis=ax, keepdims=True)), axis=ax)
-    return t
+    k = t.ndim - first
+    pre = (slice(None),) * first
+    out = np.empty(t.shape[:first] + (3,) * k)
+    out[pre + (slice(2),) * k] = t
+    for i in range(k - 1, -1, -1):
+        head = pre + (slice(2),) * i
+        np.add(out[head + (0, ...)], out[head + (1, ...)], out=out[head + (2, ...)])
+    return out
 
 
-def _fold(r: np.ndarray, axes: Iterable[int]) -> np.ndarray:
+def _fold(r: np.ndarray, first: int) -> np.ndarray:
     """Sum per-context values of an _expand table into one value per subset.
 
-    On each listed axis, index 0 becomes the unobserved entry and index 1 the
-    sum over both observed values, so on a table with all k axes folded the
-    flat index is the subset mask (axis 0 holds the highest coordinate).
+    On every axis from `first` on, index 0 becomes the unobserved entry and
+    index 1 the sum over both observed values, so on a table with all k
+    axes folded the flat index is the subset mask (axis 0 holds the highest
+    coordinate). The axes fold first to last into one new array, the first
+    read from r and the others in place; r itself is left as it was.
     """
-    for ax in axes:
-        r = np.stack((r.take(2, axis=ax), r.take(0, axis=ax) + r.take(1, axis=ax)), axis=ax)
-    return r
+    k = r.ndim - first
+    if not k:
+        return r
+    pre = (slice(None),) * first
+    out = np.empty(r.shape[:first] + (2,) + r.shape[first + 1:])
+    src = r
+    for i in range(k):
+        head = pre + (slice(2),) * i
+        np.add(src[head + (0, ...)], src[head + (1, ...)], out=out[head + (1, ...)])
+        out[head + (0, ...)] = src[head + (2, ...)]
+        src = out
+    return out[pre + (slice(2),) * k]
 
 
 @functools.cache
@@ -263,11 +300,12 @@ def _cost_table(pmf: ExplicitPmf, alpha: float = 0.0) -> np.ndarray:
         # the context coordinates are the low n-1 bits of the flat index
         for s in range(n - 1):
             t = _channel_mix(t, s, alpha)
-    t = _expand(t.reshape((n, 2) + (2,) * (n - 1)), range(n, 1, -1))
+    t = _expand(t.reshape((n, 2) + (2,) * (n - 1)), 2)
     a, b = t[:, 0], t[:, 1]
     tot = a + b
-    ctx = np.divide(a * b, tot, out=np.zeros_like(tot), where=tot > 0.0)
-    folded = _fold(ctx, range(1, n)).reshape(n, -1)
+    ctx = a * b
+    ctx /= np.where(tot > 0.0, tot, 1.0)
+    folded = _fold(ctx, 1).reshape(n, -1)
     cost = np.full((1 << n, n), np.nan)
     cost[masks, bit] = folded
     if not alpha:
@@ -280,11 +318,11 @@ def _subset_entropies(pmf: ExplicitPmf) -> np.ndarray:
     """Entropy of every coordinate-subset marginal, indexed by mask."""
     n = pmf.n
     _check_table_size(n)
-    m = _expand(pmf.weights.reshape((2,) * n), range(n - 1, -1, -1))
+    m = _expand(pmf.weights.reshape((2,) * n), 0)
     terms = np.zeros_like(m)
     pos = m > 0.0
     terms[pos] = -m[pos] * np.log2(m[pos])
-    return _fold(terms, range(n)).reshape(-1)
+    return _fold(terms, 0).reshape(-1)
 
 
 def _along_order(table: np.ndarray, order: Sequence[int]) -> list[float]:
@@ -347,15 +385,18 @@ def _best_order(n: int, step: np.ndarray, pick_max: bool) -> tuple[float, tuple[
     for (sub, pred, _), edge in zip(reversed(lattice), reversed(tight)):
         reach[pred[edge & reach[sub][:, None]]] = True
 
+    # the walk reads Python floats, which add exactly as float64 scalars do
+    best, reach = best.tolist(), reach.tolist()
     order: list[int] = []
     mask = 0
     for _ in range(n):
+        here, row = best[mask], step[mask].tolist()
         j = next(j for j in range(n)
                  if not mask >> j & 1 and reach[mask | 1 << j]
-                 and best[mask] + step[mask, j] == best[mask | 1 << j])
+                 and here + row[j] == best[mask | 1 << j])
         order.append(j + 1)
         mask |= 1 << j
-    return float(best[-1]), tuple(order)
+    return best[-1], tuple(order)
 
 
 def worst_case_mmse(pmf: ExplicitPmf) -> tuple[float, tuple[int, ...]]:
@@ -409,7 +450,11 @@ def markov_joint_pmf(n: int, q: float) -> ExplicitPmf:
 
 def greedy_permutation(pmf: ExplicitPmf) -> tuple[int, ...]:
     """Order the coordinates by repeatedly taking the hardest one to predict
-    from those already chosen. Ties go to the smallest index."""
+    from those already chosen. Ties go to the smallest index, but only where
+    the computed values are exactly equal: coordinates that tie
+    mathematically can differ by a rounding, and then the larger rounding
+    wins. Every bit of markov_joint_pmf has variance 1/4, yet its greedy
+    order need not start at coordinate 1."""
     chosen: list[int] = []
     remaining = list(range(1, pmf.n + 1))
     while remaining:

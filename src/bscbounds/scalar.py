@@ -4,6 +4,7 @@ entropy around the balanced point."""
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -62,7 +63,14 @@ def inv_binary_entropy(u: float) -> float:
     tolerance, so once Newton has converged the next point lands past the
     root and closes the bracket.
     """
-    u = check_range("u", u, 0.0, 1.0)
+    return _inv_h(check_range("u", u, 0.0, 1.0))
+
+
+@functools.lru_cache(maxsize=4096)
+def _inv_h(u: float) -> float:
+    # inv_binary_entropy for a checked float u, memoized: several bounds
+    # invert the same entropy (validate's sandwich sweep asks for each u nine
+    # times), and a hit returns the float the search gave
     if u == 0.0:
         return 0.0
     if u == 1.0:

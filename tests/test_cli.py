@@ -505,6 +505,69 @@ class TestPmfMmse:
         assert "cap 8" in err
 
 
+class TestParserReuse:
+    """main() parses every call with one parser per process."""
+
+    @staticmethod
+    def _pmf_file(tmp_path):
+        path = tmp_path / "chain.pmf"
+        write_pmf(markov_joint_pmf(6, 0.3), str(path))
+        return ["pmf-mmse", str(path), "--alpha", "0.11"]
+
+    def test_build_parser_returns_one_object(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_main_builds_no_parser_after_the_first(self, capsys, monkeypatch):
+        argv = ["bound", "mgl", "--alpha", "0.11", "--entropy", "0.5"]
+        first = run_cli(capsys, *argv)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("main() built a second parser")
+
+        monkeypatch.setattr(cli.argparse, "ArgumentParser", refuse)
+        assert run_cli(capsys, *argv) == first
+
+    def test_same_argv_twice_prints_the_same(self, capsys, tmp_path):
+        for argv in (self._pmf_file(tmp_path),
+                     ["bound", "theorem6", "--alpha", "0.11", "--q", "0.1",
+                      "--variant", "printed"],
+                     ["bound", "cover-thomas", "--alpha", "0.11", "--q", "0.1", "--n", "3"]):
+            first = run_cli(capsys, *argv)
+            assert first[0] == 0 and first[1]
+            assert run_cli(capsys, *argv) == first
+
+    @pytest.mark.parametrize("failing", [
+        ["pmf-mmse", "x.pmf", "--bogus"],
+        ["bound", "theorem6", "--alpha", "0.11", "--q", "0.1", "--variant", "nosuch"],
+        ["bound", "nosuch"],
+        ["figure", "fig3", "--points"],
+    ], ids=["unknown-flag", "bad-choice", "bad-kind", "missing-value"])
+    def test_a_parse_error_leaves_later_calls_alone(self, capsys, tmp_path, failing):
+        calls = (self._pmf_file(tmp_path),
+                 ["bound", "theorem6", "--alpha", "0.11", "--q", "0.1"],
+                 ["bound", "cover-thomas", "--alpha", "0.11", "--q", "0.1"])
+        before = [run_cli(capsys, *argv) for argv in calls]
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(failing)
+        assert excinfo.value.code == 2
+        capsys.readouterr()
+        assert [run_cli(capsys, *argv) for argv in calls] == before
+
+    @pytest.mark.parametrize("failing", [
+        ["bound", "theorem6", "--alpha", "0.7", "--q", "0.1", "--variant", "printed"],
+        ["bound", "cover-thomas", "--alpha", "0.11", "--q", "0.1", "--n", "0"],
+        ["bound", "theorem5", "--alpha", "0.11"],
+    ], ids=["alpha-out-of-range", "zero-order", "missing-flag"])
+    def test_a_domain_error_leaves_later_calls_alone(self, capsys, tmp_path, failing):
+        calls = (self._pmf_file(tmp_path),
+                 ["bound", "theorem6", "--alpha", "0.11", "--q", "0.1"],
+                 ["bound", "cover-thomas", "--alpha", "0.11", "--q", "0.1"])
+        before = [run_cli(capsys, *argv) for argv in calls]
+        code, out, err = run_cli(capsys, *failing)
+        assert (code, out) == (2, "") and err.startswith("domain error:")
+        assert [run_cli(capsys, *argv) for argv in calls] == before
+
+
 class TestModuleEntry:
     def test_python_dash_m_invocation(self):
         # the child imports the package under test, not an installed copy

@@ -1,5 +1,7 @@
+import copy
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -73,6 +75,21 @@ class TestExplicitPmf:
         for name in ("n", "weights", "_memo", "other"):
             with pytest.raises(AttributeError):
                 setattr(pmf, name, {})
+
+    @pytest.mark.parametrize("copier", [lambda p: pickle.loads(pickle.dumps(p)),
+                                        copy.deepcopy, copy.copy],
+                             ids=["pickle", "deepcopy", "copy"])
+    def test_pickle_and_copy_keep_the_weights_and_drop_the_memo(self, copier):
+        for pmf in (random_pmf(5, seed=8), markov_joint_pmf(7, 0.3), ExplicitPmf([0.0, 1.0])):
+            worst = worst_case_mmse(pmf)
+            twin = copier(pmf)
+            assert twin is not pmf and twin.n == pmf.n
+            assert np.array_equal(twin.weights, pmf.weights)
+            assert twin.weights is not pmf.weights and not twin.weights.flags.writeable
+            assert twin._memo == {} and pmf._memo
+            with pytest.raises(AttributeError):
+                twin.n = 3
+            assert worst_case_mmse(twin) == worst
 
 
 class TestEntropy:
@@ -220,6 +237,120 @@ class TestSearchSetup:
         self._assert_read_only(cost)
         noisy = dist._cost_table(pmf, 0.11)
         assert noisy.flags.writeable and set(pmf._memo) <= {"cost", "worst"}
+
+
+# The all-subset tables as they were built before _expand and _fold wrote
+# into one preallocated array: one concatenate or stack copy per axis, a
+# masked divide, and an order walk over numpy scalars. The current tables
+# must equal these exactly, NaN entries included.
+
+
+def _ref_expand(t, axes):
+    for ax in axes:
+        t = np.concatenate((t, t.sum(axis=ax, keepdims=True)), axis=ax)
+    return t
+
+
+def _ref_fold(r, axes):
+    for ax in axes:
+        r = np.stack((r.take(2, axis=ax), r.take(0, axis=ax) + r.take(1, axis=ax)), axis=ax)
+    return r
+
+
+def _ref_cost_table(pmf, alpha):
+    n = pmf.n
+    gather, masks, bit = dist._cost_plan(n)
+    t = pmf.weights[gather]
+    if alpha:
+        for s in range(n - 1):
+            t = dist._channel_mix(t, s, alpha)
+    t = _ref_expand(t.reshape((n, 2) + (2,) * (n - 1)), range(n, 1, -1))
+    a, b = t[:, 0], t[:, 1]
+    tot = a + b
+    ctx = np.divide(a * b, tot, out=np.zeros_like(tot), where=tot > 0.0)
+    folded = _ref_fold(ctx, range(1, n)).reshape(n, -1)
+    cost = np.full((1 << n, n), np.nan)
+    cost[masks, bit] = folded
+    return cost
+
+
+def _ref_subset_entropies(pmf):
+    n = pmf.n
+    m = _ref_expand(pmf.weights.reshape((2,) * n), range(n - 1, -1, -1))
+    terms = np.zeros_like(m)
+    pos = m > 0.0
+    terms[pos] = -m[pos] * np.log2(m[pos])
+    return _ref_fold(terms, range(n)).reshape(-1)
+
+
+def _ref_best_order(n, step, pick_max):
+    lattice = dist._lattice(n)
+    opt = np.max if pick_max else np.min
+    best = np.zeros(1 << n)
+    tight = []
+    for sub, pred, col in lattice:
+        cand = best[pred] + step[pred, col]
+        best[sub] = top = opt(cand, axis=1)
+        tight.append(cand == top[:, None])
+    reach = np.zeros(1 << n, dtype=bool)
+    reach[-1] = True
+    for (sub, pred, _), edge in zip(reversed(lattice), reversed(tight)):
+        reach[pred[edge & reach[sub][:, None]]] = True
+    order = []
+    mask = 0
+    for _ in range(n):
+        j = next(j for j in range(n)
+                 if not mask >> j & 1 and reach[mask | 1 << j]
+                 and best[mask] + step[mask, j] == best[mask | 1 << j])
+        order.append(j + 1)
+        mask |= 1 << j
+    return float(best[-1]), tuple(order)
+
+
+def _table_pmfs(n):
+    """Random, Markov (one with q = 0, which ties every order) and point-mass
+    pmfs; point masses leave most contexts with zero mass."""
+    size = 1 << n
+    pmfs = [random_pmf(n, seed=40 + n), markov_joint_pmf(n, 0.2), markov_joint_pmf(n, 0.0)]
+    for idx in {0, size - 1, 5 % size}:
+        w = np.zeros(size)
+        w[idx] = 1.0
+        pmfs.append(ExplicitPmf(w))
+    w = np.zeros(size)
+    w[[0, size - 1]] = 0.5
+    pmfs.append(ExplicitPmf(w))
+    return pmfs
+
+
+class TestTablesMatchTheCopyingBuild:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_cost_tables_and_orders(self, n):
+        for pmf in _table_pmfs(n):
+            for alpha in (0.0, 0.11, 0.5):
+                want = _ref_cost_table(pmf, alpha)
+                got = dist._cost_table(pmf, alpha)
+                assert np.array_equal(got, want, equal_nan=True)
+                for pick_max in (True, False):
+                    value, order = dist._best_order(n, got, pick_max)
+                    assert type(value) is float
+                    assert (value, order) == _ref_best_order(n, want, pick_max)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_subset_entropies(self, n):
+        for pmf in _table_pmfs(n):
+            assert np.array_equal(dist._subset_entropies(pmf), _ref_subset_entropies(pmf),
+                                  equal_nan=True)
+
+    def test_expand_and_fold_leave_their_input_alone(self):
+        rng = np.random.default_rng(5)
+        t = rng.random((3, 2, 2, 2))
+        keep = t.copy()
+        m = dist._expand(t, 1)
+        assert np.array_equal(t, keep)
+        assert np.array_equal(m, _ref_expand(t, (3, 2, 1)))
+        before = m.copy()
+        assert np.array_equal(dist._fold(m, 1), _ref_fold(m, (1, 2, 3)))
+        assert np.array_equal(m, before)
 
 
 class TestBestCaseGivenOutput:

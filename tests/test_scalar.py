@@ -104,6 +104,25 @@ def test_inverse_entropy_monotone():
     assert all(b >= a for a, b in zip(grid, grid[1:]))
 
 
+def test_inverse_entropy_memo_is_bounded_and_checks_every_call():
+    from bscbounds import scalar
+
+    grid = np.linspace(0.0, 1.0, 5001).tolist()
+    first = [inv_binary_entropy(u) for u in grid]
+    assert scalar._inv_h.cache_info().currsize <= 4096
+    # repeats, from the memo or searched afresh after eviction, are the same floats
+    assert [inv_binary_entropy(u) for u in grid] == first
+    assert all(type(p) is float for p in first)
+    scalar._inv_h.cache_clear()
+    assert [inv_binary_entropy(u) for u in grid[::-1]] == first[::-1]
+    # a remembered u still passes the range check in every other form
+    inv_binary_entropy(0.5)
+    assert inv_binary_entropy(np.float64(0.5)) == inv_binary_entropy(0.5)
+    for bad in (-0.5, 1.5, float("nan"), "0.5x"):
+        with pytest.raises(DomainError):
+            inv_binary_entropy(bad)
+
+
 def test_convolve_basics():
     assert binary_convolve(0.0, 0.3) == 0.3
     assert binary_convolve(0.5, 0.05) == 0.5
