@@ -28,7 +28,7 @@ from .dist import (
     worst_case_mmse,
 )
 from .errors import DomainError, check_range
-from .scalar import binary_convolve, binary_entropy, inv_binary_entropy
+from .scalar import _conv, _h, inv_binary_entropy
 
 __all__ = [
     "BoundResult",
@@ -76,7 +76,7 @@ def mgl_scalar(alpha: float, entropy_in: float) -> float:
     """Classical convolution bound h(alpha * h^{-1}(H)) on the noisy entropy."""
     alpha = check_range("alpha", alpha, 0.0, 0.5)
     entropy_in = check_range("entropy", entropy_in, 0.0, 1.0)
-    return binary_entropy(binary_convolve(alpha, inv_binary_entropy(entropy_in)))
+    return _h(_conv(alpha, inv_binary_entropy(entropy_in)))
 
 
 def scalar_mmse_gerber(alpha: float, mmse: float) -> float:
@@ -84,7 +84,7 @@ def scalar_mmse_gerber(alpha: float, mmse: float) -> float:
     entropy of a noisy bit whose prediction error is `mmse`."""
     alpha = check_range("alpha", alpha, 0.0, 0.5)
     mmse = _check_mmse("mmse", mmse)
-    ha = binary_entropy(alpha)
+    ha = _h(alpha)
     return ha + (1.0 - ha) * 4.0 * mmse
 
 
@@ -103,7 +103,7 @@ def scalar_upper(alpha: float, mmse: float) -> float:
     arg = 1.0 - 4.0 * mmse
     # rounding guard: mmse within 1e-12 of 1/4 may push the radicand negative
     arg = min(max(arg, 0.0), 1.0)
-    return binary_entropy(0.5 + (0.5 - alpha) * math.sqrt(arg))
+    return _h(0.5 + (0.5 - alpha) * math.sqrt(arg))
 
 
 def vector_mmse_gerber(pmf: ExplicitPmf, alpha: float) -> BoundResult:
@@ -150,7 +150,7 @@ def conditional_vector_mmse_gerber(family, alpha: float) -> BoundResult:
     if any(wt < 0.0 for wt in wts) or abs(sum(wts) - 1.0) > 1e-9:
         raise DomainError("mixture weights must form a probability vector")
 
-    ha = binary_entropy(alpha)
+    ha = _h(alpha)
     step = sum(wt * _cost_table(pmf) for wt, pmf in members)
     best, best_order = _best_order(n, step, pick_max=True)
     value = ha + (1.0 - ha) * 4.0 * best / n
@@ -234,8 +234,8 @@ def sandwich_mgl(alpha: float, x: float) -> tuple[float, float]:
     """
     alpha = check_range("alpha", alpha, 0.0, 0.5)
     x = check_range("x", x, 0.0, 1.0)
-    lower = binary_entropy(binary_convolve(alpha, inv_binary_entropy(x)))
-    upper = binary_entropy(binary_convolve(alpha, 0.5 + 0.5 * math.sqrt(1.0 - x)))
+    lower = _h(_conv(alpha, inv_binary_entropy(x)))
+    upper = _h(_conv(alpha, 0.5 + 0.5 * math.sqrt(1.0 - x)))
     return lower, upper
 
 
@@ -246,6 +246,6 @@ def sandwich_new(alpha: float, u: float) -> tuple[float, float]:
     """
     alpha = check_range("alpha", alpha, 0.0, 0.5)
     u = check_range("u", u, 0.0, 1.0)
-    ha = binary_entropy(alpha)
+    ha = _h(alpha)
     p = inv_binary_entropy(u)
     return ha + (1.0 - ha) * 4.0 * p * (1.0 - p), ha + (1.0 - ha) * u

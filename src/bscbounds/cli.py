@@ -38,16 +38,16 @@ from .hmm import (
     _belief_result,
     belief_bound,
     cover_thomas_ceiling,
-    entropy_rate_mc,
+    entropy_rate_mc_many,
     markov_series_bound,
     rare_transition_baseline,
 )
 from .scalar import binary_convolve, binary_entropy
 
 # Largest inputs that set work or memory. The Monte Carlo streams its steps
-# in fixed chunks and peaks near 3 MB at any length, so the step caps bound
-# work: at about 0.05 us per step one fig3 row at the row cap takes about
-# 0.5 s and a whole fig3 run at the total cap about 50 s.
+# in fixed chunks and peaks near 3 MB at any length and any number of rows,
+# so the step caps bound work: at about 0.045 us per step one fig3 row at the
+# row cap takes about 0.5 s and a whole fig3 run at the total cap about 45 s.
 _MAX_POINTS = 100_001
 _MAX_MC_STEPS = 10_000_000
 _MAX_FIG3_STEPS = 1_000_000_000
@@ -107,20 +107,27 @@ def _new_curve(alpha: float, u: float) -> tuple[float, float, float]:
 
 def _fig3_row(args: argparse.Namespace, i: int, q: float) -> tuple[float, ...]:
     params = MarkovHmmParams(q, args.alpha)
-    est, se = entropy_rate_mc(params, args.samples, burnin=args.burnin, seed=(args.seed, i))
     # one root search per row: the printed variant reuses factor4's odds and floor
     t6 = belief_bound(params, "factor4")
     printed = _belief_result(params, t6.inputs["odds"], t6.inputs["mmse_floor"], "printed")
     return (binary_entropy(binary_convolve(args.alpha, q)),
             markov_series_bound(params).value,
             t6.value,
-            printed.value,
-            est, se)
+            printed.value)
+
+
+def _fig3_mc(args: argparse.Namespace, grid: list[float]) -> list[tuple[float, float]]:
+    """fig3's last two columns: the Monte Carlo estimate and stderr of every
+    row, row i seeded (--seed, i), all rows in one lockstep run."""
+    params = [MarkovHmmParams(q, args.alpha) for q in grid]
+    seeds = [(args.seed, i) for i in range(len(grid))]
+    return entropy_rate_mc_many(params, args.samples, args.burnin, seeds)
 
 
 # Each figure maps to its CSV header, the end of its grid (every grid starts
 # at 0) and a function of (args, row index, grid value) that yields the
-# columns after the grid value.
+# columns after the grid value; fig3's Monte Carlo columns follow from
+# _fig3_mc, once for the whole grid.
 _FIGURES = {
     "fig1a": (("x", "mgl_lower", "mgl_upper", "new"), 1.0,
               lambda a, i, x: _mgl_curve(a.alpha, x)),
@@ -148,6 +155,8 @@ def _run_figure(args: argparse.Namespace) -> int:
     header, end, columns = _FIGURES[args.which]
     grid = np.linspace(0.0, end, args.points).tolist()
     rows = [(v, *columns(args, i, v)) for i, v in enumerate(grid)]
+    if args.which == "fig3":
+        rows = [(*row, *mc) for row, mc in zip(rows, _fig3_mc(args, grid))]
     out = f"{args.which}.csv" if args.out is None else args.out
     lines = [",".join(header)]
     lines.extend(",".join(_fmt9(v) for v in row) for row in rows)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .bounds import BoundResult
 from .errors import DimensionError, DomainError, check_int, check_open, check_range
-from .scalar import _entropy_vec, binary_convolve, binary_entropy
+from .scalar import _conv, _entropy_vec, _h
 
 __all__ = [
     "MarkovHmmParams",
@@ -46,6 +46,7 @@ __all__ = [
     "minimizing_odds",
     "belief_bound",
     "entropy_rate_mc",
+    "entropy_rate_mc_many",
     "exact_conditional_entropy",
 ]
 
@@ -66,13 +67,24 @@ _MAX_WINDOW = 20
 # rounds to -1 and tanh to 1, so a larger k changes no result there.
 _MAX_POWER = 1 << 1023
 
-# The Monte Carlo draws and simulates _MC_CHUNK steps at a time, with its
-# step flags packed 8 to a byte. The steps are read off their bytes' tables
-# _MC_PIECE at a time: the 64 KB temporaries of a piece stay below malloc's
-# mmap threshold, while whole-chunk ones were mapped fresh each time and made
-# this stage about 2.5x slower.
+# The Monte Carlo runs its rows in lockstep groups of at most _MC_ROWS. A
+# group draws and simulates at most _MC_CHUNK steps at a time over all its
+# rows, with the step flags packed 8 to a byte and each row's bytes scanned
+# in blocks of at most _MC_BLOCK. The steps are read off their bytes' tables
+# _MC_PIECE at a time over the group's rows, in 128 KB temporaries: pieces of
+# 2^15 steps ran single rows 7% slower, and whole-chunk ones were mapped
+# fresh by malloc each time and made this stage about 2.5x slower. A group's
+# tables take 72 KB a row; groups of 6 to 12 rows ran fig3's 21 rows alike,
+# and one group of 21 about 11% slower.
 _MC_CHUNK = 1 << 16
-_MC_PIECE = 1 << 13
+_MC_PIECE = 1 << 14
+_MC_BLOCK = 64
+_MC_ROWS = 8
+# bit k of _RUNNING_XOR[b] is the xor of bits 0..k of the byte b
+_RUNNING_XOR = np.arange(256, dtype=np.uint8)
+_RUNNING_XOR ^= _RUNNING_XOR << 1
+_RUNNING_XOR ^= _RUNNING_XOR << 2
+_RUNNING_XOR ^= _RUNNING_XOR << 4
 
 
 @dataclass(frozen=True)
@@ -174,7 +186,7 @@ def series_mmse(q: float) -> float:
 
 def markov_series_bound(params: MarkovHmmParams) -> BoundResult:
     """Entropy-rate lower bound h(alpha) + (1 - h(alpha)) * series_mmse(q)."""
-    ha = binary_entropy(params.alpha)
+    ha = _h(params.alpha)
     value = ha + (1.0 - ha) * series_mmse(params.q)
     return BoundResult("theorem5", value, {"alpha": params.alpha, "q": params.q})
 
@@ -188,10 +200,10 @@ def crossing_q(alpha: float) -> float:
     is then bisected down to width _CROSSING_WIDTH.
     """
     alpha = check_open("alpha", alpha, 0.0, 0.5)
-    ha = binary_entropy(alpha)
+    ha = _h(alpha)
 
     def gap(q: float) -> float:
-        return ha + (1.0 - ha) * series_mmse(q) - binary_entropy(binary_convolve(alpha, q))
+        return ha + (1.0 - ha) * series_mmse(q) - _h(_conv(alpha, q))
 
     grid = np.linspace(1e-6, 0.5 - 1e-6, 512)
     vals = [gap(float(q)) for q in grid]
@@ -225,7 +237,7 @@ def small_q_ratio(q: float) -> float:
     q = check_range("q", q, 0.0, 0.5)
     if q == 0.0:
         raise DomainError("q must be positive, the ratio is 0/0 at q=0")
-    return series_mmse(q) / binary_entropy(q)
+    return series_mmse(q) / _h(q)
 
 
 def cover_thomas_ceiling(params: MarkovHmmParams, m: int = 1) -> float:
@@ -235,14 +247,14 @@ def cover_thomas_ceiling(params: MarkovHmmParams, m: int = 1) -> float:
     itself an upper bound on the entropy rate: it grows with m toward 1.
     """
     m = check_int("m", m, 1)
-    return binary_entropy(binary_convolve(disagreement_prob(m, params.q), params.alpha))
+    return _h(_conv(disagreement_prob(m, params.q), params.alpha))
 
 
 def rare_transition_baseline(params: MarkovHmmParams) -> float:
     """Comparison baseline h(alpha) - ((1-2 alpha)^2 / (1-alpha)) q log2(q),
     accurate in the rare-transition regime; continuous value h(alpha) at q=0."""
     q, alpha = params.q, params.alpha
-    ha = binary_entropy(alpha)
+    ha = _h(alpha)
     if q == 0.0:
         return ha
     return ha - ((1.0 - 2.0 * alpha) ** 2 / (1.0 - alpha)) * q * math.log2(q)
@@ -312,7 +324,7 @@ def mmse_given_odds(odds: float, params: MarkovHmmParams) -> float:
     if not (math.isfinite(odds) and odds > 0.0):
         raise DomainError(f"odds must be positive and finite, got {odds!r}")
     eta = (1.0 - alpha) / alpha
-    m = binary_convolve(alpha, q)
+    m = _conv(alpha, q)
     hi = eta * odds
     lo = odds / eta
     return (1.0 - m) * hi / (1.0 + hi) ** 2 + m * lo / (1.0 + lo) ** 2
@@ -360,7 +372,7 @@ def quartic_coefficients(params: MarkovHmmParams) -> QuarticCoefficients:
         c0 = -eta (1 + beta eta^2)
     """
     q, alpha = _positive_rates(params)
-    m = binary_convolve(alpha, q)
+    m = _conv(alpha, q)
     eta = (1.0 - alpha) / alpha
     beta = (1.0 - m) / m
     c4 = eta * (beta + eta**2)
@@ -418,7 +430,7 @@ def stationary_odds(params: MarkovHmmParams) -> tuple[float, ...]:
     poly = quartic_coefficients(params)
     coeffs = (poly.c4, poly.c3, poly.c2, poly.c1, poly.c0)
     eta = poly.eta
-    m = binary_convolve(params.alpha, params.q)
+    m = _conv(params.alpha, params.q)
     at_one = (eta - 1.0) * (eta + 1.0) ** 3 * (1.0 - 2.0 * m) / m
     if abs(poly(1.0) - at_one) > _RESIDUAL_TOL * math.hypot(*coeffs):
         raise AssertionError(f"quartic at s=1 misses its closed form for {params!r}")
@@ -468,7 +480,7 @@ def _belief_result(params: MarkovHmmParams, star: float | None, floor: float,
     """belief_bound's result in `variant` from the minimizing odds and the
     MMSE floor there, so that both variants can share one root search."""
     q, alpha = params.q, params.alpha
-    hm = binary_entropy(binary_convolve(alpha, q))
+    hm = _h(_conv(alpha, q))
     value = hm + (1.0 - hm) * _BELIEF_FACTORS[variant] * floor
     return BoundResult(
         "theorem6",
@@ -478,16 +490,8 @@ def _belief_result(params: MarkovHmmParams, star: float | None, floor: float,
     )
 
 
-def _propagate_llr_vec(t: np.ndarray, q: float) -> np.ndarray:
-    """propagate_llr over an array, in the same stable form, so the result is
-    exactly odd in t."""
-    cq = 1.0 - q
-    e = np.exp(-np.abs(t))
-    return np.copysign(np.log((cq + q * e) / (q + cq * e)), t)
-
-
-def _chunked_draws(rng: np.random.Generator, total: int):
-    """Yield the uniforms behind R and S, _MC_CHUNK steps at a time.
+def _chunked_draws(rng: np.random.Generator, total: int, chunk: int = _MC_CHUNK):
+    """Yield the uniforms behind R and S, `chunk` steps at a time.
 
     They are the numbers, in order, of rng.random(total) for R followed by
     rng.random(total) for S: S comes from a copy of the bit generator moved
@@ -502,22 +506,25 @@ def _chunked_draws(rng: np.random.Generator, total: int):
     else:
         for start in range(0, total, _MC_CHUNK):
             s_rng.random(min(_MC_CHUNK, total - start))
-    for start in range(0, total, _MC_CHUNK):
-        size = min(_MC_CHUNK, total - start)
+    for start in range(0, total, chunk):
+        size = min(chunk, total - start)
         yield rng.random(size), s_rng.random(size)
     rng.bit_generator.state = s_bits.state
 
 
-def _byte_maps(q: float, alpha: float) -> np.ndarray:
-    """The odds maps of every flag byte and of each of its prefixes.
+def _byte_maps(q, alpha) -> np.ndarray:
+    """The odds maps of every flag byte and of each of its prefixes, for
+    rates q and alpha (floats, or arrays of one shape, every pair in one
+    broadcast pass), shape (4, *q's shape, 256, 8).
 
     A step takes the odds x = e^V to (a x + b)/(c x + d), the Moebius map of
     D Q, with Q the Markov matrix and D = diag(eta, 1), or diag(1, eta) on a
     flagged step (the same map as diag(1/eta, 1), without rounding 1/eta).
-    Entries [:, byte, k] hold (a, b, c, d) of steps 0..k of the byte, step j
-    flagged by bit j (little-endian, as np.packbits(..., bitorder="little")
-    packs them), scaled so that the largest is 1. Prefix k depends on the
-    low k+1 bits only, so it is built on 2^(k+1) bytes and broadcast.
+    Entries [:, ..., byte, k] hold (a, b, c, d) of steps 0..k of the byte,
+    step j flagged by bit j (little-endian, as np.packbits(...,
+    bitorder="little") packs them), scaled so that the largest is 1. Prefix k
+    depends on the low k+1 bits only, so it is built on 2^(k+1) bytes and
+    broadcast.
 
     All entries are positive, so the products lose nothing to cancellation.
     Unscaled they stay within [q^8, eta^8], inside 1e+-64 for any rate above
@@ -529,82 +536,166 @@ def _byte_maps(q: float, alpha: float) -> np.ndarray:
     alpha near 1/2), rounding errors then cancel between complementary bytes
     instead of adding up over a chunk as a bias.
     """
+    shape = np.shape(q)
+    q = np.asarray(q, dtype=float).reshape(-1, 1)
+    alpha = np.asarray(alpha, dtype=float).reshape(-1, 1)
+    rows = q.shape[0]
     eta = (1.0 - alpha) / alpha
     cq = 1.0 - q
-    # column 0 is the plain step, column 1 the flagged one
-    sa, sb, sc, sd = (np.array([[u], [v]]) for u, v in
-                      ((eta * cq, cq), (eta * q, q), (q, eta * q), (cq, eta * cq)))
-    table = np.empty((4, 256, 8))
-    a, b, c, d = 1.0, 0.0, 0.0, 1.0
+    # steps[row, flag, i, j]: [[a, b], [c, d]] of the plain and the flagged step
+    steps = np.hstack((eta * cq, eta * q, q, cq, cq, q, eta * q, eta * cq)).reshape(rows, 2, 2, 2)
+    table = np.empty((4, rows, 256, 8))
+    maps = np.eye(2)[None, None]
     for k in range(8):
-        a, b, c, d = ((sa * a + sb * c).ravel(), (sa * b + sb * d).ravel(),
-                      (sc * a + sd * c).ravel(), (sc * b + sd * d).ravel())
-        table.reshape(4, 128 >> k, 2 << k, 8)[..., k] = np.stack((a, b, c, d))[:, None]
+        # step k after every prefix, its flag the high bit of the new index:
+        # [i, j] = step[i, 0] prefix[0, j] + step[i, 1] prefix[1, j]
+        maps = (steps[:, :, None, :, :1] * maps[:, None, :, None, 0]
+                + steps[:, :, None, :, 1:] * maps[:, None, :, None, 1]).reshape(rows, 2 << k, 2, 2)
+        table.reshape(4, rows, 128 >> k, 2 << k, 8)[..., k] = (
+            maps.reshape(rows, 2 << k, 4).transpose(2, 0, 1)[:, :, None])
     table /= table.max(axis=0)
-    return table
+    return table.reshape(4, *shape, 256, 8)
 
 
-def _mc_chunk(v0: float, neg: np.ndarray, table: np.ndarray):
-    """Run one chunk of V_i = +-ln(eta) + f(V_{i-1}) from V before its first
-    step; neg flags the steps that add -ln(eta), and table is _byte_maps.
+def _row_tables(q: np.ndarray, alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The tables of a lockstep group: the 8-step map [[a, b], [c, d]] of
+    every flag byte, shape (2, 2, rows * 256), for _byte_odds, and the
+    outcome tables of _entropy_terms, shape (4, rows * 256, 8); row r's bytes
+    sit at r * 256.
 
-    Returns the flag bytes and the odds x = e^V before each byte, from which
-    _steps_odds reads every step. The bytes are cut into blocks of about
-    sqrt(bytes/32), 16 for a full chunk, which balances the numpy calls of
-    passes A and C1, a few per byte of a block, against the turns of pass
-    B's Python loop, one per block. Pass A multiplies out each block's map
-    from its bytes' 8-step maps, every block at once. Pass B carries V
-    across the blocks one map at a time, in the log-stable form. Pass C1
-    carries the odds across the bytes of every block, all blocks side by
-    side. The last byte and block are padded with unflagged steps, which
-    are never read.
+    With m = alpha * q, the prefix map of step k applied to the odds x before
+    its byte predicts the next output's two values with weights
+    (1-m)(a x + b) + m (c x + d) and m (a x + b) + (1-m)(c x + d), which is
+    (A1 x + B1, A2 x + B2) for the outcome entries
+    (A1, B1, A2, B2) = ((1-m)a + mc, (1-m)b + md, ma + (1-m)c, mb + (1-m)d),
+    written over the byte maps' prefix table in place.
     """
-    nbytes = -(-neg.size // 8)
-    size = max(1, round(math.sqrt(nbytes / 32)))
+    table = _byte_maps(q, alpha)
+    rows = q.size
+    byte_maps = table[..., 7].reshape(2, 2, rows * 256).copy()
+    m = (alpha * (1.0 - q) + q * (1.0 - alpha))[:, None, None]
+    for u, v in ((table[0], table[2]), (table[1], table[3])):
+        first = u * (1.0 - m)
+        first += v * m
+        v *= 1.0 - m
+        v += u * m
+        u[...] = first
+    return byte_maps, table.reshape(4, rows * 256, 8)
+
+
+def _scan(q: np.ndarray, alpha: np.ndarray, byte_maps: np.ndarray, total: int,
+          rngs: list):
+    """Run the belief recursion of every row from W_0 = 0 for `total` steps,
+    the rows in lockstep, and yield each chunk as (start, n, flipped, index,
+    odds): its first step and length, and for every flag byte the signs of
+    sigma (bit j set where sigma = -1 at step start + 8 byte + j + 1), its
+    entry in the group's tables (row * 256 + byte) and the odds x = e^V
+    before it (_byte_odds).
+
+    Since f is odd, V_i = sigma_i W_i, with sigma_i = S_1 ... S_i, obeys
+    V_i = sigma_i R_i ln(eta) + f(V_{i-1}), one of two fixed steps, flagged
+    where sigma_i R_i = -1. Chunks hold at most _MC_CHUNK steps over all
+    rows, split evenly; each row draws from its own generator as
+    _chunked_draws does. The flags are packed 8 to a byte, the last byte
+    padded with steps that are never read. The odds and the parity of sigma
+    are carried across chunks, the odds from the chunk's last step.
+    """
+    rows = len(rngs)
+    chunks = -(-total // max(8, _MC_CHUNK // rows // 8 * 8))
+    width = -(-total // (8 * chunks)) * 8
+    draws = [_chunked_draws(rng, total, width) for rng in rngs]
+    offsets = np.arange(0, 256 * rows, 256)[:, None]
+    r_neg = np.empty((rows, width), dtype=bool)
+    s_neg = np.empty((rows, width), dtype=bool)
+    x = np.ones(rows)
+    odd = np.zeros((rows, 1), dtype=bool)
+    # Python floats: comparing with a numpy scalar costs several times more
+    limits = list(zip(alpha.tolist(), q.tolist()))
+    for start in range(0, total, width):
+        n = min(width, total - start)
+        for (r_u, s_u), (r_lim, s_lim), r_row, s_row in zip(map(next, draws), limits,
+                                                            r_neg, s_neg):
+            np.less(r_u, r_lim, out=r_row[:n])
+            np.less(s_u, s_lim, out=s_row[:n])
+        # sigma flips with every S flag: its sign bits are a running xor of
+        # them, taken within each byte from a table and then across bytes
+        # from the bytes' parities, bit 7 of their running xor
+        flipped = _RUNNING_XOR.take(np.packbits(s_neg[:, :n], axis=1, bitorder="little"))
+        ends = flipped >= 128
+        parity = np.logical_xor.accumulate(np.hstack((odd, ends[:, :-1])), axis=1)
+        odd = parity[:, -1:] ^ ends[:, -1:]
+        flipped ^= parity.view(np.uint8) * np.uint8(255)
+        codes = np.packbits(r_neg[:, :n], axis=1, bitorder="little") ^ flipped
+        index = codes + offsets
+        odds, x = _byte_odds(byte_maps, index, x)
+        yield start, n, flipped, index, odds
+    for draw in draws:
+        next(draw, None)
+
+
+def _byte_odds(byte_maps: np.ndarray, index: np.ndarray,
+               x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The odds before every flag byte of a chunk, shape (rows, bytes), and
+    after its last byte, from the odds x before its first; index holds each
+    byte's entry in byte_maps ([[a, b], [c, d]] of each row's 256 bytes).
+
+    The bytes of each row are cut into blocks of up to _MC_BLOCK, a power of
+    two, the last padded by repeating its last byte; padded bytes are never
+    read. All rows and blocks run side by side. Pass A multiplies out the
+    maps of byte pairs, then of pairs of pairs, up to whole blocks, and
+    keeps every level. Pass B composes the block maps into the map of blocks
+    0..k for every k by doubling (Hillis-Steele), in log2(blocks) rounds,
+    and reads the odds before every block off them. Pass C1 walks pass A's
+    levels back down: the odds before a right half are the left half's map
+    applied to the odds before the pair. No odds pass through more than
+    about 2 log2(bytes) map products and applications, so rounding grows
+    with the log of the chunk's length, not with the length itself.
+    """
+    rows, nbytes = index.shape
+    size = min(_MC_BLOCK, 1 << (nbytes - 1).bit_length())
     blocks = -(-nbytes // size)
-    codes = np.packbits(neg, bitorder="little")
-    # maps[:, j] holds (a, b, c, d) of byte j of every block
-    padded = np.pad(codes, (0, blocks * size - nbytes)).reshape(blocks, size)
-    maps = table[:, :, 7].take(padded.T, axis=1)
+    pad = blocks * size - nbytes
+    padded = np.pad(index, ((0, 0), (0, pad)), mode="edge") if pad else index
+    # level[:, :, j] holds [[a, b], [c, d]] of part j of every block of every
+    # row; m[:, :1] * p[:1] + m[:, 1:] * p[1:] is the matrix product m p
+    level = byte_maps.take(padded.reshape(rows, blocks, size).transpose(2, 0, 1), axis=2)
 
-    # pass A; rescaled every 4 bytes, over which the largest entry of a
-    # product grows at most 16-fold and, as no table entry is below 1e-32 of
-    # its map's largest, shrinks at most 1e-128-fold
-    a, b, c, d = maps[:, 0]
-    for j in range(1, size):
-        ta, tb, tc, td = maps[:, j]
-        a, b, c, d = ta * a + tb * c, ta * b + tb * d, tc * a + td * c, tc * b + td * d
-        if j % 4 == 3:
-            peak = 1.0 / np.maximum(np.maximum(a, b), np.maximum(c, d))
-            a, b, c, d = a * peak, b * peak, c * peak, d * peak
+    # pass A, each product rescaled so that its largest entry is 1
+    levels = [level]
+    while level.shape[2] > 1:
+        later, earlier = level[:, :, 1::2], level[:, :, ::2]
+        level = later[:, :1] * earlier[:1] + later[:, 1:] * earlier[1:]
+        level /= level.max(axis=(0, 1))
+        levels.append(level)
 
-    # pass B: V at the start of every block, in the stable form for either sign
-    starts = [0.0] * blocks
-    a, b, c, d = a.tolist(), b.tolist(), c.tolist(), d.tolist()
-    v = v0
-    for k in range(blocks):
-        starts[k] = v
-        if v >= 0.0:
-            e = math.exp(-v)
-            v = math.log((a[k] + b[k] * e) / (c[k] + d[k] * e))
-        else:
-            e = math.exp(v)
-            v = math.log((a[k] * e + b[k]) / (c[k] * e + d[k]))
+    # pass B: round r turns the map of blocks k-2^r+1..k into that of blocks
+    # k-2^(r+1)+1..k
+    prefix = level[:, :, 0]
+    shift = 1
+    while shift < blocks:
+        later, earlier = prefix[..., shift:], prefix[..., :-shift]
+        joined = later[:, :1] * earlier[:1] + later[:, 1:] * earlier[1:]
+        joined /= joined.max(axis=(0, 1))
+        prefix = np.concatenate((prefix[..., :shift], joined), axis=-1)
+        shift *= 2
+    x0 = x[:, None]
+    num, den = prefix[:, 0, :, :-1] * x0 + prefix[:, 1, :, :-1]
+    odds = np.hstack((x0, num / den))[None]
 
     # pass C1
-    x = np.exp(starts)
-    odds = np.empty((size, blocks))
-    for j in range(size):
-        odds[j] = x
-        ta, tb, tc, td = maps[:, j]
-        x = (ta * x + tb) / (tc * x + td)
-    return codes, odds.T.reshape(-1)[:nbytes]
+    for level in reversed(levels[:-1]):
+        num, den = level[:, 0, ::2] * odds + level[:, 1, ::2]
+        odds = np.stack((odds, num / den), axis=1).reshape(-1, rows, blocks)
+    last = size - 1 - pad
+    num, den = levels[0][:, 0, last, :, -1] * odds[last, :, -1] + levels[0][:, 1, last, :, -1]
+    return odds.transpose(1, 2, 0).reshape(rows, -1)[:, :nbytes], num / den
 
 
 def _steps_odds(table: np.ndarray, codes: np.ndarray, starts: np.ndarray,
                 lo: int, hi: int) -> np.ndarray:
-    """Pass C2: the odds after steps lo..hi-1 of a chunk that _mc_chunk ran,
-    each as its byte's prefix map applied to the odds before the byte."""
+    """Pass C2 for one row: the odds after steps lo..hi-1 of a chunk that
+    _scan ran, each as its byte's prefix map in table (_byte_maps of the
+    row) applied to the odds before the byte."""
     first = lo // 8
     part = codes[first:-(-hi // 8)]
     x = starts[first:first + part.size, None]
@@ -617,37 +708,107 @@ def _steps_odds(table: np.ndarray, codes: np.ndarray, starts: np.ndarray,
     return num.reshape(-1)[lo - 8 * first:hi - 8 * first]
 
 
-def _odds_path(q: float, alpha: float, total: int, rng: np.random.Generator,
-               skip: int = 0):
-    """Yield (x, flipped) for steps skip+1 .. total of the belief recursion
-    from W_0 = 0, in pieces of at most _MC_PIECE steps: x is the odds e^V of
-    V_i = sigma_i W_i and flipped marks sigma_i = S_1 ... S_i = -1.
+def _entropy_terms(outcomes: np.ndarray, index: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Pass C2 of the Monte Carlo: -h of the predicted next output at every
+    step of the bytes `index` (rows, bytes) of _scan, from the odds x before
+    each byte and the outcome tables of _row_tables, shape (rows, 8 bytes).
+    The two weights' sum is the denominator, so no odds are formed; h is
+    even in W, so which weight belongs to the likelier output is moot."""
+    x = np.repeat(x, 8, axis=-1).reshape(*index.shape, 8)
+    p = outcomes[0].take(index, axis=0)
+    p *= x
+    p += outcomes[1].take(index, axis=0)
+    p_c = outcomes[2].take(index, axis=0)
+    p_c *= x
+    p_c += outcomes[3].take(index, axis=0)
+    weight = p + p_c
+    p /= weight
+    p_c /= weight
+    hv = np.log2(p)
+    hv *= p
+    p = np.log2(p_c)
+    p *= p_c
+    hv += p
+    return hv.reshape(index.shape[0], -1)
 
-    Since f is odd, V obeys V_i = sigma_i R_i ln(eta) + f(V_{i-1}), one of
-    two fixed steps, which _mc_chunk runs a chunk at a time. The skipped
-    steps still run, but only byte by byte. V and the parity of sigma are
-    carried across chunks, V from the chunk's last real step.
-    """
+
+def _odds_path(q: float, alpha: float, total: int, rng: np.random.Generator):
+    """Yield (x, flipped) for steps 1 .. total of one row of _scan, in pieces
+    of at most _MC_PIECE steps: x is the odds e^V of V_i = sigma_i W_i and
+    flipped marks sigma_i = -1."""
+    q, alpha = np.array([q]), np.array([alpha])
     table = _byte_maps(q, alpha)
-    v, odd, start = 0.0, False, 0
-    for r_u, s_u in _chunked_draws(rng, total):
-        flipped = np.logical_xor.accumulate(s_u < q) ^ odd
-        codes, starts = _mc_chunk(v, (r_u < alpha) != flipped, table)
-        n = flipped.size
-        for lo in range(max(0, skip - start), n, _MC_PIECE):
+    byte_maps = table[..., 7].reshape(2, 2, 256)
+    for _, n, flipped, index, odds in _scan(q, alpha, byte_maps, total, [rng]):
+        flipped = np.unpackbits(flipped[0], count=n, bitorder="little").view(bool)
+        for lo in range(0, n, _MC_PIECE):
             hi = min(lo + _MC_PIECE, n)
-            yield _steps_odds(table, codes, starts, lo, hi), flipped[lo:hi]
-        v = math.log(_steps_odds(table, codes, starts, n - 1, n)[0])
-        odd, start = bool(flipped[-1]), start + n
+            yield _steps_odds(table[:, 0], index[0], odds[0], lo, hi), flipped[lo:hi]
 
 
-def _belief_path(q: float, alpha: float, total: int, rng: np.random.Generator):
-    """Yield W_1 .. W_total of the belief recursion from W_0 = 0, at most
-    _MC_PIECE values at a time: W = +-ln x of _odds_path's odds, with the
-    sign of sigma put back."""
-    for x, flipped in _odds_path(q, alpha, total, rng):
-        v = np.log(x)
-        yield np.where(flipped, -v, v)
+def _mc_rows(params_seq: list, samples: int, burnin: int, seeds: list) -> list[McEstimate]:
+    """The Monte Carlo kernel behind entropy_rate_mc and entropy_rate_mc_many.
+
+    Rows with a rate at or below _TINY_RATE shortcut to their exact limits.
+    The others run in lockstep groups of at most _MC_ROWS rows (_scan), and
+    every kept step's -h term (_entropy_terms, _MC_PIECE steps over the
+    group's rows at a time) is folded into each row's running mean and sum
+    of squared deviations (the pairwise update of Chan, Golub & LeVeque).
+    """
+    samples = check_int("samples", samples, 1)
+    burnin = check_int("burnin", burnin, 0)
+    out: list[McEstimate | None] = []
+    live = []
+    for params, seed in zip(params_seq, seeds):
+        if params.alpha <= _TINY_RATE:
+            out.append(McEstimate(_h(params.q), 0.0))
+        elif params.q <= _TINY_RATE:
+            out.append(McEstimate(_h(params.alpha), 0.0))
+        else:
+            live.append((len(out), params, seed))
+            out.append(None)
+    total = burnin + samples
+    groups = -(-len(live) // _MC_ROWS)
+    for k in range(groups):
+        group = live[k * len(live) // groups:(k + 1) * len(live) // groups]
+        rows = len(group)
+        q = np.array([params.q for _, params, _ in group])
+        alpha = np.array([params.alpha for _, params, _ in group])
+        byte_maps, outcomes = _row_tables(q, alpha)
+        rngs = [np.random.default_rng(seed) for _, _, seed in group]
+        piece = max(8, _MC_PIECE // rows)
+        count, mean, sq_dev = 0, np.zeros(rows), np.zeros(rows)
+        for start, n, _, index, odds in _scan(q, alpha, byte_maps, total, rngs):
+            # each piece's size, sum and squared deviations from its mean
+            sizes, sums, devs = [], [], []
+            for lo in range(max(0, burnin - start), n, piece):
+                hi = min(lo + piece, n)
+                first, end = lo // 8, -(-hi // 8)
+                hv = _entropy_terms(outcomes, index[:, first:end], odds[:, first:end])
+                hv = hv[:, lo - 8 * first:hi - 8 * first]
+                part = np.add.reduce(hv, axis=1)
+                dev = hv - (part / (hi - lo))[:, None]
+                sizes.append(hi - lo)
+                sums.append(part)
+                devs.append(np.einsum("ij,ij->i", dev, dev))
+            if not sizes:
+                continue
+            # the chunk's pieces merged, then the chunk merged into the row's
+            # running mean (of -h, negated below) and squared deviations
+            kept = sum(sizes)
+            weights = np.array(sizes, dtype=float)[:, None]
+            part_mean = np.add.reduce(sums) / kept
+            part_sq = np.add.reduce(devs) + np.add.reduce(
+                weights * (sums / weights - part_mean) ** 2)
+            merged = count + kept
+            delta = part_mean - mean
+            mean += delta * (kept / merged)
+            sq_dev += part_sq + delta * delta * (count * kept / merged)
+            count = merged
+        se = np.sqrt(sq_dev / (samples - 1)) / math.sqrt(samples) if samples > 1 else np.zeros(rows)
+        for (i, _, _), est, err in zip(group, (-mean).tolist(), se.tolist()):
+            out[i] = McEstimate(est, err)
+    return out
 
 
 def entropy_rate_mc(
@@ -662,57 +823,49 @@ def entropy_rate_mc(
     h(logistic(W) * q * alpha) over `samples` kept steps. `seed` is anything
     numpy's default_rng accepts.
 
-    The steps run in chunks of _MC_CHUNK, so memory stays the same however
-    many steps run: each chunk's R and S draws are taken as it starts (S
-    from a copy of the generator moved past all R draws, which keeps the
-    stream above), and its entropy terms are folded into a running mean and
-    sum of squared deviations (the pairwise update of Chan, Golub & LeVeque).
-    Since f is odd, V_i = S_1 ... S_i W_i takes one of two fixed steps,
-    V_i = S_1 ... S_i R_i ln(eta) + f(V_{i-1}), and h is even in W, so only
-    the odds x = e^V are needed (_odds_path). In odds each step is a Moebius
-    map with a nonnegative 2x2 matrix, and a flag byte of 8 steps one of 256
-    fixed maps: one table per (q, alpha) holds them and their prefixes
-    (_byte_maps). The chunk runs as a byte-table scan (_mc_chunk): the maps
-    of each block of bytes are multiplied out, all blocks side by side, V is
-    carried from block to block and the odds from byte to byte, and every
-    step is then its byte's prefix map applied to the odds before the byte.
-    With z = min(x, 1/x), the entropy terms need no exp or log1p.
+    The steps run in chunks of at most _MC_CHUNK, so memory stays the same
+    however many steps run: each chunk's R and S draws are taken as it
+    starts (S from a copy of the generator moved past all R draws, which
+    keeps the stream above), and its entropy terms are folded into a running
+    mean and sum of squared deviations. Since f is odd, V_i = S_1 ... S_i W_i
+    takes one of two fixed steps, V_i = S_1 ... S_i R_i ln(eta) + f(V_{i-1}),
+    and h is even in W, so only the odds x = e^V are needed. In odds each
+    step is a Moebius map with a nonnegative 2x2 matrix, and a flag byte of
+    8 steps one of 256 fixed maps: one table per (q, alpha) holds them and
+    their prefixes (_byte_maps). The chunk runs as a byte-table scan (_scan,
+    _byte_odds): the maps of byte pairs, pairs of pairs and whole blocks are
+    multiplied out, the block maps are composed across the blocks by
+    doubling, and the odds before every byte are read off them on the way
+    back down. Each step's two output probabilities come from outcome tables
+    folded from its byte's prefix maps (_row_tables) and the odds before the
+    byte, with no per-step odds, exp or log1p (_entropy_terms). This kernel
+    (_mc_rows) is the one entropy_rate_mc_many runs on many rows at once.
 
     The reported stderr uses the i.i.d. formula; consecutive W values are
     correlated, so it understates the true uncertainty and consumers should
     pad their margins. Rates at or below 1e-8 shortcut to the exact limits
     h(q) and h(alpha) with zero stderr.
     """
-    q, alpha = params.q, params.alpha
-    samples = check_int("samples", samples, 1)
-    burnin = check_int("burnin", burnin, 0)
-    if alpha <= _TINY_RATE:
-        return McEstimate(binary_entropy(q), 0.0)
-    if q <= _TINY_RATE:
-        return McEstimate(binary_entropy(alpha), 0.0)
+    return _mc_rows([params], samples, burnin, [seed])[0]
 
-    rng = np.random.default_rng(seed)
-    # with z = min(x, 1/x) = exp(-|W|), (1 - m + m z)/(1 + z) is the predicted
-    # probability of the likelier next output, m = alpha * q, and
-    # (m + (1 - m) z)/(1 + z) its complement
-    m = binary_convolve(alpha, q)
-    count, mean, sq_dev = 0, 0.0, 0.0
-    for x, _ in _odds_path(q, alpha, burnin + samples, rng, skip=burnin):
-        z = np.minimum(x, 1.0 / x)
-        weight = 1.0 + z
-        p = ((1.0 - m) + m * z) / weight
-        p_c = (m + (1.0 - m) * z) / weight
-        # -h, whose mean is negated below: the squared deviations are even
-        hv = p * np.log2(p) + p_c * np.log2(p_c)
-        part_mean = -float(hv.mean())
-        part_sq = float(((hv + part_mean) ** 2).sum())
-        merged = count + hv.size
-        delta = part_mean - mean
-        mean += delta * (hv.size / merged)
-        sq_dev += part_sq + delta * delta * (count * hv.size / merged)
-        count = merged
-    se = 0.0 if samples < 2 else math.sqrt(sq_dev / (samples - 1)) / math.sqrt(samples)
-    return McEstimate(mean, se)
+
+def entropy_rate_mc_many(params_seq, samples: int, burnin: int, seeds) -> list[McEstimate]:
+    """entropy_rate_mc for every MarkovHmmParams of params_seq, row i drawing
+    from seeds[i] with the same samples and burnin, simulated in lockstep.
+
+    Each row keeps its own R and S draws, so row i's estimate is what
+    entropy_rate_mc(params_seq[i], samples, burnin, seeds[i]) returns, up to
+    the rounding of its summation order. The rows run in groups of at most
+    _MC_ROWS: a group's byte tables are built in one pass, and its chunks
+    hold at most _MC_CHUNK steps over all its rows, so memory is bounded
+    whatever the number of rows. Each seed makes its own generator, so a
+    Generator passed for two rows would interleave their draws.
+    """
+    params_seq, seeds = list(params_seq), list(seeds)
+    if len(seeds) != len(params_seq):
+        raise DomainError(f"seeds must give one seed per row: {len(params_seq)} rows, "
+                          f"{len(seeds)} seeds")
+    return _mc_rows(params_seq, samples, burnin, seeds)
 
 
 def exact_conditional_entropy(params: MarkovHmmParams, n: int) -> float:

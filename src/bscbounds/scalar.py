@@ -29,14 +29,14 @@ def binary_entropy(p: float) -> float:
     log1p(-p) keeps ln(1 - p) accurate for small p, where log2(1 - p)
     rounds to 0, so the result keeps full relative precision near 0.
     """
-    p = check_range("p", p, 0.0, 1.0)
-    if p == 0.0 or p == 1.0:
-        return 0.0
-    return _h(p)
+    return _h(check_range("p", p, 0.0, 1.0))
 
 
 def _h(p: float) -> float:
-    # binary_entropy for a float 0 < p < 1, unchecked
+    # binary_entropy for a float 0 <= p <= 1, unchecked: for callers that
+    # checked or computed p themselves
+    if p == 0.0 or p == 1.0:
+        return 0.0
     return -(p * math.log2(p) + (1.0 - p) * math.log1p(-p) / _LN2)
 
 
@@ -104,8 +104,11 @@ def _inv_h(u: float) -> float:
 
 def binary_convolve(a: float, b: float) -> float:
     """Crossover probability of two cascaded symmetric flips: a(1-b) + b(1-a)."""
-    a = check_range("a", a, 0.0, 1.0)
-    b = check_range("b", b, 0.0, 1.0)
+    return _conv(check_range("a", a, 0.0, 1.0), check_range("b", b, 0.0, 1.0))
+
+
+def _conv(a: float, b: float) -> float:
+    # binary_convolve for floats in [0, 1], unchecked
     return a * (1.0 - b) + b * (1.0 - a)
 
 

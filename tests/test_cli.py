@@ -274,6 +274,20 @@ class TestFigure:
             assert row[3:5] == [cli._fmt9(hmm.belief_bound(params, v).value)
                                 for v in ("factor4", "printed")]
 
+    def test_fig3_simulates_every_row_in_one_call(self, capsys, monkeypatch, tmp_path):
+        calls = []
+        real = cli.entropy_rate_mc_many
+
+        def counted(params, samples, burnin, seeds):
+            calls.append(([p.q for p in params], samples, burnin, seeds))
+            return real(params, samples, burnin, seeds)
+
+        monkeypatch.setattr(cli, "entropy_rate_mc_many", counted)
+        run_cli(capsys, "figure", "fig3", "--points", "5", "--samples", "2000",
+                "--burnin", "500", "--seed", "3", "--out", str(tmp_path / "one.csv"))
+        assert calls == [([0.0, 0.125, 0.25, 0.375, 0.5], 2000, 500,
+                          [(3, i) for i in range(5)])]
+
     def test_fig3_seeded_rerun_is_byte_identical(self, capsys, tmp_path):
         out1, out2 = tmp_path / "r1.csv", tmp_path / "r2.csv"
         argv = ("figure", "fig3", "--seed", "1", "--points", "3",
@@ -311,7 +325,9 @@ class TestFigure:
         def refuse(*args, **kwargs):
             raise AssertionError("the cap must be checked before any work")
 
-        monkeypatch.setattr(cli, "entropy_rate_mc", refuse)
+        # the batched entry fig3 calls, and the kernel behind every simulation
+        monkeypatch.setattr(cli, "entropy_rate_mc_many", refuse)
+        monkeypatch.setattr(hmm, "_mc_rows", refuse)
         out = tmp_path / "big.csv"
         code, _, err = run_cli(capsys, "figure", "fig3", *flags, "--out", str(out))
         assert code == 2
@@ -341,7 +357,8 @@ def test_negative_seed_exits_2_before_any_work(capsys, monkeypatch, tmp_path, ar
     def refuse(*args, **kwargs):
         raise AssertionError("the seed must be checked before any work")
 
-    monkeypatch.setattr(cli, "entropy_rate_mc", refuse)
+    monkeypatch.setattr(cli, "entropy_rate_mc_many", refuse)
+    monkeypatch.setattr(hmm, "_mc_rows", refuse)
     monkeypatch.setattr(cli.validate_mod, "run_suite", refuse)
     monkeypatch.chdir(tmp_path)
     code, out, err = run_cli(capsys, *argv, "--seed", "-1")

@@ -20,6 +20,7 @@ from bscbounds.hmm import (
     disagreement_prob,
     dyadic_permutation,
     entropy_rate_mc,
+    entropy_rate_mc_many,
     exact_conditional_entropy,
     mmse_two_sided,
 )
@@ -59,6 +60,12 @@ INPUTS = {
                                 1, None, DomainError),
     "entropy_rate_mc burnin": ("burnin", lambda v: entropy_rate_mc(PARAMS, 1, burnin=v),
                                0, None, DomainError),
+    "entropy_rate_mc_many samples": ("samples",
+                                     lambda v: entropy_rate_mc_many([PARAMS], v, 0, [0]),
+                                     1, None, DomainError),
+    "entropy_rate_mc_many burnin": ("burnin",
+                                    lambda v: entropy_rate_mc_many([PARAMS], 1, v, [0]),
+                                    0, None, DomainError),
     "exact_conditional_entropy n": ("n", lambda v: exact_conditional_entropy(PARAMS, v),
                                     1, 20, DimensionError),
 }

@@ -1,5 +1,7 @@
-"""The blocked-scan Monte Carlo kernel of hmm.entropy_rate_mc, checked against
-the sequential belief loop it replaced, which is kept here as the oracle."""
+"""The blocked-scan Monte Carlo kernel of hmm.entropy_rate_mc and
+hmm.entropy_rate_mc_many, checked against the sequential belief loop it
+replaced, which is kept here as the oracle, and against the earlier builders
+and routes kept here as references."""
 
 import math
 import tracemalloc
@@ -10,7 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bscbounds import hmm, validate
-from bscbounds.hmm import MarkovHmmParams, entropy_rate_mc, propagate_llr
+from bscbounds.errors import DomainError
+from bscbounds.hmm import (
+    MarkovHmmParams,
+    entropy_rate_mc,
+    entropy_rate_mc_many,
+    propagate_llr,
+)
 
 BLOCK = 64
 CHUNK = hmm._MC_CHUNK
@@ -37,6 +45,43 @@ DRIFTING_PAIRS = (DRIFTING, (1.01e-8, 0.5 - 1e-9))
 EDGE_RATES = (1.01e-8, 0.25, 0.5 - 1e-9)
 EDGE_PAIRS = [(q, a) for q in EDGE_RATES for a in EDGE_RATES]
 EDGE_TOTALS = (hmm._MC_PIECE - 1, hmm._MC_PIECE + 1, CHUNK + 3)
+
+
+# the channel rates of the benchmark's fig3 sweep, and the q of its rows
+# that simulate (q = 0 shortcuts to its exact limit)
+FIG3_RATES = (0.02, 0.05, 0.08, 0.11, 0.16, 0.22, 0.30, 0.40)
+FIG3_QS = np.linspace(0.0, 0.5, 21)[1:].tolist()
+
+
+def reference_byte_maps(q, alpha):
+    """The byte table of one (q, alpha), built as entropy_rate_mc built it
+    on every call before the tables of a lockstep group were built at once."""
+    eta = (1.0 - alpha) / alpha
+    cq = 1.0 - q
+    sa, sb, sc, sd = (np.array([[u], [v]]) for u, v in
+                      ((eta * cq, cq), (eta * q, q), (q, eta * q), (cq, eta * cq)))
+    table = np.empty((4, 256, 8))
+    a, b, c, d = 1.0, 0.0, 0.0, 1.0
+    for k in range(8):
+        a, b, c, d = ((sa * a + sb * c).ravel(), (sa * b + sb * d).ravel(),
+                      (sc * a + sd * c).ravel(), (sc * b + sd * d).ravel())
+        table.reshape(4, 128 >> k, 2 << k, 8)[..., k] = np.stack((a, b, c, d))[:, None]
+    table /= table.max(axis=0)
+    return table
+
+
+def odds_route_terms(table, q, alpha, x):
+    """-h of the predicted next output at every byte and prefix of a byte
+    table, from the odds x before the byte, through the odds after the step
+    as entropy_rate_mc computed them before its outcome tables."""
+    a, b, c, d = table
+    y = (a * x + b) / (c * x + d)
+    z = np.minimum(y, 1.0 / y)
+    m = alpha * (1.0 - q) + q * (1.0 - alpha)
+    weight = 1.0 + z
+    p = ((1.0 - m) + m * z) / weight
+    p_c = (m + (1.0 - m) * z) / weight
+    return p * np.log2(p) + p_c * np.log2(p_c)
 
 
 def oracle_path(q, alpha, total, seed):
@@ -93,8 +138,25 @@ def oracle_estimate(path, q, alpha, burnin):
     return float(hv.mean()), se
 
 
+def belief_path(q, alpha, total, rng):
+    """Yield W_1 .. W_total of the belief recursion from W_0 = 0, at most
+    _MC_PIECE values at a time: W = +-ln x of hmm._odds_path's odds, with
+    the sign of sigma put back."""
+    for x, flipped in hmm._odds_path(q, alpha, total, rng):
+        v = np.log(x)
+        yield np.where(flipped, -v, v)
+
+
+def propagate_llr_vec(t, q):
+    """propagate_llr over an array, in the same stable form, so the result is
+    exactly odd in t."""
+    cq = 1.0 - q
+    e = np.exp(-np.abs(t))
+    return np.copysign(np.log((cq + q * e) / (q + cq * e)), t)
+
+
 def kernel_path(q, alpha, total, seed):
-    return np.concatenate(list(hmm._belief_path(q, alpha, total, np.random.default_rng(seed))))
+    return np.concatenate(list(belief_path(q, alpha, total, np.random.default_rng(seed))))
 
 
 def check_against_oracle(q, alpha, total, seed):
@@ -213,12 +275,12 @@ def _llr_tol(value):
 )
 def test_vectorised_step_matches_propagate_llr(t, q):
     t = np.asarray(t)
-    got = hmm._propagate_llr_vec(t, q)
+    got = propagate_llr_vec(t, q)
     for ti, gi in zip(t.tolist(), got.tolist()):
         want = propagate_llr(ti, q)
         assert abs(gi - want) <= _llr_tol(want), (ti, q)
     # odd exactly, and saturating: |f(t)| <= min(|t|, ln((1-q)/q))
-    assert np.array_equal(hmm._propagate_llr_vec(-t, q), -got)
+    assert np.array_equal(propagate_llr_vec(-t, q), -got)
     cap = math.log((1.0 - q) / q)
     assert np.all(np.abs(got) <= np.minimum(np.abs(t), cap) + _llr_tol(cap))
 
@@ -228,8 +290,77 @@ def test_support_check_reads_the_extreme_odds():
     # odds alone; the per-step route over the whole path is the reference
     params = MarkovHmmParams(0.1, 0.11)
     steps = 100_000
-    path = np.concatenate(list(hmm._belief_path(params.q, params.alpha, steps,
-                                                np.random.default_rng(4))))
-    want = float(np.abs(hmm._propagate_llr_vec(path[:-1], params.q)).max())
+    path = np.concatenate(list(belief_path(params.q, params.alpha, steps,
+                                           np.random.default_rng(4))))
+    want = float(np.abs(propagate_llr_vec(path[:-1], params.q)).max())
     got = validate._max_abs_f(params, steps, np.random.default_rng(4))
     assert abs(got - want) <= 1e-15 * want
+
+
+@pytest.mark.parametrize("pairs", [EDGE_PAIRS] + [[(q, a) for q in FIG3_QS] for a in FIG3_RATES],
+                         ids=["edge"] + [f"fig3-alpha{a}" for a in FIG3_RATES])
+def test_broadcast_builder_matches_the_reference(pairs):
+    q, alpha = (np.array(v) for v in zip(*pairs))
+    table = hmm._byte_maps(q, alpha)
+    assert table.shape == (4, len(pairs), 256, 8)
+    for row, (qi, ai) in enumerate(pairs):
+        want = reference_byte_maps(qi, ai)
+        assert np.array_equal(table[:, row], want), (qi, ai)
+        assert np.array_equal(hmm._byte_maps(qi, ai), want), (qi, ai)
+
+
+@pytest.mark.parametrize("q,alpha", EDGE_PAIRS + [DRIFTING, (0.1, 0.11), (0.5, 0.02)])
+def test_outcome_tables_match_the_odds_route(q, alpha):
+    _, outcomes = hmm._row_tables(np.array([q]), np.array([alpha]))
+    table = reference_byte_maps(q, alpha)
+    every_byte = np.arange(256)[None]
+    for x in np.geomspace(1e-12, 1e12, 25):
+        got = hmm._entropy_terms(outcomes, every_byte, np.full((1, 256), x))
+        want = odds_route_terms(table, q, alpha, x)
+        assert float(np.max(np.abs(got.reshape(256, 8) - want))) <= 1e-15, (q, alpha, x)
+
+
+# rows that shortcut (q = 0), do not contract (q = 1/2), barely observe
+# (alpha just below 1/2) and drift in float64 (DRIFTING), among fig3's
+MANY_ROWS = ([(0.0, 0.11), (0.5, 0.11), (0.1, 0.5 - 1e-9), DRIFTING, DRIFTING_PAIRS[1]]
+             + [(q, 0.11) for q in FIG3_QS[::2]]
+             + [(q, 0.3) for q in FIG3_QS[3::3]])
+
+
+@pytest.mark.parametrize("rows", [[DRIFTING], MANY_ROWS[1:3], MANY_ROWS],
+                         ids=["R=1", "R=2", "R=21"])
+def test_batched_rows_match_single_calls(rows):
+    assert len(MANY_ROWS) == 21
+    params = [MarkovHmmParams(q, a) for q, a in rows]
+    seeds = [(9, i) for i in range(len(rows))]
+    # the burn-in ends 5 steps into a byte; the rows of a group share chunks
+    # of _MC_CHUNK steps, so 7 or 8 rows of 21,005 steps run 3 chunks each
+    # where a single row runs 1
+    samples, burnin = 20_000, 1_005
+    many = entropy_rate_mc_many(params, samples, burnin, seeds)
+    assert len(many) == len(rows)
+    for p, seed, got in zip(params, seeds, many):
+        want = entropy_rate_mc(p, samples, burnin=burnin, seed=seed)
+        assert abs(got.estimate - want.estimate) <= 1e-15, p
+        assert got.stderr == pytest.approx(want.stderr, rel=1e-9), p
+
+
+def test_batched_rows_need_one_seed_each():
+    params = [MarkovHmmParams(0.1, 0.11)] * 2
+    with pytest.raises(DomainError, match="seeds"):
+        entropy_rate_mc_many(params, 100, 0, [1])
+    with pytest.raises(DomainError, match="seeds"):
+        entropy_rate_mc_many(params, 100, 0, [1, 2, 3])
+    assert entropy_rate_mc_many([], 100, 0, []) == []
+
+
+def test_peak_memory_of_a_fig3_sweep_call():
+    # 20 simulated rows of 70,000 steps, as one fig3-sweep invocation runs
+    params = [MarkovHmmParams(q, 0.11) for q in FIG3_QS]
+    tracemalloc.start()
+    try:
+        entropy_rate_mc_many(params, 60_000, 10_000, [(7, i) for i in range(len(params))])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 2**20

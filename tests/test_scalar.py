@@ -11,7 +11,7 @@ from bscbounds import (
     entropy_taylor,
     inv_binary_entropy,
 )
-from bscbounds.scalar import _entropy_vec
+from bscbounds.scalar import _conv, _entropy_vec, _h
 
 
 def test_entropy_known_values():
@@ -163,3 +163,20 @@ def test_taylor_rejects_bad_arguments():
         entropy_taylor(0.2, 0)
     with pytest.raises(DomainError):
         entropy_taylor(0.2, -3)
+
+
+def test_unchecked_kernels_match_the_checked_functions():
+    # the bounds call _h and _conv on values they checked or computed; the
+    # public functions are the same kernels behind a range check
+    grid = (0.0, 5e-324, 1e-300, 1e-9, 0.11, 0.5, 0.7, 1.0 - 1e-16, 1.0)
+    for p in grid:
+        assert _h(p) == binary_entropy(p), p
+        for b in grid:
+            assert _conv(p, b) == binary_convolve(p, b), (p, b)
+    for bad in (-1e-300, 1.0 + 1e-15, math.nan):
+        with pytest.raises(DomainError):
+            binary_entropy(bad)
+        with pytest.raises(DomainError):
+            binary_convolve(0.2, bad)
+        with pytest.raises(DomainError):
+            binary_convolve(bad, 0.2)
