@@ -39,6 +39,9 @@ EXHAUSTIVE_CAP = 8
 # read_pmf reads at most 32 bytes a weight at MAX_COORDS; write_pmf uses <= 24
 _MAX_PMF_BYTES = 32 << MAX_COORDS
 
+# greedy_permutation treats values this close to a step's largest as tied
+_GREEDY_TIE = 1e-12
+
 # weight vectors further than this from unit mass are rejected, closer ones
 # are renormalized
 _SUM_TOL = 1e-9
@@ -134,9 +137,10 @@ def _split_mmse(m: np.ndarray, t: int) -> float:
     return _pair_mmse(a, b, a + b)
 
 
-def _channel_mix(m: np.ndarray, t: int, alpha: float) -> np.ndarray:
-    """Replace bit t of a flat joint table by its symmetric-flip output."""
-    m3 = m.reshape(-1, 2, 1 << t)
+def _channel_mix(m: np.ndarray, t: int, alpha: float, inner: int = 1) -> np.ndarray:
+    """Replace bit t of a flat joint table by its symmetric-flip output; with
+    `inner`, bit t of the index over contiguous blocks of that many entries."""
+    m3 = m.reshape(-1, 2, inner << t)
     return ((1.0 - alpha) * m3 + alpha * m3[:, ::-1, :]).reshape(-1)
 
 
@@ -213,47 +217,45 @@ def _check_table_size(n: int) -> None:
         raise DimensionError(f"n={n} above the exhaustive-search cap {EXHAUSTIVE_CAP}")
 
 
-def _expand(t: np.ndarray, first: int) -> np.ndarray:
-    """Append to every axis from `first` on, each of size 2, the entry that
+def _expand(t: np.ndarray, k: int) -> np.ndarray:
+    """Append to each of the first k axes, each of size 2, the entry that
     sums it out.
 
     Afterwards index 0 or 1 on such an axis fixes the coordinate's value and
     index 2 leaves it unobserved, so every subset marginal sits in one
     3-valued table, each derived from its parent by summing one axis. The
-    table is written into one new array, last axis first, each sum reading
-    the entries the later axes already hold.
+    axes after the first k ride along: every sum adds whole contiguous
+    blocks of them. The table is written into one new array, axis k-1
+    first, each sum reading the entries the later axes already hold.
     """
-    k = t.ndim - first
-    pre = (slice(None),) * first
-    out = np.empty(t.shape[:first] + (3,) * k)
-    out[pre + (slice(2),) * k] = t
+    out = np.empty((3,) * k + t.shape[k:])
+    out[(slice(2),) * k] = t
     for i in range(k - 1, -1, -1):
-        head = pre + (slice(2),) * i
+        head = (slice(2),) * i
         np.add(out[head + (0, ...)], out[head + (1, ...)], out=out[head + (2, ...)])
     return out
 
 
-def _fold(r: np.ndarray, first: int) -> np.ndarray:
+def _fold(r: np.ndarray, k: int) -> np.ndarray:
     """Sum per-context values of an _expand table into one value per subset.
 
-    On every axis from `first` on, index 0 becomes the unobserved entry and
-    index 1 the sum over both observed values, so on a table with all k
-    axes folded the flat index is the subset mask (axis 0 holds the highest
-    coordinate). The axes fold first to last into one new array, the first
-    read from r and the others in place; r itself is left as it was.
+    On each of the first k axes, index 0 becomes the unobserved entry and
+    index 1 the sum over both observed values, so with the k axes folded
+    their flat index is the subset mask (axis 0 holds the highest
+    coordinate); the trailing axes ride along as in _expand. The axes fold
+    first to last into one new array, the first read from r and the others
+    in place; r itself is left as it was.
     """
-    k = r.ndim - first
     if not k:
         return r
-    pre = (slice(None),) * first
-    out = np.empty(r.shape[:first] + (2,) + r.shape[first + 1:])
+    out = np.empty((2,) + r.shape[1:])
     src = r
     for i in range(k):
-        head = pre + (slice(2),) * i
+        head = (slice(2),) * i
         np.add(src[head + (0, ...)], src[head + (1, ...)], out=out[head + (1, ...)])
         out[head + (0, ...)] = src[head + (2, ...)]
         src = out
-    return out[pre + (slice(2),) * k]
+    return out[(slice(2),) * k]
 
 
 @functools.cache
@@ -261,17 +263,18 @@ def _cost_plan(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The index arrays of _cost_table at n coordinates, read-only: the gather
     that regroups the weights, and the (mask, bit) scatter of the result.
 
-    masks[j-1, c] is the (n-1)-bit context index c with a 0 put in at bit
+    masks[c, j-1] is the (n-1)-bit context index c with a 0 put in at bit
     j-1, and the gather puts the weight with x_j = x and the other
-    coordinates given by c at flat index (j-1, x, c). Only sizes the cap
-    admits are built, so the cache holds at most EXHAUSTIVE_CAP plans.
+    coordinates given by c at flat index (c, j-1, x): the context bits lead
+    and the (target, x_target) block of 2 n weights is a contiguous inner
+    run. Only sizes the cap admits are built, so the cache holds at most
+    EXHAUSTIVE_CAP plans.
     """
     _check_table_size(n)
-    packed = np.arange(1 << (n - 1))
-    bit = np.arange(n)[:, None]
+    packed = np.arange(1 << (n - 1))[:, None]
+    bit = np.arange(n)
     masks = (packed & ((1 << bit) - 1)) | ((packed >> bit) << (bit + 1))
-    xj = np.arange(2)[:, None] << bit[:, None]
-    gather = (masks[:, None, :] | xj).reshape(-1)
+    gather = (masks[:, :, None] | (np.arange(2) << bit[:, None])).reshape(-1)
     for arr in (gather, masks, bit):
         arr.setflags(write=False)
     return gather, masks, bit
@@ -281,12 +284,12 @@ def _cost_table(pmf: ExplicitPmf, alpha: float = 0.0) -> np.ndarray:
     """cost[mask, j-1] = MMSE(X_j | the coordinates in mask, each seen
     through a symmetric channel with flip rate alpha).
 
-    All targets are handled at once: row j-1 of a batched table holds the
-    weights regrouped by (x_j, the other coordinates). Every other
-    coordinate passes through the channel and is expanded to its subset
-    marginals; x_j splits each context's mass into (a, b), which adds
-    a b / (a + b) (zero-mass contexts drop out); and the contexts fold to
-    masks. Entries whose mask contains j are undefined and hold NaN.
+    All targets are handled at once: the weights are regrouped by (the
+    other coordinates, j, x_j). Every other coordinate passes through the
+    channel and is expanded to its subset marginals; x_j splits each
+    context's mass into (a, b), which adds a b / (a + b) (zero-mass contexts
+    drop out); and the contexts fold to masks. Entries whose mask contains
+    j are undefined and hold NaN.
 
     The clean table (alpha = 0) is built once per pmf and kept read-only in
     its memo.
@@ -297,15 +300,15 @@ def _cost_table(pmf: ExplicitPmf, alpha: float = 0.0) -> np.ndarray:
     gather, masks, bit = _cost_plan(n)
     t = pmf.weights[gather]
     if alpha:
-        # the context coordinates are the low n-1 bits of the flat index
+        # the context index counts the blocks of 2 n entries
         for s in range(n - 1):
-            t = _channel_mix(t, s, alpha)
-    t = _expand(t.reshape((n, 2) + (2,) * (n - 1)), 2)
-    a, b = t[:, 0], t[:, 1]
+            t = _channel_mix(t, s, alpha, 2 * n)
+    t = _expand(t.reshape((2,) * (n - 1) + (n, 2)), n - 1)
+    a, b = t[..., 0], t[..., 1]
     tot = a + b
     ctx = a * b
     ctx /= np.where(tot > 0.0, tot, 1.0)
-    folded = _fold(ctx, 1).reshape(n, -1)
+    folded = _fold(ctx, n - 1).reshape(-1, n)
     cost = np.full((1 << n, n), np.nan)
     cost[masks, bit] = folded
     if not alpha:
@@ -318,11 +321,11 @@ def _subset_entropies(pmf: ExplicitPmf) -> np.ndarray:
     """Entropy of every coordinate-subset marginal, indexed by mask."""
     n = pmf.n
     _check_table_size(n)
-    m = _expand(pmf.weights.reshape((2,) * n), 0)
+    m = _expand(pmf.weights.reshape((2,) * n), n)
     terms = np.zeros_like(m)
     pos = m > 0.0
     terms[pos] = -m[pos] * np.log2(m[pos])
-    return _fold(terms, 0).reshape(-1)
+    return _fold(terms, n).reshape(-1)
 
 
 def _along_order(table: np.ndarray, order: Sequence[int]) -> list[float]:
@@ -338,8 +341,10 @@ def _along_order(table: np.ndarray, order: Sequence[int]) -> list[float]:
 
 @functools.cache
 def _lattice(n: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
-    """For each subset size k = 1..n: the masks of that size, and per mask
-    the k masks one coordinate smaller and the bit index j-1 that was removed.
+    """For each subset size k = 1..n: the masks of that size, per mask the k
+    masks one coordinate smaller, and for each of those the flat index
+    pred * n + j - 1 into a (2**n, n) step table of the coordinate j that
+    was removed.
 
     Built once per n and read-only; only sizes the cap admits are built, so
     the cache holds at most EXHAUSTIVE_CAP lattices."""
@@ -351,7 +356,8 @@ def _lattice(n: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
     for k in range(1, n + 1):
         sub = np.flatnonzero(size == k)
         col = np.nonzero(has[sub])[1].reshape(-1, k)
-        level = (sub, sub[:, None] ^ (1 << col), col)
+        pred = sub[:, None] ^ (1 << col)
+        level = (sub, pred, pred * n + col)
         for arr in level:
             arr.setflags(write=False)
         levels.append(level)
@@ -371,12 +377,13 @@ def _best_order(n: int, step: np.ndarray, pick_max: bool) -> tuple[float, tuple[
     lexicographically first one whose every prefix is optimal for its set.
     """
     lattice = _lattice(n)
-    opt = np.max if pick_max else np.min
+    flat = step.reshape(-1)
     best = np.zeros(1 << n)
     tight = []
-    for sub, pred, col in lattice:
-        cand = best[pred] + step[pred, col]
-        best[sub] = top = opt(cand, axis=1)
+    for sub, pred, idx in lattice:
+        cand = best.take(pred)
+        cand += flat.take(idx)
+        best[sub] = top = cand.max(axis=1) if pick_max else cand.min(axis=1)
         tight.append(cand == top[:, None])
 
     # reach[S]: a chain of tight edges leads from S to the full set
@@ -450,23 +457,27 @@ def markov_joint_pmf(n: int, q: float) -> ExplicitPmf:
 
 def greedy_permutation(pmf: ExplicitPmf) -> tuple[int, ...]:
     """Order the coordinates by repeatedly taking the hardest one to predict
-    from those already chosen. Ties go to the smallest index, but only where
-    the computed values are exactly equal: coordinates that tie
-    mathematically can differ by a rounding, and then the larger rounding
-    wins. Every bit of markov_joint_pmf has variance 1/4, yet its greedy
-    order need not start at coordinate 1."""
-    chosen: list[int] = []
-    remaining = list(range(1, pmf.n + 1))
+    from those already chosen, reading the pmf's clean cost table.
+
+    Tie rule: among the remaining coordinates, the smallest index whose
+    value is within 1e-12 (absolute, _GREEDY_TIE) of the largest wins. So
+    coordinates that tie mathematically go in index order even where their
+    computed values differ by a rounding: every bit of markov_joint_pmf has
+    variance 1/4, and its greedy order starts at coordinate 1. Refuses n
+    above EXHAUSTIVE_CAP, like every other order search here.
+    """
+    cost = _cost_table(pmf)
+    remaining = list(range(pmf.n))
+    order: list[int] = []
+    mask = 0
     while remaining:
-        best_j = remaining[0]
-        best_v = -1.0
-        for j in remaining:
-            v = conditional_mmse(pmf, j, chosen)
-            if v > best_v:
-                best_j, best_v = j, v
-        chosen.append(best_j)
-        remaining.remove(best_j)
-    return tuple(chosen)
+        row = cost[mask].tolist()
+        top = max(row[j] for j in remaining)
+        j = next(j for j in remaining if top - row[j] <= _GREEDY_TIE)
+        order.append(j + 1)
+        remaining.remove(j)
+        mask |= 1 << j
+    return tuple(order)
 
 
 def counterexample_pmf(eps: float) -> ExplicitPmf:

@@ -483,6 +483,44 @@ class TestPmfMmse:
         assert math.isclose(float(got["entropy"]),
                             3.0 * float(got["entropy_per_symbol"]), rel_tol=1e-11)
 
+    # The whole stdout at n = 8, byte for byte. A chain's bits tie
+    # mathematically, so its greedy order is set by the 1e-12 tie rule.
+    GOLDEN = {
+        "random": (random_pmf(8, seed=8), (
+            "n = 8\n"
+            "entropy = 7.72546734649\n"
+            "entropy_per_symbol = 0.965683418311\n"
+            "worst_case_mmse = 1.91271884505\n"
+            "worst_case_order = 7,6,1,5,8,3,4,2\n"
+            "greedy_order = 3,7,6,2,5,8,1,4\n"
+            "greedy_mmse = 1.9120842895\n"
+            "alpha = 0.11\n"
+            "lower_bound_per_symbol = 0.978176043628\n"
+            "exact_output_entropy_per_symbol = 0.994546776484\n"
+            "upper_bound_per_symbol = 0.994566292491\n")),
+        "markov": (markov_joint_pmf(8, 0.3), (
+            "n = 8\n"
+            "entropy = 7.16903629461\n"
+            "entropy_per_symbol = 0.896129536827\n"
+            "worst_case_mmse = 1.734901364\n"
+            "worst_case_order = 1,8,4,2,3,6,5,7\n"
+            "greedy_order = 1,8,4,6,2,3,5,7\n"
+            "greedy_mmse = 1.734901364\n"
+            "alpha = 0.11\n"
+            "lower_bound_per_symbol = 0.933714201313\n"
+            "exact_output_entropy_per_symbol = 0.961329811176\n"
+            "upper_bound_per_symbol = 0.961413671367\n")),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(GOLDEN))
+    def test_golden_stdout_at_n8(self, capsys, tmp_path, kind):
+        pmf, want = self.GOLDEN[kind]
+        path = tmp_path / f"{kind}.pmf"
+        write_pmf(pmf, str(path))
+        code, out, err = run_cli(capsys, "pmf-mmse", str(path), "--alpha", "0.11")
+        assert (code, err) == (0, "")
+        assert out == want
+
     def test_missing_file_exits_3(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "pmf-mmse", str(tmp_path / "absent.pmf"))
         assert code == 3

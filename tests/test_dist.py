@@ -240,9 +240,11 @@ class TestSearchSetup:
 
 
 # The all-subset tables as they were built before _expand and _fold wrote
-# into one preallocated array: one concatenate or stack copy per axis, a
-# masked divide, and an order walk over numpy scalars. The current tables
-# must equal these exactly, NaN entries included.
+# into one preallocated array: one concatenate or stack copy per axis, the
+# target-first weight layout, a masked divide, and a lattice of removed
+# columns walked over numpy scalars. The references build every index from
+# n alone, so they share no layout with dist's private plans. The current
+# tables must equal these exactly, NaN entries included.
 
 
 def _ref_expand(t, axes):
@@ -258,8 +260,12 @@ def _ref_fold(r, axes):
 
 
 def _ref_cost_table(pmf, alpha):
+    # target-first layout: flat index (j-1, x_j, the other n-1 bits)
     n = pmf.n
-    gather, masks, bit = dist._cost_plan(n)
+    packed = np.arange(1 << (n - 1))
+    bit = np.arange(n)[:, None]
+    masks = (packed & ((1 << bit) - 1)) | ((packed >> bit) << (bit + 1))
+    gather = (masks[:, None, :] | (np.arange(2)[:, None] << bit[:, None])).reshape(-1)
     t = pmf.weights[gather]
     if alpha:
         for s in range(n - 1):
@@ -283,8 +289,19 @@ def _ref_subset_entropies(pmf):
     return _ref_fold(terms, range(n)).reshape(-1)
 
 
+def _ref_lattice(n):
+    """Per subset size: the masks, their one-smaller masks and the removed
+    bit index, enumerated bit by bit."""
+    levels = []
+    for k in range(1, n + 1):
+        sub = np.array([m for m in range(1 << n) if bin(m).count("1") == k])
+        col = np.array([[j for j in range(n) if m >> j & 1] for m in sub]).reshape(-1, k)
+        levels.append((sub, sub[:, None] ^ (1 << col), col))
+    return levels
+
+
 def _ref_best_order(n, step, pick_max):
-    lattice = dist._lattice(n)
+    lattice = _ref_lattice(n)
     opt = np.max if pick_max else np.min
     best = np.zeros(1 << n)
     tight = []
@@ -343,13 +360,13 @@ class TestTablesMatchTheCopyingBuild:
 
     def test_expand_and_fold_leave_their_input_alone(self):
         rng = np.random.default_rng(5)
-        t = rng.random((3, 2, 2, 2))
+        t = rng.random((2, 2, 2, 3))
         keep = t.copy()
-        m = dist._expand(t, 1)
+        m = dist._expand(t, 3)
         assert np.array_equal(t, keep)
-        assert np.array_equal(m, _ref_expand(t, (3, 2, 1)))
+        assert np.array_equal(m, _ref_expand(t, (2, 1, 0)))
         before = m.copy()
-        assert np.array_equal(dist._fold(m, 1), _ref_fold(m, (1, 2, 3)))
+        assert np.array_equal(dist._fold(m, 3), _ref_fold(m, (0, 1, 2)))
         assert np.array_equal(m, before)
 
 
@@ -465,6 +482,39 @@ class TestGreedyPermutation:
     def test_highest_variance_first(self):
         pmf = _product([0.1, 0.5, 0.3])
         assert greedy_permutation(pmf)[0] == 2
+
+    @staticmethod
+    def _brute_greedy(pmf):
+        """Greedy over conditional_mmse calls, with the documented tie rule:
+        the smallest remaining index within 1e-12 of the step's largest."""
+        chosen, remaining = [], list(range(1, pmf.n + 1))
+        while remaining:
+            vals = [conditional_mmse(pmf, j, chosen) for j in remaining]
+            top = max(vals)
+            j = next(j for j, v in zip(remaining, vals) if top - v <= 1e-12)
+            chosen.append(j)
+            remaining.remove(j)
+        return tuple(chosen)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_brute_force_greedy(self, n):
+        size = 1 << n
+        pmfs = [random_pmf(n, seed=70 + 10 * n + k) for k in range(3)]
+        pmfs += [markov_joint_pmf(n, q) for q in (0.0, 0.02, 0.1, 0.2, 0.3, 0.45, 0.5)]
+        pmfs.append(_product([0.1 + 0.05 * k for k in range(n)]))
+        pmfs.append(_product([0.5] * n))
+        for idx in {0, size - 1, 5 % size}:
+            w = np.zeros(size)
+            w[idx] = 1.0
+            pmfs.append(ExplicitPmf(w))
+        for pmf in pmfs:
+            assert greedy_permutation(pmf) == self._brute_greedy(pmf)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_markov_starts_at_coordinate_one(self, n):
+        # every bit has variance 1/4 up to a rounding, so the tie rule applies
+        for i in range(60):
+            assert greedy_permutation(markov_joint_pmf(n, 0.5 * (i + 1) / 61))[0] == 1
 
 
 class TestCounterexamplePmf:

@@ -13,6 +13,7 @@ from bscbounds import (
     best_case_mmse_given_output,
     conditional_mmse,
     conditional_vector_mmse_gerber,
+    greedy_permutation,
     markov_joint_pmf,
     memory_noise_term,
     noise_profile,
@@ -191,9 +192,10 @@ _ORDER9 = tuple(range(1, 10))
     lambda: vector_memory_noise(_X9, _Z9),
     lambda: memory_noise_term(_X9, _Z9, _ORDER9),
     lambda: noise_profile(_Z9, _ORDER9),
+    lambda: greedy_permutation(_X9),
 ], ids=["worst_case_mmse", "best_case_mmse_given_output", "vector_mmse_gerber",
         "vector_upper", "conditional_vector_mmse_gerber", "vector_memory_noise",
-        "memory_noise_term", "noise_profile"])
+        "memory_noise_term", "noise_profile", "greedy_permutation"])
 def test_every_table_builder_refuses_n_above_cap_before_allocating(monkeypatch, search):
     def refuse(*args, **kwargs):
         raise AssertionError("the size must be checked before any table is built")
