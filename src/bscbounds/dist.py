@@ -42,6 +42,10 @@ _MAX_PMF_BYTES = 32 << MAX_COORDS
 # greedy_permutation treats values this close to a step's largest as tied
 _GREEDY_TIE = 1e-12
 
+# the smallest positive double: dividing by it leaves a zero-mass context's
+# a b = 0 at 0, and max(tot, it) is tot for every positive tot
+_MIN_POSITIVE = float(np.nextafter(0.0, 1.0))
+
 # weight vectors further than this from unit mass are rejected, closer ones
 # are renormalized
 _SUM_TOL = 1e-9
@@ -122,19 +126,16 @@ def _marginal(weights: np.ndarray, n: int, coords: Sequence[int]) -> np.ndarray:
     return t.reshape(-1)
 
 
-def _pair_mmse(a: np.ndarray, b: np.ndarray, tot: np.ndarray) -> float:
-    """Sum of a b / tot over the contexts, tot = a + b the context's mass;
-    zero-mass contexts drop out."""
-    mask = tot > 0.0
-    return float((a[mask] * b[mask] / tot[mask]).sum())
-
-
 def _split_mmse(m: np.ndarray, t: int) -> float:
-    """E[P(1-P)] for bit t of a flat joint table."""
+    """E[P(1-P)] for bit t of a flat joint table: the sum of a b / tot over
+    the contexts of the other bits, tot = a + b the context's mass;
+    zero-mass contexts drop out."""
     m3 = m.reshape(-1, 2, 1 << t)
     a = m3[:, 0, :]
     b = m3[:, 1, :]
-    return _pair_mmse(a, b, a + b)
+    tot = a + b
+    mask = tot > 0.0
+    return float((a[mask] * b[mask] / tot[mask]).sum())
 
 
 def _channel_mix(m: np.ndarray, t: int, alpha: float, inner: int = 1) -> np.ndarray:
@@ -187,25 +188,38 @@ def noisy_conditional_mmse(
 def mmse_along_permutation(pmf: ExplicitPmf, order: Sequence[int]) -> float:
     """Sum of conditional bit variances taken in the given prediction order.
 
-    One pass over the weight table with its axes put in prediction order,
-    last coordinate first: splitting the last axis gives that coordinate's
-    term, and summing it away leaves the marginal of the ones before it.
-    The terms are then added in order. It shares no code with the subset
-    search, which validate checks against it.
+    The one-order case of _mmse_along_orders, which validate runs on all n!
+    orders of a pmf at once. It shares no code with the subset search,
+    which validate checks against it.
     """
-    order = _check_permutation(pmf, order)
+    return float(_mmse_along_orders(pmf, [_check_permutation(pmf, order)])[0])
+
+
+def _mmse_along_orders(pmf: ExplicitPmf, orders: Sequence[Sequence[int]]) -> np.ndarray:
+    """mmse_along_permutation of every order in `orders` (each a permutation
+    of 1..n, not checked), in one pass over a stack of the weight table's
+    transposes, one per order.
+
+    Each transpose puts the table's axes in prediction order, last
+    coordinate first: splitting the last axis gives that coordinate's term,
+    the sum of a b / (a + b) over its contexts, and summing it away leaves
+    the marginal of the ones before it. A zero-mass context (a = b = 0)
+    divides by the smallest positive double instead and so adds 0. Every
+    order's terms are then added in prediction order.
+    """
     n = pmf.n
+    count = len(orders)
     # axis n - j of the C-order table holds coordinate j
-    t = pmf.weights.reshape((2,) * n).transpose([n - j for j in order])
-    terms = []
-    for _ in order:
+    w = pmf.weights.reshape((2,) * n)
+    t = np.array([w.transpose([n - j for j in order]) for order in orders])
+    terms = np.empty((n, count))
+    for i in range(n - 1, -1, -1):
         a, b = t[..., 0], t[..., 1]
         t = a + b
-        terms.append(_pair_mmse(a, b, t))
-    total = 0.0
-    for v in reversed(terms):
-        total += v
-    return total
+        ctx = a * b
+        ctx /= np.maximum(t, _MIN_POSITIVE)
+        np.add.reduce(ctx.reshape(count, -1), axis=1, out=terms[i])
+    return np.add.accumulate(terms, axis=0)[-1]
 
 
 def _check_table_size(n: int) -> None:

@@ -749,7 +749,8 @@ def _odds_path(q: float, alpha: float, total: int, rng: np.random.Generator):
 def _mc_rows(params_seq: list, samples: int, burnin: int, seeds: list) -> list[McEstimate]:
     """The Monte Carlo kernel behind entropy_rate_mc and entropy_rate_mc_many.
 
-    Rows with a rate at or below _TINY_RATE shortcut to their exact limits.
+    Rows with a rate at or below _TINY_RATE shortcut to their exact limits,
+    and rows with q or alpha exactly 1/2 to (1.0, 0.0), without simulating.
     The others run in lockstep groups of at most _MC_ROWS rows (_scan), and
     every kept step's -h term (_entropy_terms, _MC_PIECE steps over the
     group's rows at a time) is folded into each row's running mean and sum
@@ -764,6 +765,9 @@ def _mc_rows(params_seq: list, samples: int, burnin: int, seeds: list) -> list[M
             out.append(McEstimate(_h(params.q), 0.0))
         elif params.q <= _TINY_RATE:
             out.append(McEstimate(_h(params.alpha), 0.0))
+        elif params.q == 0.5 or params.alpha == 0.5:
+            # the output is i.i.d. fair bits
+            out.append(McEstimate(1.0, 0.0))
         else:
             live.append((len(out), params, seed))
             out.append(None)
@@ -844,7 +848,9 @@ def entropy_rate_mc(
     The reported stderr uses the i.i.d. formula; consecutive W values are
     correlated, so it understates the true uncertainty and consumers should
     pad their margins. Rates at or below 1e-8 shortcut to the exact limits
-    h(q) and h(alpha) with zero stderr.
+    h(q) and h(alpha) with zero stderr, and q or alpha exactly 1/2, where
+    the output is i.i.d. fair bits, to 1.0 with zero stderr. These rows are
+    not simulated, so a Generator passed as `seed` is not advanced.
     """
     return _mc_rows([params], samples, burnin, [seed])[0]
 

@@ -38,12 +38,39 @@ def _track(current: tuple[float, str], slack: float, detail: str) -> tuple[float
     return slack, detail
 
 
+def _track_min(current: tuple[float, str], slacks, detail_of) -> tuple[float, str]:
+    """_track folded over the array `slacks` in order, by one argmin: the
+    first index of the smallest slack, or of the first NaN, which sticks as
+    in _track. detail_of(i) formats the detail of index i, and is called only
+    for the index kept."""
+    slacks = np.asarray(slacks, dtype=float)
+    if math.isnan(current[0]) or not slacks.size:
+        return current
+    i = int(np.argmin(slacks))
+    slack = float(slacks[i])
+    if slack >= current[0]:
+        return current
+    return slack, detail_of(i)
+
+
+def _second_differences(vals) -> np.ndarray:
+    """v[i+1] - 2 v[i] + v[i-1] at every interior point of a sampled curve."""
+    v = np.asarray(vals, dtype=float)
+    return v[2:] - 2.0 * v[1:-1] + v[:-2]
+
+
 def _product(margs) -> dist.ExplicitPmf:
     """Product pmf with the given P(bit=1) marginals, first entry in bit 1."""
     w = np.ones(1)
     for p in margs:
         w = np.concatenate([w * (1.0 - p), w * p])
     return dist.ExplicitPmf(w)
+
+
+def _along_every_order(pmf: dist.ExplicitPmf) -> tuple[list, np.ndarray]:
+    """The n! prediction orders of pmf, and its MMSE along each in one pass."""
+    orders = list(itertools.permutations(range(1, pmf.n + 1)))
+    return orders, dist._mmse_along_orders(pmf, orders)
 
 
 def _random_pmfs(rng: np.random.Generator, count: int, sizes=(2, 3, 4)):
@@ -57,20 +84,20 @@ def run_scalar(seed: int = 0, budget: int = 500) -> list[CheckResult]:
     out: list[CheckResult] = []
     rng = np.random.default_rng(seed)
 
-    worst = (math.inf, "")
-    for u in np.linspace(0.0, 1.0, 1001):
-        u = float(u)
-        err = abs(scalar.binary_entropy(scalar.inv_binary_entropy(u)) - u)
-        worst = _track(worst, 1e-10 - err, f"u={u:.4f}")
+    grid = np.linspace(0.0, 1.0, 1001).tolist()
+    errs = [abs(scalar.binary_entropy(scalar.inv_binary_entropy(u)) - u) for u in grid]
+    worst = _track_min((math.inf, ""), 1e-10 - np.array(errs), lambda i: f"u={grid[i]:.4f}")
     out.append(_result("inverse-identity", *worst))
 
-    worst = (math.inf, "")
+    pairs, slacks = [], []
     for _ in range(budget):
         a = float(rng.random() * 0.5)
         b = float(rng.random() * 0.5)
         c = scalar.binary_convolve(a, b)
-        worst = _track(worst, c - max(a, b) + 1e-15, f"a={a:.4f} b={b:.4f}")
-        worst = _track(worst, 0.5 - c + 1e-15, f"a={a:.4f} b={b:.4f}")
+        pairs.append((a, b))
+        slacks += (c - max(a, b) + 1e-15, 0.5 - c + 1e-15)
+    worst = _track_min((math.inf, ""), slacks,
+                       lambda i: "a={:.4f} b={:.4f}".format(*pairs[i // 2]))
     out.append(_result("convolve-between-max-and-half", *worst))
 
     worst = (math.inf, "")
@@ -80,12 +107,11 @@ def run_scalar(seed: int = 0, budget: int = 500) -> list[CheckResult]:
     out.append(_result("taylor-matches-entropy", *worst))
 
     worst = (math.inf, "")
+    grid = np.linspace(0.0, 0.5, 401).tolist()
     for a in (0.0, 0.11, 0.3):
-        grid = np.linspace(0.0, 0.5, 401)
-        vals = [scalar.binary_entropy(scalar.binary_convolve(a, float(x))) for x in grid]
-        for i in range(1, len(vals) - 1):
-            d2 = vals[i + 1] - 2.0 * vals[i] + vals[i - 1]
-            worst = _track(worst, 1e-12 - d2, f"alpha={a} x={grid[i]:.4f}")
+        vals = [scalar.binary_entropy(scalar.binary_convolve(a, x)) for x in grid]
+        worst = _track_min(worst, 1e-12 - _second_differences(vals),
+                           lambda i: f"alpha={a} x={grid[i + 1]:.4f}")
     out.append(_result("convolved-entropy-concave", *worst))
     return out
 
@@ -102,22 +128,25 @@ def run_dist(seed: int = 0, budget: int = 500) -> list[CheckResult]:
         phat = scalar.inv_binary_entropy(h / pmf.n)
         floor = 4.0 * pmf.n * phat * (1.0 - phat)
         worst_val, _ = dist.worst_case_mmse(pmf)
-        for perm in itertools.permutations(range(1, pmf.n + 1)):
-            m = dist.mmse_along_permutation(pmf, perm)
-            lower_worst = _track(lower_worst, 4.0 * m - floor + 1e-10, f"pmf#{k} {perm}")
-            upper_worst = _track(upper_worst, h - 4.0 * m + 1e-10, f"pmf#{k} {perm}")
-            dominate_worst = _track(dominate_worst, worst_val - m + 1e-12, f"pmf#{k} {perm}")
+        perms, m = _along_every_order(pmf)
+
+        def tag(i):
+            return f"pmf#{k} {perms[i]}"
+
+        lower_worst = _track_min(lower_worst, 4.0 * m - floor + 1e-10, tag)
+        upper_worst = _track_min(upper_worst, h - 4.0 * m + 1e-10, tag)
+        dominate_worst = _track_min(dominate_worst, worst_val - m + 1e-12, tag)
     out.append(_result("mmse-floor-any-order", *lower_worst))
     out.append(_result("mmse-entropy-cap-any-order", *upper_worst))
     out.append(_result("worst-case-dominates", *dominate_worst))
 
-    worst = (math.inf, "")
+    spreads = []
     for k in range(max(budget // 10, 10)):
         n = 2 + k % 3
         pmf = _product(rng.random(n))
-        vals = [dist.mmse_along_permutation(pmf, perm)
-                for perm in itertools.permutations(range(1, n + 1))]
-        worst = _track(worst, 1e-12 - (max(vals) - min(vals)), f"product#{k}")
+        _, vals = _along_every_order(pmf)
+        spreads.append(vals.max() - vals.min())
+    worst = _track_min((math.inf, ""), 1e-12 - np.array(spreads), lambda k: f"product#{k}")
     out.append(_result("product-order-invariant", *worst))
 
     worst = (math.inf, "")
@@ -127,12 +156,12 @@ def run_dist(seed: int = 0, budget: int = 500) -> list[CheckResult]:
         worst = _track(worst, 1e-12 - err, f"pmf#{k}")
     out.append(_result("half-noise-erases", *worst))
 
-    worst = (math.inf, "")
-    for k, pmf in enumerate(_random_pmfs(rng, 20)):
+    gaps = []
+    for pmf in _random_pmfs(rng, 20):
         best0, _ = dist.best_case_mmse_given_output(pmf, 0.0)
-        direct = min(dist.mmse_along_permutation(pmf, perm)
-                     for perm in itertools.permutations(range(1, pmf.n + 1)))
-        worst = _track(worst, 1e-12 - abs(best0 - direct), f"pmf#{k}")
+        _, direct = _along_every_order(pmf)
+        gaps.append(abs(best0 - direct.min()))
+    worst = _track_min((math.inf, ""), 1e-12 - np.array(gaps), lambda k: f"pmf#{k}")
     out.append(_result("noiseless-best-case", *worst))
 
     worst = (math.inf, "")
@@ -152,39 +181,44 @@ def run_bounds(seed: int = 0, budget: int = 500) -> list[CheckResult]:
     out: list[CheckResult] = []
     rng = np.random.default_rng(seed)
 
-    low_worst = (math.inf, "")
-    up_worst = (math.inf, "")
-    mgl_worst = (math.inf, "")
-    for k, pmf in enumerate(_random_pmfs(rng, max(budget // 5, 25))):
+    alphas = (0.0, 0.05, 0.11, 0.25, 0.5)
+    low, up, mgl = [], [], []
+    for pmf in _random_pmfs(rng, max(budget // 5, 25)):
         hx = dist.entropy(pmf) / pmf.n
-        for a in (0.0, 0.05, 0.11, 0.25, 0.5):
+        for a in alphas:
             hy = dist.entropy(dist.apply_bsc(pmf, a)) / pmf.n
-            lo = bounds.vector_mmse_gerber(pmf, a).value
-            hi = bounds.vector_upper(pmf, a).value
-            mg = bounds.mgl_scalar(a, hx)
-            tag = f"pmf#{k} alpha={a}"
-            low_worst = _track(low_worst, hy - lo + 1e-10, tag)
-            up_worst = _track(up_worst, hi - hy + 1e-10, tag)
-            mgl_worst = _track(mgl_worst, hy - mg + 1e-10, tag)
-    out.append(_result("lower-bound-valid", *low_worst))
-    out.append(_result("upper-bound-valid", *up_worst))
-    out.append(_result("mgl-bound-valid", *mgl_worst))
+            low.append(hy - bounds.vector_mmse_gerber(pmf, a).value + 1e-10)
+            up.append(bounds.vector_upper(pmf, a).value - hy + 1e-10)
+            mgl.append(hy - bounds.mgl_scalar(a, hx) + 1e-10)
 
-    worst = (math.inf, "")
-    for k in range(max(budget // 5, 25)):
+    def tag(i):
+        k, j = divmod(i, len(alphas))
+        return f"pmf#{k} alpha={alphas[j]}"
+
+    for name, slacks in (("lower-bound-valid", low), ("upper-bound-valid", up),
+                         ("mgl-bound-valid", mgl)):
+        out.append(_result(name, *_track_min((math.inf, ""), slacks, tag)))
+
+    alphas = (0.05, 0.11, 0.3)
+    slacks = []
+    for _ in range(max(budget // 5, 25)):
         atoms = 2 + int(rng.integers(4))
         ps = rng.random(atoms)
         ws = rng.random(atoms)
         ws /= ws.sum()
-        for a in (0.05, 0.11, 0.3):
+        for a in alphas:
             ehp = float(sum(w * scalar.binary_entropy(scalar.binary_convolve(a, float(p)))
                             for w, p in zip(ws, ps)))
             msum = float(sum(w * p * (1.0 - p) for w, p in zip(ws, ps)))
             lo = bounds.scalar_mmse_gerber(a, msum)
             hi = bounds.scalar_upper(a, msum)
-            tag = f"mix#{k} alpha={a}"
-            worst = _track(worst, ehp - lo + 1e-10, tag)
-            worst = _track(worst, hi - ehp + 1e-10, tag)
+            slacks += (ehp - lo + 1e-10, hi - ehp + 1e-10)
+
+    def tag(i):
+        k, j = divmod(i // 2, len(alphas))
+        return f"mix#{k} alpha={alphas[j]}"
+
+    worst = _track_min((math.inf, ""), slacks, tag)
     out.append(_result("scalar-lemma-sandwich", *worst))
 
     worst = (math.inf, "")
@@ -202,29 +236,29 @@ def run_bounds(seed: int = 0, budget: int = 500) -> list[CheckResult]:
         worst = _track(worst, gap - 1e-6, name)
     out.append(_result("equality-exactly-when-extreme", *worst))
 
+    # per x: the MGL sandwich's two sides, then the new sandwich's
     worst = (math.inf, "")
+    grid = np.linspace(0.0, 1.0, 1001).tolist()
     for a in (0.05, 0.11, 0.3):
-        for x in np.linspace(0.0, 1.0, 1001):
-            x = float(x)
+        slacks = []
+        for x in grid:
             lo, hi = bounds.sandwich_mgl(a, x)
             mid = bounds.scalar_mmse_gerber(a, x / 4.0)
-            worst = _track(worst, mid - lo + 1e-12, f"mgl alpha={a} x={x:.3f}")
-            worst = _track(worst, hi - mid + 1e-12, f"mgl alpha={a} x={x:.3f}")
             lo2, hi2 = bounds.sandwich_new(a, x)
             mg = bounds.mgl_scalar(a, x)
-            worst = _track(worst, mg - lo2 + 1e-12, f"new alpha={a} u={x:.3f}")
-            worst = _track(worst, hi2 - mg + 1e-12, f"new alpha={a} u={x:.3f}")
+            slacks += (mid - lo + 1e-12, hi - mid + 1e-12, mg - lo2 + 1e-12, hi2 - mg + 1e-12)
+        worst = _track_min(worst, slacks, lambda i: (
+            f"mgl alpha={a} x={grid[i // 4]:.3f}" if i % 4 < 2
+            else f"new alpha={a} u={grid[i // 4]:.3f}"))
     out.append(_result("sandwich-orderings", *worst))
 
     worst = (math.inf, "")
+    grid = np.linspace(0.0, 0.25, 401).tolist()
     for a in (0.05, 0.11, 0.3):
-        grid = np.linspace(0.0, 0.25, 401)
-        vals = [bounds.scalar_upper(a, float(v)) for v in grid]
-        for i in range(1, len(vals)):
-            worst = _track(worst, vals[i] - vals[i - 1] + 1e-12, f"mono alpha={a}")
-        for i in range(1, len(vals) - 1):
-            d2 = vals[i + 1] - 2.0 * vals[i] + vals[i - 1]
-            worst = _track(worst, 1e-12 - d2, f"concave alpha={a}")
+        vals = np.array([bounds.scalar_upper(a, v) for v in grid])
+        worst = _track_min(worst, vals[1:] - vals[:-1] + 1e-12, lambda i: f"mono alpha={a}")
+        worst = _track_min(worst, 1e-12 - _second_differences(vals),
+                           lambda i: f"concave alpha={a}")
     out.append(_result("upper-curve-shape", *worst))
 
     worst = (math.inf, "")
@@ -286,19 +320,23 @@ def run_hmm(seed: int = 0, budget: int = 500) -> list[CheckResult]:
             worst = _track(worst, 4.0 * dy / n - touched + 1e-12, f"n={n} q={q} vs series")
     out.append(_result("dyadic-order-strength", *worst))
 
-    # theorem6 is checked against the same runs and reported last
-    worst = (math.inf, "")
-    belief_worst = (math.inf, "")
-    for a in (0.05, 0.11, 0.25):
-        for q in (0.01, 0.05, 0.1, 0.2, 0.3, 0.45):
-            params = hmm.MarkovHmmParams(q, a)
-            est, se = hmm.entropy_rate_mc(params, mc_samples, burnin=20_000,
-                                          seed=(seed, int(a * 1000), int(q * 1000)))
-            margin = est + 3.0 * se + 1e-3
-            t5 = hmm.markov_series_bound(params).value
-            t6 = hmm.belief_bound(params).value
-            worst = _track(worst, margin - t5, f"alpha={a} q={q}")
-            belief_worst = _track(belief_worst, margin - t6, f"alpha={a} q={q}")
+    # the 18 points are simulated in one lockstep run; theorem6 is checked
+    # against the same runs and reported last
+    grid = [(a, q) for a in (0.05, 0.11, 0.25) for q in (0.01, 0.05, 0.1, 0.2, 0.3, 0.45)]
+    points = [hmm.MarkovHmmParams(q, a) for a, q in grid]
+    estimates = hmm.entropy_rate_mc_many(
+        points, mc_samples, 20_000, [(seed, int(a * 1000), int(q * 1000)) for a, q in grid])
+    t5_gaps, t6_gaps = [], []
+    for params, (est, se) in zip(points, estimates):
+        margin = est + 3.0 * se + 1e-3
+        t5_gaps.append(margin - hmm.markov_series_bound(params).value)
+        t6_gaps.append(margin - hmm.belief_bound(params).value)
+
+    def tag(i):
+        return "alpha={} q={}".format(*grid[i])
+
+    worst = _track_min((math.inf, ""), t5_gaps, tag)
+    belief_worst = _track_min((math.inf, ""), t6_gaps, tag)
     out.append(_result("series-bound-below-simulation", *worst))
 
     worst = (math.inf, "")
@@ -342,11 +380,11 @@ def run_hmm(seed: int = 0, budget: int = 500) -> list[CheckResult]:
     worst = (math.inf, "")
     for q in (0.05, 0.2, 0.45):
         capln = math.log((1.0 - q) / q)
-        for t in rng.normal(scale=8.0, size=200):
-            t = float(t)
+        slacks = []
+        for t in rng.normal(scale=8.0, size=200).tolist():
             fv = hmm.propagate_llr(t, q)
-            worst = _track(worst, 1e-14 - abs(fv + hmm.propagate_llr(-t, q)), f"odd q={q}")
-            worst = _track(worst, capln - abs(fv) + 1e-14, f"cap q={q}")
+            slacks += (1e-14 - abs(fv + hmm.propagate_llr(-t, q)), capln - abs(fv) + 1e-14)
+        worst = _track_min(worst, slacks, lambda i: f"{('odd', 'cap')[i % 2]} q={q}")
     steps = min(1_000_000, max(10_000, budget * 2000))
     params = hmm.MarkovHmmParams(0.1, 0.11)
     cap = hmm.odds_cap(params)

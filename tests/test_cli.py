@@ -8,6 +8,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import bscbounds
@@ -390,6 +391,71 @@ class TestValidate:
             worst = validate._track(worst, slack, detail)
         assert math.isnan(worst[0]) and worst[1] == "b"
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_track_min_equals_the_track_fold(self, seed):
+        rng = np.random.default_rng(seed)
+        cases = [rng.normal(size=50), rng.integers(-3, 3, size=50).astype(float),
+                 np.array([0.0, -0.0, 0.0]), np.array([math.inf, math.inf])]
+        for nan_at in (0, 7, 49):
+            arr = rng.integers(-3, 3, size=50).astype(float)
+            arr[nan_at] = math.nan
+            arr[nan_at + 1:] -= 10.0
+            cases.append(arr)
+        cases += [np.full(5, math.nan), np.array([])]
+        for slacks in cases:
+            for current in ((math.inf, ""), (0.5, "start"), (-2.0, "start"), (math.nan, "nan")):
+                want = current
+                for i, slack in enumerate(slacks.tolist()):
+                    want = validate._track(want, slack, f"#{i}")
+                formatted = []
+
+                def detail_of(i):
+                    formatted.append(i)
+                    return f"#{i}"
+
+                got = validate._track_min(current, slacks, detail_of)
+                assert got[1] == want[1]
+                assert got[0] == want[0] or math.isnan(got[0]) and math.isnan(want[0])
+                assert len(formatted) == (got[1] != current[1])
+
+    # `validate all --budget 500 --seed 0`, byte for byte
+    GOLDEN_ALL = """\
+PASS inverse-identity                 worst_slack= 9.991e-11  (u=0.8300)
+PASS convolve-between-max-and-half    worst_slack= 1.363e-05  (a=0.4283 b=0.0001)
+PASS taylor-matches-entropy           worst_slack= 9.998e-13  (p=0.3)
+PASS convolved-entropy-concave        worst_slack= 1.443e-06  (alpha=0.3 x=0.4988)
+PASS mmse-floor-any-order             worst_slack= 7.173e-05  (pmf#78 (1, 2))
+PASS mmse-entropy-cap-any-order       worst_slack= 1.257e-02  (pmf#3 (2, 1))
+PASS worst-case-dominates             worst_slack= 9.999e-13  (pmf#5 (4, 2, 1, 3))
+PASS product-order-invariant          worst_slack= 9.998e-13  (product#14)
+PASS half-noise-erases                worst_slack= 1.000e-12  (pmf#0)
+PASS noiseless-best-case              worst_slack= 9.999e-13  (pmf#2)
+PASS noise-never-helps-prediction     worst_slack= 1.000e-12  (pmf#6 alpha=0.11)
+PASS lower-bound-valid                worst_slack= 1.000e-10  (pmf#0 alpha=0.5)
+PASS upper-bound-valid                worst_slack= 1.000e-10  (pmf#0 alpha=0.5)
+PASS mgl-bound-valid                  worst_slack= 9.996e-11  (pmf#10 alpha=0.0)
+PASS scalar-lemma-sandwich            worst_slack= 1.082e-08  (mix#59 alpha=0.3)
+PASS equality-exactly-when-extreme    worst_slack= 1.000e-10  (extreme product)
+PASS sandwich-orderings               worst_slack= 9.999e-13  (mgl alpha=0.11 x=0.000)
+PASS upper-curve-shape                worst_slack= 3.849e-08  (concave alpha=0.3)
+PASS memoryless-noise-reduction       worst_slack= 9.996e-13  (pmf#1 alpha=0.11)
+PASS two-sided-closed-form            worst_slack= 1.000e-10  (gap=3 q=0.2)
+PASS dyadic-order-strength            worst_slack= 1.722e-02  (n=4 q=0.05 vs identity)
+PASS series-bound-below-simulation    worst_slack= 2.425e-03  (alpha=0.25 q=0.45)
+PASS crossing-separates-regimes       worst_slack= 5.842e-04  (q/qc=2.12)
+PASS ceiling-chain-monotone           worst_slack= 1.000e-12  (m=1)
+PASS window-entropy-monotone          worst_slack= 1.000e-12  (alpha=0.25 q=0.3 n=16)
+PASS belief-stays-in-support          worst_slack= 1.000e-14  (odd q=0.05)
+PASS quartic-matches-slope-scan       worst_slack= 0.000e+00  (alpha=0.05 q=0.05)
+PASS belief-bound-below-simulation    worst_slack= 1.003e-03  (alpha=0.25 q=0.45)
+28/28 checks passed
+"""
+
+    def test_all_suites_golden_stdout(self, capsys):
+        code, out, _ = run_cli(capsys, "validate", "all", "--budget", "500", "--seed", "0")
+        assert code == 0
+        assert out == self.GOLDEN_ALL
+
     def test_dist_suite_passes(self, capsys):
         code, out, _ = run_cli(capsys, "validate", "dist", "--seed", "3", "--budget", "40")
         assert code == 0
@@ -428,16 +494,17 @@ class TestValidate:
 
     def test_hmm_suite_simulates_each_grid_point_once(self, monkeypatch):
         calls = []
-        real = hmm.entropy_rate_mc
+        real = hmm.entropy_rate_mc_many
 
-        def counted(params, samples, burnin, seed):
-            calls.append((params.alpha, params.q, seed))
-            return real(params, samples, burnin=burnin, seed=seed)
+        def counted(params_seq, samples, burnin, seeds):
+            calls.append([(p.alpha, p.q, seed) for p, seed in zip(params_seq, seeds)])
+            return real(params_seq, samples, burnin, seeds)
 
-        monkeypatch.setattr(hmm, "entropy_rate_mc", counted)
+        monkeypatch.setattr(hmm, "entropy_rate_mc_many", counted)
         validate.run_suite("hmm", seed=2, budget=5)
-        assert sorted(calls) == sorted((a, q, (2, int(a * 1000), int(q * 1000)))
-                                       for a, q in HMM_GRID)
+        assert len(calls) == 1
+        assert sorted(calls[0]) == sorted((a, q, (2, int(a * 1000), int(q * 1000)))
+                                          for a, q in HMM_GRID)
 
     def test_belief_check_names_a_grid_point(self):
         belief = validate.run_suite("hmm", seed=2, budget=5)[-1]
@@ -447,7 +514,8 @@ class TestValidate:
     def test_hmm_suite_streams_the_belief_path(self, monkeypatch):
         # the 1M-step belief-stays-in-support path is scanned chunk by chunk;
         # the simulations, which stream on their own, are stubbed out
-        monkeypatch.setattr(hmm, "entropy_rate_mc", lambda *a, **k: hmm.McEstimate(1.0, 0.0))
+        monkeypatch.setattr(hmm, "entropy_rate_mc_many",
+                            lambda params_seq, *a: [hmm.McEstimate(1.0, 0.0)] * len(params_seq))
         tracemalloc.start()
         try:
             results = validate.run_suite("hmm", seed=0, budget=500)

@@ -171,6 +171,53 @@ class TestMmseAlongPermutation:
             for perm in _minor_perms(n):
                 assert abs(mmse_along_permutation(pmf, perm) - self._chain(pmf, perm)) <= 1e-15
 
+    @staticmethod
+    def _one_order(pmf, order):
+        """The per-order loop the batch pass replaced: each term a masked sum
+        over the contexts with mass, the terms added in prediction order."""
+        n = pmf.n
+        t = pmf.weights.reshape((2,) * n).transpose([n - j for j in order])
+        terms = []
+        for _ in order:
+            a, b = t[..., 0], t[..., 1]
+            t = a + b
+            mask = t > 0.0
+            terms.append(float((a[mask] * b[mask] / t[mask]).sum()))
+        total = 0.0
+        for v in reversed(terms):
+            total += v
+        return total
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_all_orders_in_one_pass_match_the_per_order_loop(self, n):
+        rng = np.random.default_rng(n)
+        full = [random_pmf(n, seed=s) for s in range(3)]
+        full += [markov_joint_pmf(n, q) for q in (0.05, 0.3)]
+        full += [_product(rng.uniform(0.05, 0.95, size=n)) for _ in range(2)]
+        # p = 0 and 1 leave whole contexts without mass
+        sparse = [_product(rng.choice([0.0, 1.0, 0.3, 0.7], size=n)) for _ in range(3)]
+        sparse += [_product([0.0] * n), _product([1.0] * n)]
+        if n == 2:
+            full += [counterexample_pmf(eps) for eps in (1e-9, 0.1, 0.25, 0.5 - 1e-9)]
+        perms = _minor_perms(n)
+        for pmfs, exact in ((full, True), (sparse, False)):
+            for pmf in pmfs:
+                got = dist._mmse_along_orders(pmf, perms)
+                want = np.array([self._one_order(pmf, perm) for perm in perms])
+                assert got.shape == (len(perms),)
+                if exact:
+                    assert np.array_equal(got, want)
+                else:
+                    assert np.max(np.abs(got - want)) <= 1e-15
+                assert [mmse_along_permutation(pmf, perm) for perm in perms] == got.tolist()
+
+    @pytest.mark.parametrize("n", range(6, 9))
+    def test_one_order_matches_the_per_order_loop_bit_for_bit(self, n):
+        perms = _minor_perms(n)[::97]
+        for pmf in (random_pmf(n, seed=n), markov_joint_pmf(n, 0.2)):
+            for perm in perms:
+                assert mmse_along_permutation(pmf, perm) == self._one_order(pmf, perm)
+
 
 class TestWorstCase:
     def test_iid_fair_bits(self):

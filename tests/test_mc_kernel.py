@@ -354,8 +354,31 @@ def test_batched_rows_need_one_seed_each():
     assert entropy_rate_mc_many([], 100, 0, []) == []
 
 
+def test_half_rate_rows_are_not_simulated(monkeypatch):
+    simulated = []
+    real = hmm._scan
+
+    def counted(q, alpha, byte_maps, total, rngs):
+        simulated.extend(zip(q.tolist(), alpha.tolist()))
+        return real(q, alpha, byte_maps, total, rngs)
+
+    monkeypatch.setattr(hmm, "_scan", counted)
+    rows = [(0.5, 0.11), (0.1, 0.5), (0.5, 0.5), (0.1, 0.11), (0.5 - 1e-9, 0.11)]
+    params = [MarkovHmmParams(q, a) for q, a in rows]
+    rng = np.random.default_rng(4)
+    state = rng.bit_generator.state
+    got = entropy_rate_mc_many(params, 500, 100, [rng, rng, rng, 1, 2])
+    assert got[:3] == [(1.0, 0.0)] * 3
+    assert simulated == rows[3:]
+    # the generator the half-rate rows were given is never drawn from
+    assert rng.bit_generator.state == state
+    assert entropy_rate_mc(params[0], 500, burnin=100, seed=rng) == (1.0, 0.0)
+    assert rng.bit_generator.state == state
+
+
 def test_peak_memory_of_a_fig3_sweep_call():
-    # 20 simulated rows of 70,000 steps, as one fig3-sweep invocation runs
+    # 20 rows of 70,000 steps, as one fig3-sweep invocation runs; the last,
+    # q = 1/2, is not simulated
     params = [MarkovHmmParams(q, 0.11) for q in FIG3_QS]
     tracemalloc.start()
     try:
