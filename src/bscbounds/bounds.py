@@ -23,8 +23,9 @@ from .dist import (
     _best_order,
     _check_permutation,
     _cost_table,
-    _subset_entropies,
+    _entropy_kernel,
     best_case_mmse_given_output,
+    entropy,
     worst_case_mmse,
 )
 from .errors import DomainError, check_range
@@ -147,7 +148,7 @@ def conditional_vector_mmse_gerber(family, alpha: float) -> BoundResult:
     if any(pmf.n != n for _, pmf in members):
         raise DomainError("all mixture members must share one coordinate count")
     wts = [wt for wt, _ in members]
-    if any(wt < 0.0 for wt in wts) or abs(sum(wts) - 1.0) > 1e-9:
+    if not all(math.isfinite(wt) and wt >= 0.0 for wt in wts) or abs(sum(wts) - 1.0) > 1e-9:
         raise DomainError("mixture weights must form a probability vector")
 
     ha = _h(alpha)
@@ -162,20 +163,11 @@ def conditional_vector_mmse_gerber(family, alpha: float) -> BoundResult:
     )
 
 
-def _entropy_steps(pmf: ExplicitPmf) -> tuple[float, np.ndarray]:
-    """H(Z) and steps[mask, j-1] = H(Z_j | Z_mask), the chain-rule difference
-    of subset entropies clamped against float drift outside [0, 1]."""
-    ent = _subset_entropies(pmf)
-    masks = np.arange(ent.size)[:, None]
-    steps = np.clip(ent[masks | (1 << np.arange(pmf.n))] - ent[masks], 0.0, 1.0)
-    return float(ent[-1]), steps
-
-
 def noise_profile(pmf_z: ExplicitPmf, order) -> list[float]:
-    """Per-step conditional entropies H(Z_{order[i]} | earlier ordered bits)."""
+    """Per-step conditional entropies H(Z_{order[i]} | earlier ordered bits),
+    each >= 0 exactly and <= 1 only up to rounding (a step can read 1 + 4.4e-16)."""
     order = _check_permutation(pmf_z, order)
-    _, steps = _entropy_steps(pmf_z)
-    return _along_order(steps, order)
+    return _along_order(_cost_table(pmf_z, kernel=_entropy_kernel), order)
 
 
 def _same_dimension(pmf_x: ExplicitPmf, pmf_z: ExplicitPmf) -> None:
@@ -183,11 +175,10 @@ def _same_dimension(pmf_x: ExplicitPmf, pmf_z: ExplicitPmf) -> None:
         raise DomainError(f"source has n={pmf_x.n} but noise has n={pmf_z.n}")
 
 
-def _memory_noise_steps(pmf_x: ExplicitPmf, pmf_z: ExplicitPmf) -> tuple[float, np.ndarray]:
-    """H(Z) and step[mask, j-1] = 4 M (1 - H), M the clean MMSE of source bit
-    j given the mask bits and H the matching noise entropy step."""
-    hz, steps = _entropy_steps(pmf_z)
-    return hz, 4.0 * _cost_table(pmf_x) * (1.0 - steps)
+def _memory_noise_steps(pmf_x: ExplicitPmf, pmf_z: ExplicitPmf) -> np.ndarray:
+    """step[mask, j-1] = 4 M (1 - H), M the clean MMSE of source bit j given
+    the mask bits and H the matching noise entropy step."""
+    return 4.0 * _cost_table(pmf_x) * (1.0 - _cost_table(pmf_z, kernel=_entropy_kernel))
 
 
 def memory_noise_term(pmf_x: ExplicitPmf, pmf_z: ExplicitPmf, order) -> float:
@@ -200,13 +191,12 @@ def memory_noise_term(pmf_x: ExplicitPmf, pmf_z: ExplicitPmf, order) -> float:
     """
     _same_dimension(pmf_x, pmf_z)
     order = _check_permutation(pmf_x, order)
-    hz, step = _memory_noise_steps(pmf_x, pmf_z)
     # a running sum in order, as the search adds its steps; sum() would
     # compensate on Python >= 3.12 and could differ in the last bit
     total = 0.0
-    for v in _along_order(step, order):
+    for v in _along_order(_memory_noise_steps(pmf_x, pmf_z), order):
         total += v
-    return hz + total
+    return entropy(pmf_z) + total
 
 
 def vector_memory_noise(pmf_x: ExplicitPmf, pmf_z: ExplicitPmf) -> BoundResult:
@@ -218,8 +208,8 @@ def vector_memory_noise(pmf_x: ExplicitPmf, pmf_z: ExplicitPmf) -> BoundResult:
     bits over all n symbols, not a per-symbol rate.
     """
     _same_dimension(pmf_x, pmf_z)
-    hz, step = _memory_noise_steps(pmf_x, pmf_z)
-    best, best_order = _best_order(pmf_x.n, step, pick_max=True)
+    best, best_order = _best_order(pmf_x.n, _memory_noise_steps(pmf_x, pmf_z), pick_max=True)
+    hz = entropy(pmf_z)
     return BoundResult(
         "memory-noise",
         hz + best,

@@ -32,7 +32,7 @@ from .dist import (
     read_pmf,
     worst_case_mmse,
 )
-from .errors import DomainError, check_int
+from .errors import DomainError, check_int, check_range
 from .hmm import (
     MarkovHmmParams,
     _belief_result,
@@ -183,8 +183,10 @@ def _run_validate(args: argparse.Namespace) -> int:
 
 
 def _run_pmf_mmse(args: argparse.Namespace) -> int:
+    # checked and searched first: a bad alpha or a pmf above the cap prints nothing
+    if args.alpha is not None:
+        check_range("alpha", args.alpha, 0.0, 0.5)
     pmf = read_pmf(args.path)
-    # searched first, so a pmf above the search cap prints nothing
     worst, order = worst_case_mmse(pmf)
     total = entropy(pmf)
     print(f"n = {pmf.n}")

@@ -57,7 +57,7 @@ class ExplicitPmf:
     The coordinate count n is inferred from the table length. Negative,
     non-finite, or badly normalized weights are rejected at construction.
     Since the weights never change, the order searches keep what they derive
-    from them in a private memo: the clean cost table (read-only) and the
+    from them in a private memo: the clean step tables (read-only) and the
     result of worst_case_mmse. A pickled or copied pmf gets the same weights,
     bit for bit, and an empty memo.
     """
@@ -294,22 +294,44 @@ def _cost_plan(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return gather, masks, bit
 
 
-def _cost_table(pmf: ExplicitPmf, alpha: float = 0.0) -> np.ndarray:
-    """cost[mask, j-1] = MMSE(X_j | the coordinates in mask, each seen
-    through a symmetric channel with flip rate alpha).
+def _mmse_kernel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a b / (a + b): each context's MMSE term; 0 at zero mass."""
+    tot = a + b
+    ctx = a * b
+    ctx /= np.where(tot > 0.0, tot, 1.0)
+    return ctx
+
+
+def _entropy_kernel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(a + b) h(b / (a + b)) = -a log2(a / (a + b)) - b log2(b / (a + b)):
+    each context's entropy term, >= 0 exactly as no mass exceeds its
+    context's; a zero mass adds +0 (the log taken is the smallest double's)."""
+    tot = a + b
+    np.maximum(tot, _MIN_POSITIVE, out=tot)
+    ctx = np.zeros_like(tot)
+    r = np.empty_like(tot)  # one scratch array: a new one per term cost ~50% more
+    for m in (a, b):
+        np.divide(m, tot, out=r)
+        np.maximum(r, _MIN_POSITIVE, out=r)
+        np.log2(r, out=r)
+        r *= m
+        ctx -= r
+    return ctx
+
+
+def _cost_table(pmf: ExplicitPmf, alpha: float = 0.0, kernel=_mmse_kernel) -> np.ndarray:
+    """cost[mask, j-1] = the sum of `kernel` over the contexts of the mask
+    bits, each seen through a symmetric channel with flip rate alpha:
+    E[Var(X_j | mask)] for _mmse_kernel, H(X_j | mask) for _entropy_kernel.
 
     All targets are handled at once: the weights are regrouped by (the
     other coordinates, j, x_j). Every other coordinate passes through the
     channel and is expanded to its subset marginals; x_j splits each
-    context's mass into (a, b), which adds a b / (a + b) (zero-mass contexts
-    drop out); and the contexts fold to masks. Entries whose mask contains
-    j are undefined and hold NaN.
-
-    The clean table (alpha = 0) is built once per pmf and kept read-only in
-    its memo.
-    """
-    if not alpha and "cost" in pmf._memo:
-        return pmf._memo["cost"]
+    context's mass into the kernel's (a, b); and the contexts fold to masks.
+    Entries whose mask contains j are NaN. Each kernel's clean table
+    (alpha = 0) is built once per pmf and kept read-only in its memo."""
+    if not alpha and kernel in pmf._memo:
+        return pmf._memo[kernel]
     n = pmf.n
     gather, masks, bit = _cost_plan(n)
     t = pmf.weights[gather]
@@ -318,28 +340,13 @@ def _cost_table(pmf: ExplicitPmf, alpha: float = 0.0) -> np.ndarray:
         for s in range(n - 1):
             t = _channel_mix(t, s, alpha, 2 * n)
     t = _expand(t.reshape((2,) * (n - 1) + (n, 2)), n - 1)
-    a, b = t[..., 0], t[..., 1]
-    tot = a + b
-    ctx = a * b
-    ctx /= np.where(tot > 0.0, tot, 1.0)
-    folded = _fold(ctx, n - 1).reshape(-1, n)
+    folded = _fold(kernel(t[..., 0], t[..., 1]), n - 1).reshape(-1, n)
     cost = np.full((1 << n, n), np.nan)
     cost[masks, bit] = folded
     if not alpha:
         cost.setflags(write=False)
-        pmf._memo["cost"] = cost
+        pmf._memo[kernel] = cost
     return cost
-
-
-def _subset_entropies(pmf: ExplicitPmf) -> np.ndarray:
-    """Entropy of every coordinate-subset marginal, indexed by mask."""
-    n = pmf.n
-    _check_table_size(n)
-    m = _expand(pmf.weights.reshape((2,) * n), n)
-    terms = np.zeros_like(m)
-    pos = m > 0.0
-    terms[pos] = -m[pos] * np.log2(m[pos])
-    return _fold(terms, n).reshape(-1)
 
 
 def _along_order(table: np.ndarray, order: Sequence[int]) -> list[float]:

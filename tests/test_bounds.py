@@ -167,6 +167,10 @@ class TestConditionalVector:
         with pytest.raises(DomainError):
             conditional_vector_mmse_gerber(
                 [(0.5, pmf), (0.5, markov_joint_pmf(2, 0.2))], 0.11)
+        nan = float("nan")
+        for family in ([(nan, pmf)], [(0.5, pmf), (0.5, pmf), (nan, pmf)]):
+            with pytest.raises(DomainError):
+                conditional_vector_mmse_gerber(family, 0.11)
 
 
 class TestMemoryNoise:

@@ -627,6 +627,14 @@ class TestPmfMmse:
         assert (code, out) == (2, "")
         assert "cap 8" in err
 
+    @pytest.mark.parametrize("alpha", ["0.7", "nan", "-0.1"])
+    def test_bad_alpha_prints_nothing(self, capsys, tmp_path, alpha):
+        path = tmp_path / "chain.pmf"
+        write_pmf(markov_joint_pmf(3, 0.2), str(path))
+        code, out, err = run_cli(capsys, "pmf-mmse", str(path), "--alpha", alpha)
+        assert (code, out) == (2, "")
+        assert "alpha must lie in [0.0, 0.5]" in err
+
 
 class TestParserReuse:
     """main() parses every call with one parser per process."""

@@ -21,6 +21,7 @@ from bscbounds import (
     greedy_permutation,
     markov_joint_pmf,
     mmse_along_permutation,
+    noise_profile,
     noisy_conditional_mmse,
     random_pmf,
     read_pmf,
@@ -279,11 +280,15 @@ class TestSearchSetup:
     def test_memo_holds_the_read_only_clean_table(self):
         pmf = random_pmf(4, seed=3)
         conditional_vector_mmse_gerber([(1.0, pmf)], 0.11)
-        cost = dist._cost_table(pmf)
-        assert pmf._memo["cost"] is cost
-        self._assert_read_only(cost)
-        noisy = dist._cost_table(pmf, 0.11)
-        assert noisy.flags.writeable and set(pmf._memo) <= {"cost", "worst"}
+        noise_profile(pmf, (1, 2, 3, 4))
+        kernels = (dist._mmse_kernel, dist._entropy_kernel)
+        for kernel in kernels:
+            table = dist._cost_table(pmf, kernel=kernel)
+            assert pmf._memo[kernel] is table
+            self._assert_read_only(table)
+            noisy = dist._cost_table(pmf, 0.11, kernel)
+            assert noisy.flags.writeable and noisy is not dist._cost_table(pmf, 0.11, kernel)
+        assert set(pmf._memo) == set(kernels)
 
 
 # The all-subset tables as they were built before _expand and _fold wrote
@@ -291,7 +296,8 @@ class TestSearchSetup:
 # target-first weight layout, a masked divide, and a lattice of removed
 # columns walked over numpy scalars. The references build every index from
 # n alone, so they share no layout with dist's private plans. The current
-# tables must equal these exactly, NaN entries included.
+# cost tables must equal these exactly, NaN entries included; the entropy
+# table, summed per context, is held to the subset entropies' differences.
 
 
 def _ref_expand(t, axes):
@@ -401,9 +407,17 @@ class TestTablesMatchTheCopyingBuild:
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_subset_entropies(self, n):
+        # H(X_j | X_mask) = H(X_mask, X_j) - H(X_mask), read off the subset
+        # entropies; the table sums each context's entropy term instead
+        masks = np.arange(1 << n)[:, None]
         for pmf in _table_pmfs(n):
-            assert np.array_equal(dist._subset_entropies(pmf), _ref_subset_entropies(pmf),
-                                  equal_nan=True)
+            ent = _ref_subset_entropies(pmf)
+            want = ent[masks | (1 << np.arange(n))] - ent[masks]
+            got = dist._cost_table(pmf, kernel=dist._entropy_kernel)
+            defined = ~np.isnan(got)
+            assert np.array_equal(defined, ~np.isnan(dist._cost_table(pmf)))
+            assert np.all(got[defined] >= 0.0)
+            assert np.max(np.abs(got - want)[defined]) <= 1e-14
 
     def test_expand_and_fold_leave_their_input_alone(self):
         rng = np.random.default_rng(5)
