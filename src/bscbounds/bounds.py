@@ -28,7 +28,7 @@ from .dist import (
     entropy,
     worst_case_mmse,
 )
-from .errors import DomainError, check_range
+from .errors import DomainError, _as_real, check_range
 from .scalar import _conv, _h, inv_binary_entropy
 
 __all__ = [
@@ -47,7 +47,7 @@ __all__ = [
     "sandwich_new",
 ]
 
-_MMSE_SLACK = 1e-12
+_LEVEL_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -66,11 +66,13 @@ class BoundResult:
     variant: str | None = None
 
 
-def _check_mmse(name: str, mmse: float, scale: float = 0.25) -> float:
-    mmse = float(mmse)
-    if not (math.isfinite(mmse) and -_MMSE_SLACK <= mmse <= scale + _MMSE_SLACK):
-        raise DomainError(f"{name} must lie in [0, {scale}], got {mmse!r}")
-    return min(max(mmse, 0.0), scale)
+def _check_level(name: str, value: float, scale: float = 0.25) -> float:
+    """Coerce to float and require 0 <= value <= scale, admitting and clamping
+    a rounding excess of up to _LEVEL_SLACK at either end."""
+    value = _as_real(name, value)
+    if not (math.isfinite(value) and -_LEVEL_SLACK <= value <= scale + _LEVEL_SLACK):
+        raise DomainError(f"{name} must lie in [0, {scale}], got {value!r}")
+    return min(max(value, 0.0), scale)
 
 
 def mgl_scalar(alpha: float, entropy_in: float) -> float:
@@ -84,7 +86,7 @@ def scalar_mmse_gerber(alpha: float, mmse: float) -> float:
     """Lower bound h(alpha) + (1 - h(alpha)) * 4 * mmse on the conditional
     entropy of a noisy bit whose prediction error is `mmse`."""
     alpha = check_range("alpha", alpha, 0.0, 0.5)
-    mmse = _check_mmse("mmse", mmse)
+    mmse = _check_level("mmse", mmse)
     ha = _h(alpha)
     return ha + (1.0 - ha) * 4.0 * mmse
 
@@ -92,15 +94,15 @@ def scalar_mmse_gerber(alpha: float, mmse: float) -> float:
 def scalar_memory_noise(noise_entropy: float, mmse: float) -> float:
     """One term of the memory-noise bound: H + (1 - H) * 4 * mmse where H is
     the noise bit's conditional entropy given the earlier noise bits."""
-    noise_entropy = check_range("noise_entropy", noise_entropy, 0.0, 1.0)
-    mmse = _check_mmse("mmse", mmse)
+    noise_entropy = _check_level("noise_entropy", noise_entropy, 1.0)
+    mmse = _check_level("mmse", mmse)
     return noise_entropy + (1.0 - noise_entropy) * 4.0 * mmse
 
 
 def scalar_upper(alpha: float, mmse: float) -> float:
     """Matching upper bound h(1/2 + (1 - 2 alpha)/2 * sqrt(1 - 4 * mmse))."""
     alpha = check_range("alpha", alpha, 0.0, 0.5)
-    mmse = _check_mmse("mmse", mmse)
+    mmse = _check_level("mmse", mmse)
     arg = 1.0 - 4.0 * mmse
     # rounding guard: mmse within 1e-12 of 1/4 may push the radicand negative
     arg = min(max(arg, 0.0), 1.0)

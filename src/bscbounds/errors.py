@@ -17,12 +17,17 @@ class DimensionError(DomainError):
     """A dimension or size limit was exceeded."""
 
 
-def check_range(name: str, value: float, lo: float, hi: float) -> float:
-    """Coerce to float and require lo <= value <= hi."""
+def _as_real(name: str, value) -> float:
+    """Coerce to float, raising DomainError for anything that is not a number."""
     try:
-        value = float(value)
+        return float(value)
     except (TypeError, ValueError) as exc:
         raise DomainError(f"{name} must be a real number, got {value!r}") from exc
+
+
+def check_range(name: str, value: float, lo: float, hi: float) -> float:
+    """Coerce to float and require lo <= value <= hi."""
+    value = _as_real(name, value)
     if not math.isfinite(value) or not lo <= value <= hi:
         raise DomainError(f"{name} must lie in [{lo}, {hi}], got {value!r}")
     return value

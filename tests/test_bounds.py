@@ -55,6 +55,22 @@ class TestScalarBounds:
         assert scalar_memory_noise(1.0, 0.2) == 1.0
         assert scalar_memory_noise(0.0, 0.25) == 1.0
 
+    def test_memory_noise_admits_a_rounded_noise_profile(self):
+        # the first step of this profile rounds to 1 + 2.2e-16
+        steps = noise_profile(markov_joint_pmf(6, 0.05), (1, 2, 3, 4, 5, 6))
+        assert scalar_memory_noise(steps[0], 0.1) == 1.0
+        assert scalar_memory_noise(1.0 + 2**-52, 0.1) == 1.0
+        for outside in (1.0 + 2e-12, -2e-12, math.nan):
+            with pytest.raises(DomainError):
+                scalar_memory_noise(outside, 0.1)
+
+    @pytest.mark.parametrize("bad", [None, "x"])
+    def test_non_numbers_raise_domain_errors(self, bad):
+        for call in (lambda: scalar_mmse_gerber(0.1, bad), lambda: scalar_upper(0.1, bad),
+                     lambda: scalar_memory_noise(bad, 0.1), lambda: scalar_memory_noise(0.3, bad)):
+            with pytest.raises(DomainError, match="real number"):
+                call()
+
     def test_upper_values(self):
         assert scalar_upper(0.11, 0.0) == pytest.approx(binary_entropy(0.11), abs=1e-12)
         assert scalar_upper(0.11, 0.25) == 1.0

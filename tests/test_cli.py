@@ -19,6 +19,15 @@ from bscbounds.scalar import binary_entropy
 H11 = binary_entropy(0.11)
 
 
+def _track(current, slack, detail):
+    """Reference fold for validate._worst, one slack at a time: keep the
+    smaller slack. A NaN slack counts as the worst and sticks."""
+    worst = current[0]
+    if math.isnan(worst) or slack >= worst:
+        return current
+    return slack, detail
+
+
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
@@ -386,16 +395,15 @@ class TestValidate:
         assert lines[-1] == "3/4 checks passed"
 
     def test_nan_slack_sticks_as_the_worst(self):
-        worst = (math.inf, "")
-        for slack, detail in ((1.0, "a"), (math.nan, "b"), (-1.0, "c"), (math.nan, "d")):
-            worst = validate._track(worst, slack, detail)
+        worst = validate._worst([1.0, math.nan, -1.0, math.nan], "abcd".__getitem__)
         assert math.isnan(worst[0]) and worst[1] == "b"
 
     @pytest.mark.parametrize("seed", range(4))
     def test_track_min_equals_the_track_fold(self, seed):
         rng = np.random.default_rng(seed)
         cases = [rng.normal(size=50), rng.integers(-3, 3, size=50).astype(float),
-                 np.array([0.0, -0.0, 0.0]), np.array([math.inf, math.inf])]
+                 np.array([0.0, -0.0, 0.0]), np.array([-0.0, 0.0]),
+                 np.array([math.inf, math.inf]), np.array([-math.inf, 1.0, -math.inf])]
         for nan_at in (0, 7, 49):
             arr = rng.integers(-3, 3, size=50).astype(float)
             arr[nan_at] = math.nan
@@ -403,20 +411,19 @@ class TestValidate:
             cases.append(arr)
         cases += [np.full(5, math.nan), np.array([])]
         for slacks in cases:
-            for current in ((math.inf, ""), (0.5, "start"), (-2.0, "start"), (math.nan, "nan")):
-                want = current
-                for i, slack in enumerate(slacks.tolist()):
-                    want = validate._track(want, slack, f"#{i}")
-                formatted = []
+            want = (math.inf, "")
+            for i, slack in enumerate(slacks.tolist()):
+                want = _track(want, slack, f"#{i}")
+            formatted = []
 
-                def detail_of(i):
-                    formatted.append(i)
-                    return f"#{i}"
+            def detail_of(i):
+                formatted.append(i)
+                return f"#{i}"
 
-                got = validate._track_min(current, slacks, detail_of)
-                assert got[1] == want[1]
-                assert got[0] == want[0] or math.isnan(got[0]) and math.isnan(want[0])
-                assert len(formatted) == (got[1] != current[1])
+            got = validate._worst(slacks, detail_of)
+            assert got[1] == want[1]
+            assert got[0] == want[0] or math.isnan(got[0]) and math.isnan(want[0])
+            assert [f"#{i}" for i in formatted] == ([got[1]] if got[1] else [])
 
     # `validate all --budget 500 --seed 0`, byte for byte
     GOLDEN_ALL = """\
@@ -451,10 +458,57 @@ PASS belief-bound-below-simulation    worst_slack= 1.003e-03  (alpha=0.25 q=0.45
 28/28 checks passed
 """
 
-    def test_all_suites_golden_stdout(self, capsys):
-        code, out, _ = run_cli(capsys, "validate", "all", "--budget", "500", "--seed", "0")
+    # `validate all --budget 5 --seed 2`: the instance floors and another stream
+    GOLDEN_ALL_SMALL = """\
+PASS inverse-identity                 worst_slack= 9.991e-11  (u=0.8300)
+PASS convolve-between-max-and-half    worst_slack= 8.538e-03  (a=0.4071 b=0.0460)
+PASS taylor-matches-entropy           worst_slack= 9.998e-13  (p=0.3)
+PASS convolved-entropy-concave        worst_slack= 1.443e-06  (alpha=0.3 x=0.4988)
+PASS mmse-floor-any-order             worst_slack= 1.575e-04  (pmf#12 (2, 1))
+PASS mmse-entropy-cap-any-order       worst_slack= 1.689e-02  (pmf#12 (1, 2))
+PASS worst-case-dominates             worst_slack= 9.998e-13  (pmf#8 (1, 4, 2, 3))
+PASS product-order-invariant          worst_slack= 9.998e-13  (product#8)
+PASS half-noise-erases                worst_slack= 1.000e-12  (pmf#0)
+PASS noiseless-best-case              worst_slack= 9.998e-13  (pmf#8)
+PASS noise-never-helps-prediction     worst_slack= 1.000e-12  (pmf#0 alpha=0.11)
+PASS lower-bound-valid                worst_slack= 1.000e-10  (pmf#0 alpha=0.5)
+PASS upper-bound-valid                worst_slack= 1.000e-10  (pmf#0 alpha=0.5)
+PASS mgl-bound-valid                  worst_slack= 9.998e-11  (pmf#1 alpha=0.0)
+PASS scalar-lemma-sandwich            worst_slack= 2.184e-06  (mix#9 alpha=0.3)
+PASS equality-exactly-when-extreme    worst_slack= 1.000e-10  (extreme product)
+PASS sandwich-orderings               worst_slack= 9.999e-13  (mgl alpha=0.11 x=0.000)
+PASS upper-curve-shape                worst_slack= 3.849e-08  (concave alpha=0.3)
+PASS memoryless-noise-reduction       worst_slack= 9.991e-13  (pmf#5 alpha=0.3)
+PASS two-sided-closed-form            worst_slack= 1.000e-10  (gap=3 q=0.2)
+PASS dyadic-order-strength            worst_slack= 1.722e-02  (n=4 q=0.05 vs identity)
+PASS series-bound-below-simulation    worst_slack= 2.430e-03  (alpha=0.25 q=0.45)
+PASS crossing-separates-regimes       worst_slack= 5.842e-04  (q/qc=2.12)
+PASS ceiling-chain-monotone           worst_slack= 1.000e-12  (m=1)
+PASS window-entropy-monotone          worst_slack= 1.000e-12  (alpha=0.25 q=0.3 n=16)
+PASS belief-stays-in-support          worst_slack= 1.000e-14  (odd q=0.05)
+PASS quartic-matches-slope-scan       worst_slack= 0.000e+00  (alpha=0.05 q=0.05)
+PASS belief-bound-below-simulation    worst_slack= 1.008e-03  (alpha=0.25 q=0.45)
+28/28 checks passed
+"""
+
+    @pytest.mark.parametrize("seed, budget, golden", [
+        ("0", "500", GOLDEN_ALL), ("2", "5", GOLDEN_ALL_SMALL)],
+        ids=["seed0-budget500", "seed2-budget5"])
+    def test_all_suites_golden_stdout(self, capsys, seed, budget, golden):
+        code, out, _ = run_cli(capsys, "validate", "all", "--budget", budget, "--seed", seed)
         assert code == 0
-        assert out == self.GOLDEN_ALL
+        assert out == golden
+
+    def test_each_suite_is_its_slice_of_all(self):
+        everything = validate.run_suite("all", seed=1, budget=5)
+        at = 0
+        for name in validate.SUITES:
+            alone = validate.run_suite(name, seed=1, budget=5)
+            assert alone == everything[at:at + len(alone)]
+            at += len(alone)
+        assert at == len(everything) == 28
+        with pytest.raises(ValueError, match="nosuch"):
+            validate.run_suite("nosuch")
 
     def test_dist_suite_passes(self, capsys):
         code, out, _ = run_cli(capsys, "validate", "dist", "--seed", "3", "--budget", "40")
