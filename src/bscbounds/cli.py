@@ -25,6 +25,7 @@ from .bounds import (
     vector_upper,
 )
 from .dist import (
+    _write_text,
     apply_bsc,
     entropy,
     greedy_permutation,
@@ -160,8 +161,7 @@ def _run_figure(args: argparse.Namespace) -> int:
     out = f"{args.which}.csv" if args.out is None else args.out
     lines = [",".join(header)]
     lines.extend(",".join(_fmt9(v) for v in row) for row in rows)
-    with open(out, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_text(out, "\n".join(lines) + "\n")
     print(f"wrote {out}: {len(rows)} rows")
     return 0
 

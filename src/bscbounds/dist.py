@@ -9,6 +9,8 @@ stores coordinate x_{k+1}; coordinates are numbered 1..n throughout.
 from __future__ import annotations
 
 import functools
+import os
+import stat
 from collections.abc import Iterable, Sequence
 
 import numpy as np
@@ -518,13 +520,30 @@ def random_pmf(n: int, seed: int) -> ExplicitPmf:
     return ExplicitPmf(w / w.sum())
 
 
+def _write_text(path, text: str) -> None:
+    """Write ASCII text to path in place: open without O_TRUNC, write, then cut
+    a regular file to the new length so a shorter rewrite leaves no stale tail.
+    Devices such as /dev/null are not truncated (ftruncate fails on them); a
+    symlink is written through. Like open(path, "w"), this is not atomic."""
+    data = text.encode("ascii")
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        fh.write(data)
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            fh.truncate()
+
+
 def write_pmf(pmf: ExplicitPmf, path) -> None:
     """Write the text format read_pmf expects: n on the first line, then one
-    weight per line in round-trippable precision."""
+    weight per line in round-trippable precision.
+
+    An existing file is overwritten in place and then cut to length, not
+    opened with O_TRUNC: ext4 (auto_da_alloc, its default) starts a flush
+    when a file truncated to zero is closed, and the next truncating open
+    waits for it, about 60 ms a file on a 2-core VM. Renaming a temporary
+    file over the old one stalled as long."""
     lines = [str(pmf.n)]
     lines.extend(repr(float(v)) for v in pmf.weights)
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def read_pmf(path) -> ExplicitPmf:

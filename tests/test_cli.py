@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import bscbounds
-from bscbounds import cli, hmm, scalar, validate
+from bscbounds import cli, dist, hmm, scalar, validate
 from bscbounds.dist import markov_joint_pmf, random_pmf, write_pmf
 from bscbounds.scalar import binary_entropy
 
@@ -754,14 +754,79 @@ class TestParserReuse:
 
 
 class TestModuleEntry:
-    def test_python_dash_m_invocation(self):
+    @staticmethod
+    def _run_module(module):
         # the child imports the package under test, not an installed copy
         src = str(Path(bscbounds.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": src}
-        proc = subprocess.run(
-            [sys.executable, "-m", "bscbounds.cli", "bound", "mgl",
+        return subprocess.run(
+            [sys.executable, "-m", module, "bound", "mgl",
              "--alpha", "0.11", "--entropy", "0.5"],
             capture_output=True, text=True, env=env,
         )
+
+    def test_python_dash_m_invocation(self):
+        proc = self._run_module("bscbounds.cli")
         assert proc.returncode == 0
         assert proc.stdout.startswith("mgl(alpha=0.11, entropy=0.5) = ")
+
+    def test_package_runs_as_a_module(self):
+        package, cli_module = self._run_module("bscbounds"), self._run_module("bscbounds.cli")
+        assert package.returncode == cli_module.returncode == 0
+        assert (package.stdout, package.stderr) == (cli_module.stdout, cli_module.stderr)
+
+
+class TestOutputFiles:
+    """write_pmf and `figure --out` overwrite in place: never O_TRUNC (on ext4 a
+    truncating rewrite waits for the last write's flush), never a rename."""
+
+    def test_shorter_figure_rewrite_leaves_no_stale_tail(self, capsys, tmp_path):
+        out, fresh = tmp_path / "same.csv", tmp_path / "fresh.csv"
+        run_cli(capsys, "figure", "fig2a", "--points", "201", "--out", str(out))
+        code, msg, _ = run_cli(capsys, "figure", "fig2a", "--points", "3", "--out", str(out))
+        assert (code, msg) == (0, f"wrote {out}: 3 rows\n")
+        run_cli(capsys, "figure", "fig2a", "--points", "3", "--out", str(fresh))
+        assert out.read_bytes() == fresh.read_bytes()
+
+    def test_figure_to_dev_null(self, capsys):
+        # /dev/null is written but not truncated: ftruncate on it fails
+        code, msg, err = run_cli(capsys, "figure", "fig2a", "--points", "3",
+                                 "--out", os.devnull)
+        assert (code, msg, err) == (0, f"wrote {os.devnull}: 3 rows\n", "")
+
+    def test_write_pmf_writes_through_a_symlink(self, tmp_path):
+        target, link = tmp_path / "target.pmf", tmp_path / "link.pmf"
+        target.write_text("stale " * 200, encoding="ascii")
+        link.symlink_to(target.name)
+        pmf = random_pmf(3, seed=2)
+        write_pmf(pmf, link)
+        assert link.is_symlink() and os.readlink(link) == target.name
+        write_pmf(pmf, tmp_path / "fresh.pmf")
+        assert target.read_bytes() == (tmp_path / "fresh.pmf").read_bytes()
+
+    def test_no_writer_opens_with_o_trunc(self, capsys, tmp_path, monkeypatch):
+        flags = []
+        real_open = dist.os.open
+
+        def recording_open(path, flag, *args, **kwargs):
+            flags.append(flag)
+            return real_open(path, flag, *args, **kwargs)
+
+        monkeypatch.setattr(dist.os, "open", recording_open)
+        for _ in range(2):  # a fresh file, then a rewrite
+            write_pmf(random_pmf(3, seed=1), tmp_path / "law.pmf")
+            code, _, _ = run_cli(capsys, "figure", "fig2a", "--points", "3",
+                                 "--out", str(tmp_path / "f.csv"))
+            assert code == 0
+        assert len(flags) == 4
+        assert not any(flag & os.O_TRUNC for flag in flags)
+
+    def test_rewrites_keep_the_inode(self, capsys, tmp_path):
+        # rules out a writer that renames a temporary file over the old one
+        pmf_path, csv_path = tmp_path / "law.pmf", tmp_path / "f.csv"
+        write_pmf(random_pmf(4, seed=1), pmf_path)
+        run_cli(capsys, "figure", "fig2a", "--points", "9", "--out", str(csv_path))
+        inodes = pmf_path.stat().st_ino, csv_path.stat().st_ino
+        write_pmf(random_pmf(3, seed=2), pmf_path)
+        run_cli(capsys, "figure", "fig2a", "--points", "3", "--out", str(csv_path))
+        assert (pmf_path.stat().st_ino, csv_path.stat().st_ino) == inodes

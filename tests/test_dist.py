@@ -638,6 +638,17 @@ class TestPmfFiles:
         with pytest.raises(OSError):
             read_pmf(tmp_path / "absent.pmf")
 
+    def test_shorter_rewrite_leaves_no_stale_tail(self, tmp_path):
+        # the file is overwritten in place, so it must be cut to the new length
+        path, fresh = tmp_path / "law.pmf", tmp_path / "fresh.pmf"
+        short = random_pmf(2, seed=4)
+        write_pmf(random_pmf(6, seed=3), path)
+        write_pmf(short, path)
+        write_pmf(short, fresh)
+        assert path.read_bytes() == fresh.read_bytes()
+        # the file holds short's weights exactly; read_pmf renormalizes them
+        assert np.array_equal(read_pmf(path).weights, ExplicitPmf(short.weights).weights)
+
 
 def test_mmse_bracket_on_random_pmfs():
     # any order: 4 n phat (1-phat) <= 4 MMSE <= H(X), phat = hinv(H/n)
