@@ -47,8 +47,9 @@ from .scalar import binary_convolve, binary_entropy
 
 # Largest inputs that set work or memory. The Monte Carlo streams its steps
 # in fixed chunks and peaks near 3 MB at any length and any number of rows,
-# so the step caps bound work: at about 0.045 us per step one fig3 row at the
-# row cap takes about 0.5 s and a whole fig3 run at the total cap about 45 s.
+# so the step caps bound work: at 11-12 ns per step (one AMD EPYC core,
+# Python 3.11) one fig3 row at the row cap takes about 0.14 s and a whole
+# fig3 run at the total cap about 11 s.
 _MAX_POINTS = 100_001
 _MAX_MC_STEPS = 10_000_000
 _MAX_FIG3_STEPS = 1_000_000_000

@@ -35,7 +35,7 @@ from bscbounds import (
     small_q_ratio,
     stationary_odds,
 )
-from bscbounds import hmm
+from bscbounds import cli, hmm
 
 
 class TestParams:
@@ -472,6 +472,24 @@ C07_GRID = [MarkovHmmParams(q, a) for a in (0.05, 0.11, 0.25)
 NEAR_HALF = [MarkovHmmParams(float(q), a) for q in np.linspace(0.001, 0.499, 25)
              for a in (0.5 - 1e-6, 0.5 - 1e-9)] + [MarkovHmmParams(0.5 - 1e-12, 0.499)]
 CLOSE_ROOTS = MarkovHmmParams(0.001, 0.0370287148)
+# two turning points, 10.724 and 44.800, inside one cell of a coarse
+# bracketing grid
+TWO_IN_ONE_CELL = MarkovHmmParams(4.07e-6, 0.0183)
+# seeded log-uniform rates down to 1e-8, with 0, 1 and 2 interior roots
+LOG_UNIFORM = [MarkovHmmParams(float(q), float(a)) for q, a in
+               10.0 ** np.random.default_rng(0).uniform(-8.0, math.log10(0.5), (10, 2))]
+# (s - 3)(s - 3.0003)(s^2 + 2s + 5) rounded to floats: a real pair 1e-4
+# apart (relative) and a complex pair
+CLOSE_PAIR = (1.0, -4.0003, 2.0003, -11.9997, 45.0045)
+
+
+def _mp_real_roots(coeffs):
+    """Real roots of a polynomial (descending coefficients), ascending,
+    solved at 50 digits."""
+    with mpmath.workdps(50):
+        roots = mpmath.polyroots(coeffs, maxsteps=200, extraprec=200)
+        return sorted(mpmath.re(r) for r in roots
+                      if abs(mpmath.im(r)) <= mpmath.mpf(10) ** -30 * abs(r))
 
 
 def _mp_interior_roots(params):
@@ -491,10 +509,7 @@ def _mp_interior_roots(params):
         ]
         disc = mpmath.sqrt(4 * eta * q**2 + ((eta - 1) * (1 - q)) ** 2)
         cap = ((eta - 1) * (1 - q) + disc) / (2 * eta * q)
-        roots = mpmath.polyroots(coeffs, maxsteps=200, extraprec=200)
-        real = [mpmath.re(r) for r in roots
-                if abs(mpmath.im(r)) <= mpmath.mpf(10) ** -30 * abs(r)]
-        return sorted(float(r) for r in real if 1 < r < cap)
+        return [float(r) for r in _mp_real_roots(coeffs) if 1 < r < cap]
 
 
 class TestQuartic:
@@ -568,8 +583,8 @@ class TestQuartic:
         for idx, root in zip(flips, roots):
             assert abs(float(grid[idx]) - root) <= 2.0 * width
 
-    @pytest.mark.parametrize("params", C07_GRID + NEAR_HALF + [CLOSE_ROOTS],
-                             ids=lambda p: f"q={p.q!r},a={p.alpha!r}")
+    @pytest.mark.parametrize("params", C07_GRID + NEAR_HALF + [CLOSE_ROOTS, TWO_IN_ONE_CELL]
+                             + LOG_UNIFORM, ids=lambda p: f"q={p.q!r},a={p.alpha!r}")
     def test_matches_50_digit_roots(self, params):
         want = _mp_interior_roots(params)
         got = stationary_odds(params)
@@ -577,12 +592,14 @@ class TestQuartic:
         for g, w in zip(got, want):
             assert g == pytest.approx(w, rel=1e-9, abs=0)
 
-    # numpy.roots splits the double root 2 of (s-2)^2 (s+1)(s+3) into two
-    # reals about 1e-8 apart, and that of (s-2)^2 (s+1)(s-6) into a complex
-    # pair; either way it is one real root
+    # the double root 2 of (s-2)^2 (s+1)(s+3) and of (s-2)^2 (s+1)(s-6) is a
+    # turning point where the quartic touches 0, and rounding can leave it
+    # just above or just below 0 there: either way it is one real root. A
+    # real pair 1e-4 apart (relative) stays two roots.
     @pytest.mark.parametrize("coeffs, want", [
         ((1.0, 0.0, -9.0, 4.0, 12.0), [-3.0, -1.0, 2.0]),
         ((1.0, -9.0, 18.0, 4.0, -24.0), [-1.0, 2.0, 6.0]),
+        (CLOSE_PAIR, [float(r) for r in _mp_real_roots(CLOSE_PAIR)]),
     ])
     def test_tangent_root_is_found_once(self, coeffs, want):
         poly = QuarticCoefficients(*coeffs, eta=1.0)
@@ -618,6 +635,23 @@ class TestMinimizingOdds:
 
 
 class TestBeliefBound:
+    def test_theorem6_never_reaches_lapack(self, monkeypatch, tmp_path):
+        # the root search runs in plain floats; the first LAPACK call (the
+        # companion eigenvalues of numpy.roots) cost about 0.8 MB of fig3's
+        # peak RSS
+        def refuse(*args, **kwargs):
+            raise AssertionError("theorem 6 called LAPACK")
+
+        monkeypatch.setattr(np, "roots", refuse)
+        monkeypatch.setattr(np.linalg, "eigvals", refuse)
+        for params in C07_GRID + NEAR_HALF + [CLOSE_ROOTS]:
+            for variant in ("factor4", "printed"):
+                belief_bound(params, variant)
+        out = tmp_path / "fig3.csv"
+        assert cli.main(["figure", "fig3", "--points", "5", "--samples", "2000",
+                         "--burnin", "500", "--out", str(out)]) == 0
+        assert len(out.read_text(encoding="ascii").splitlines()) == 6
+
     def test_frozen_values(self):
         params = MarkovHmmParams(0.1, 0.11)
         assert belief_bound(params).value == pytest.approx(0.7690814452112156, abs=1e-12)
