@@ -22,6 +22,7 @@ from .bounds import (
     scalar_memory_noise,
     scalar_mmse_gerber,
     scalar_upper,
+    vector_mmse_gerber,
     vector_upper,
 )
 from .dist import (
@@ -107,46 +108,45 @@ def _new_curve(alpha: float, u: float) -> tuple[float, float, float]:
     return (*sandwich_new(alpha, u), mgl_scalar(alpha, u))
 
 
-def _fig3_row(args: argparse.Namespace, i: int, q: float) -> tuple[float, ...]:
-    params = MarkovHmmParams(q, args.alpha)
-    # one root search per row: the printed variant reuses factor4's odds and floor
-    t6 = belief_bound(params, "factor4")
-    printed = _belief_result(params, t6.inputs["odds"], t6.inputs["mmse_floor"], "printed")
-    return (binary_entropy(binary_convolve(args.alpha, q)),
-            markov_series_bound(params).value,
-            t6.value,
-            printed.value)
-
-
-def _fig3_mc(args: argparse.Namespace, grid: list[float]) -> list[tuple[float, float]]:
-    """fig3's last two columns: the Monte Carlo estimate and stderr of every
-    row, row i seeded (--seed, i), all rows in one lockstep run."""
+def _fig3_columns(args: argparse.Namespace, grid: list[float]) -> list[tuple[float, ...]]:
+    """fig3's columns: the four bounds row by row, with one root search per
+    row (the printed variant reuses factor4's odds and floor), then the
+    Monte Carlo estimate and stderr of every row, row i seeded (--seed, i),
+    all rows in one lockstep run."""
     params = [MarkovHmmParams(q, args.alpha) for q in grid]
+    bounds = []
+    for p in params:
+        t6 = belief_bound(p, "factor4")
+        printed = _belief_result(p, t6.inputs["odds"], t6.inputs["mmse_floor"], "printed")
+        bounds.append((binary_entropy(binary_convolve(args.alpha, p.q)),
+                       markov_series_bound(p).value, t6.value, printed.value))
     seeds = [(args.seed, i) for i in range(len(grid))]
-    return entropy_rate_mc_many(params, args.samples, args.burnin, seeds)
+    mc = entropy_rate_mc_many(params, args.samples, args.burnin, seeds)
+    return [(*row, *est) for row, est in zip(bounds, mc)]
 
 
 # Each figure maps to its CSV header, the end of its grid (every grid starts
-# at 0) and a function of (args, row index, grid value) that yields the
-# columns after the grid value; fig3's Monte Carlo columns follow from
-# _fig3_mc, once for the whole grid.
+# at 0) and a function of (args, grid) that returns the columns after the
+# grid value of every row.
 _FIGURES = {
     "fig1a": (("x", "mgl_lower", "mgl_upper", "new"), 1.0,
-              lambda a, i, x: _mgl_curve(a.alpha, x)),
+              lambda a, grid: [_mgl_curve(a.alpha, x) for x in grid]),
     "fig1b": (("alpha", "mgl_lower", "mgl_upper", "new"), 0.5,
-              lambda a, i, alpha: _mgl_curve(alpha, a.x)),
+              lambda a, grid: [_mgl_curve(alpha, a.x) for alpha in grid]),
     "fig2a": (("u", "new_lower", "new_upper", "mgl"), 1.0,
-              lambda a, i, u: _new_curve(a.alpha, u)),
+              lambda a, grid: [_new_curve(a.alpha, u) for u in grid]),
     "fig2b": (("alpha", "new_lower", "new_upper", "mgl"), 0.5,
-              lambda a, i, alpha: _new_curve(alpha, a.entropy)),
+              lambda a, grid: [_new_curve(alpha, a.entropy) for alpha in grid]),
     "fig3": (("q", "mgl", "theorem5", "theorem6_factor4", "theorem6_printed",
-              "mc_estimate", "mc_stderr"), 0.5, _fig3_row),
+              "mc_estimate", "mc_stderr"), 0.5, _fig3_columns),
 }
 
 
 def _run_figure(args: argparse.Namespace) -> int:
     check_int("--seed", args.seed, 0)
     check_int("--points", args.points, 2, _MAX_POINTS)
+    check_int("--samples", args.samples, 1)
+    check_int("--burnin", args.burnin, 0)
     if args.samples + args.burnin > _MAX_MC_STEPS:
         raise DomainError(f"--samples + --burnin must be at most {_MAX_MC_STEPS}, "
                           f"got {args.samples + args.burnin}")
@@ -156,9 +156,7 @@ def _run_figure(args: argparse.Namespace) -> int:
                           f"at most {_MAX_FIG3_STEPS}, got {steps}")
     header, end, columns = _FIGURES[args.which]
     grid = np.linspace(0.0, end, args.points).tolist()
-    rows = [(v, *columns(args, i, v)) for i, v in enumerate(grid)]
-    if args.which == "fig3":
-        rows = [(*row, *mc) for row, mc in zip(rows, _fig3_mc(args, grid))]
+    rows = [(v, *cols) for v, cols in zip(grid, columns(args, grid))]
     out = f"{args.which}.csv" if args.out is None else args.out
     lines = [",".join(header)]
     lines.extend(",".join(_fmt9(v) for v in row) for row in rows)
@@ -199,8 +197,8 @@ def _run_pmf_mmse(args: argparse.Namespace) -> int:
     print(f"greedy_order = {','.join(map(str, greedy))}")
     print(f"greedy_mmse = {_fmt12(mmse_along_permutation(pmf, greedy))}")
     if args.alpha is not None:
-        # the lower bound is vector_mmse_gerber's, reusing the search above
-        lower = scalar_mmse_gerber(args.alpha, worst / pmf.n)
+        # vector_mmse_gerber finds the search above in the pmf's memo
+        lower = vector_mmse_gerber(pmf, args.alpha).value
         upper = vector_upper(pmf, args.alpha)
         exact = entropy(apply_bsc(pmf, args.alpha)) / pmf.n
         print(f"alpha = {args.alpha}")

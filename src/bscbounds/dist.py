@@ -297,10 +297,11 @@ def _cost_plan(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _mmse_kernel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a b / (a + b): each context's MMSE term; 0 at zero mass."""
+    """a b / (a + b): each context's MMSE term; 0 at zero mass, where a b = 0
+    is divided by the smallest double."""
     tot = a + b
     ctx = a * b
-    ctx /= np.where(tot > 0.0, tot, 1.0)
+    ctx /= np.maximum(tot, _MIN_POSITIVE, out=tot)
     return ctx
 
 

@@ -70,12 +70,15 @@ _MAX_POWER = 1 << 1023
 # The Monte Carlo runs its rows in lockstep groups of at most _MC_ROWS. A
 # group draws and simulates at most _MC_CHUNK steps at a time over all its
 # rows, with the step flags packed 8 to a byte and each row's bytes scanned
-# in blocks of at most _MC_BLOCK. The steps are read off their bytes' tables
-# _MC_PIECE at a time over the group's rows, in 128 KB temporaries: pieces of
-# 2^15 steps ran single rows 7% slower, and whole-chunk ones were mapped
-# fresh by malloc each time and made this stage about 2.5x slower. A group's
-# tables take 72 KB a row; groups of 6 to 12 rows ran fig3's 21 rows alike,
-# and one group of 21 about 11% slower.
+# in blocks of at most _MC_BLOCK: one tree a row ran _byte_odds 1.2-2.4x as
+# slowly (one AMD EPYC core: 1 row x 8,192 bytes 201-204 against 168-174 us,
+# 6 rows x 1,250 bytes, padded to 2,048, 405-414 against 170-174 us), and
+# blocks of 16 to 64 bytes within 8% of each other. The steps are read off
+# their bytes' tables _MC_PIECE at a time over the group's rows, in 128 KB
+# temporaries: pieces of 2^15 steps ran single rows 7% slower, and
+# whole-chunk ones were mapped fresh by malloc each time and made this stage
+# about 2.5x slower. A group's tables take 72 KB a row; groups of 6 to 12
+# rows ran fig3's 21 rows alike, and one group of 21 about 11% slower.
 _MC_CHUNK = 1 << 16
 _MC_PIECE = 1 << 14
 _MC_BLOCK = 64
@@ -343,7 +346,7 @@ class QuarticCoefficients:
     eta: float
 
     def __call__(self, s: float) -> float:
-        return (((self.c4 * s + self.c3) * s + self.c2) * s + self.c1) * s + self.c0
+        return _horner((self.c4, self.c3, self.c2, self.c1, self.c0), s)
 
     def scaled_residual(self, s: float) -> float:
         """|p(s)| over the norm of the term vector (c4 s^4, ..., c0), a
@@ -477,14 +480,6 @@ def _roots_between(poly: QuarticCoefficients, lo: float, hi: float,
             values[i] = 0.0
             tangents.append(s)
     return sorted(tangents + _sign_change_roots(quartic, slope, knots, values))
-
-
-def _real_roots(poly: QuarticCoefficients) -> list[float]:
-    """Every real root of the quartic, ascending, each once, a tangent root
-    included: those _roots_between finds on (-B, B) for the Cauchy bound
-    B = 1 + max_k |c_k / c4|, strictly inside which every root lies."""
-    bound = 1.0 + max(abs(c) for c in (poly.c3, poly.c2, poly.c1, poly.c0)) / abs(poly.c4)
-    return _roots_between(poly, -bound, bound, poly(-bound))
 
 
 def stationary_odds(params: MarkovHmmParams) -> tuple[float, ...]:
@@ -637,8 +632,8 @@ def _byte_maps(q, alpha) -> np.ndarray:
 def _row_tables(q: np.ndarray, alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The tables of a lockstep group: the 8-step map [[a, b], [c, d]] of
     every flag byte, shape (2, 2, rows * 256), for _byte_odds, and the
-    outcome tables of _entropy_terms, shape (4, rows * 256, 8); row r's bytes
-    sit at r * 256.
+    outcome tables that _prefix_apply reads for _entropy_terms, shape
+    (4, rows * 256, 8); row r's bytes sit at r * 256.
 
     With m = alpha * q, the prefix map of step k applied to the odds x before
     its byte predicts the next output's two values with weights
@@ -650,7 +645,7 @@ def _row_tables(q: np.ndarray, alpha: np.ndarray) -> tuple[np.ndarray, np.ndarra
     table = _byte_maps(q, alpha)
     rows = q.size
     byte_maps = table[..., 7].reshape(2, 2, rows * 256).copy()
-    m = (alpha * (1.0 - q) + q * (1.0 - alpha))[:, None, None]
+    m = _conv(alpha, q)[:, None, None]
     for u, v in ((table[0], table[2]), (table[1], table[3])):
         first = u * (1.0 - m)
         first += v * m
@@ -768,36 +763,28 @@ def _byte_odds(byte_maps: np.ndarray, index: np.ndarray,
     return odds.transpose(1, 2, 0).reshape(rows, -1)[:, :nbytes], num / den
 
 
-def _steps_odds(table: np.ndarray, codes: np.ndarray, starts: np.ndarray,
-                lo: int, hi: int) -> np.ndarray:
-    """Pass C2 for one row: the odds after steps lo..hi-1 of a chunk that
-    _scan ran, each as its byte's prefix map in table (_byte_maps of the
-    row) applied to the odds before the byte."""
-    first = lo // 8
-    part = codes[first:-(-hi // 8)]
-    x = starts[first:first + part.size, None]
-    num, den = table[0].take(part, axis=0), table[2].take(part, axis=0)
-    num *= x
-    num += table[1].take(part, axis=0)
-    den *= x
-    den += table[3].take(part, axis=0)
-    num /= den
-    return num.reshape(-1)[lo - 8 * first:hi - 8 * first]
-
-
-def _entropy_terms(outcomes: np.ndarray, index: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Pass C2 of the Monte Carlo: -h of the predicted next output at every
-    step of the bytes `index` (rows, bytes) of _scan, from the odds x before
-    each byte and the outcome tables of _row_tables, shape (rows, 8 bytes).
-    The two weights' sum is the denominator, so no odds are formed; h is
-    even in W, so which weight belongs to the likelier output is moot."""
+def _prefix_apply(table: np.ndarray, index: np.ndarray,
+                  x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pass C2: (A x + B, C x + D) at every step of the flag bytes `index`
+    of _scan, shape (*index.shape, 8), with (A, B, C, D) the step's entry in
+    `table` (4, entries, 8) and x the odds before its byte: the odds'
+    numerator and denominator on _byte_maps' prefix table, the next output's
+    two weights on _row_tables' outcome tables."""
     x = np.repeat(x, 8, axis=-1).reshape(*index.shape, 8)
-    p = outcomes[0].take(index, axis=0)
-    p *= x
-    p += outcomes[1].take(index, axis=0)
-    p_c = outcomes[2].take(index, axis=0)
-    p_c *= x
-    p_c += outcomes[3].take(index, axis=0)
+    num = table[0].take(index, axis=0)
+    num *= x
+    num += table[1].take(index, axis=0)
+    den = table[2].take(index, axis=0)
+    den *= x
+    den += table[3].take(index, axis=0)
+    return num, den
+
+
+def _entropy_terms(p: np.ndarray, p_c: np.ndarray) -> np.ndarray:
+    """-h of the predicted next output at every step, shape (rows, steps),
+    from its two weights p and p_c (_prefix_apply), which it overwrites. Their
+    sum is the denominator, so no odds are formed; h is even in W, so which
+    weight belongs to the likelier output is moot."""
     weight = p + p_c
     p /= weight
     p_c /= weight
@@ -806,12 +793,13 @@ def _entropy_terms(outcomes: np.ndarray, index: np.ndarray, x: np.ndarray) -> np
     p = np.log2(p_c)
     p *= p_c
     hv += p
-    return hv.reshape(index.shape[0], -1)
+    return hv.reshape(len(hv), -1)
 
 
 def _odds_path(q: float, alpha: float, total: int, rng: np.random.Generator):
     """Yield (x, flipped) for steps 1 .. total of one row of _scan, in pieces
-    of at most _MC_PIECE steps: x is the odds e^V of V_i = sigma_i W_i and
+    of at most _MC_PIECE steps: x is the odds e^V of V_i = sigma_i W_i, the
+    prefix maps of _byte_maps applied to the odds before each byte, and
     flipped marks sigma_i = -1."""
     q, alpha = np.array([q]), np.array([alpha])
     table = _byte_maps(q, alpha)
@@ -819,8 +807,10 @@ def _odds_path(q: float, alpha: float, total: int, rng: np.random.Generator):
     for _, n, flipped, index, odds in _scan(q, alpha, byte_maps, total, [rng]):
         flipped = np.unpackbits(flipped[0], count=n, bitorder="little").view(bool)
         for lo in range(0, n, _MC_PIECE):
-            hi = min(lo + _MC_PIECE, n)
-            yield _steps_odds(table[:, 0], index[0], odds[0], lo, hi), flipped[lo:hi]
+            part = slice(lo // 8, (lo + _MC_PIECE) // 8)
+            num, den = _prefix_apply(table[:, 0], index[0, part], odds[0, part])
+            num /= den
+            yield num.reshape(-1)[:n - lo], flipped[lo:lo + _MC_PIECE]
 
 
 def _mc_rows(params_seq: list, samples: int, burnin: int, seeds: list) -> list[McEstimate]:
@@ -865,7 +855,8 @@ def _mc_rows(params_seq: list, samples: int, burnin: int, seeds: list) -> list[M
             for lo in range(max(0, burnin - start), n, piece):
                 hi = min(lo + piece, n)
                 first, end = lo // 8, -(-hi // 8)
-                hv = _entropy_terms(outcomes, index[:, first:end], odds[:, first:end])
+                hv = _entropy_terms(*_prefix_apply(outcomes, index[:, first:end],
+                                                   odds[:, first:end]))
                 hv = hv[:, lo - 8 * first:hi - 8 * first]
                 part = np.add.reduce(hv, axis=1)
                 dev = hv - (part / (hi - lo))[:, None]
@@ -917,9 +908,9 @@ def entropy_rate_mc(
     _byte_odds): the maps of byte pairs, pairs of pairs and whole blocks are
     multiplied out, the block maps are composed across the blocks by
     doubling, and the odds before every byte are read off them on the way
-    back down. Each step's two output probabilities come from outcome tables
-    folded from its byte's prefix maps (_row_tables) and the odds before the
-    byte, with no per-step odds, exp or log1p (_entropy_terms). This kernel
+    back down. Each step's two output weights come from outcome tables
+    folded from its byte's prefix maps (_row_tables) at the odds before the
+    byte (_prefix_apply), with no per-step odds, exp or log1p. This kernel
     (_mc_rows) is the one entropy_rate_mc_many runs on many rows at once.
 
     The reported stderr uses the i.i.d. formula; consecutive W values are

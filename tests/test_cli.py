@@ -150,6 +150,13 @@ class TestBound:
                  for kind, flags in rows]
         assert table == [(kind, flags) for kind, (flags, _) in cli._BOUNDS.items()]
 
+    def test_readme_module_table_names_every_module(self):
+        root = Path(__file__).resolve().parents[1]
+        readme = (root / "README.md").read_text(encoding="utf-8")
+        listed = re.findall(r"^\| `bscbounds\.([a-z_]+)` \|", readme, flags=re.M)
+        modules = {p.stem for p in (root / "src" / "bscbounds").glob("*.py")}
+        assert sorted(listed) == sorted(modules - {"__init__", "__main__"})
+
 
 class TestFigure:
     def test_fig1a_endpoints(self, capsys, tmp_path):
@@ -205,6 +212,17 @@ class TestFigure:
 0.333333333,0.950298288,0.959147917,0.950679224
 0.416666667,0.987753902,0.989934378,0.987776407
 0.5,1,1,1
+"""),
+        # 5 simulated rows of 300,000 steps at the default --samples, --burnin
+        # and --seed; q = 0 and q = 1/2 take their exact limits
+        ("fig3", """q,mgl,theorem5,theorem6_factor4,theorem6_printed,mc_estimate,mc_stderr
+0,0.499915958,0.499915958,0.499915958,0.499915958,0.499915958,0
+0.0833333333,0.669015835,0.686807448,0.740122283,0.686792447,0.759226167,0.000251411111
+0.166666667,0.795040279,0.80009391,0.856489047,0.810402471,0.864714455,0.000141537729
+0.25,0.887317256,0.884787421,0.926162876,0.897028661,0.928864623,6.00319182e-05
+0.333333333,0.950672093,0.946923249,0.969000868,0.955254287,0.969575785,1.75806378e-05
+0.416666667,0.987774655,0.986291356,0.99250208,0.988956511,0.992538795,2.17358565e-06
+0.5,1,1,1,1,1,0
 """),
     ])
     def test_golden_csv(self, capsys, tmp_path, which, text):

@@ -603,7 +603,7 @@ class TestQuartic:
     ])
     def test_tangent_root_is_found_once(self, coeffs, want):
         poly = QuarticCoefficients(*coeffs, eta=1.0)
-        got = hmm._real_roots(poly)
+        got = hmm._roots_between(poly, -100.0, 100.0, poly(-100.0))
         assert got == pytest.approx(want, rel=1e-8)
         assert all(poly.scaled_residual(r) < 1e-9 for r in got)
 

@@ -118,6 +118,8 @@ def test_dyadic_permutation_names_a_positive_non_power():
 CLI_INPUTS = {
     "figure --seed": (("figure", "fig1a"), "--seed", 0, None),
     "figure --points": (("figure", "fig1a"), "--points", 2, 100_001),
+    "figure --samples": (("figure", "fig1a"), "--samples", 1, None),
+    "figure --burnin": (("figure", "fig1a"), "--burnin", 0, None),
     "validate --budget": (("validate", "scalar"), "--budget", 1, 10_000),
     "validate --seed": (("validate", "scalar"), "--seed", 0, None),
 }
@@ -125,7 +127,7 @@ CLI_INPUTS = {
 
 def _run_stubbed(capsys, monkeypatch, tmp_path, argv, work):
     header, end, _ = cli._FIGURES["fig1a"]
-    monkeypatch.setitem(cli._FIGURES, "fig1a", (header, end, lambda a, i, x: work()))
+    monkeypatch.setitem(cli._FIGURES, "fig1a", (header, end, lambda a, grid: work()))
     monkeypatch.setattr(cli.validate_mod, "run_suite", lambda *a, **k: work() or [])
     monkeypatch.chdir(tmp_path)
     code = cli.main(list(argv))

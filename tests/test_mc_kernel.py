@@ -315,7 +315,8 @@ def test_outcome_tables_match_the_odds_route(q, alpha):
     table = reference_byte_maps(q, alpha)
     every_byte = np.arange(256)[None]
     for x in np.geomspace(1e-12, 1e12, 25):
-        got = hmm._entropy_terms(outcomes, every_byte, np.full((1, 256), x))
+        got = hmm._entropy_terms(*hmm._prefix_apply(outcomes, every_byte,
+                                                     np.full((1, 256), x)))
         want = odds_route_terms(table, q, alpha, x)
         assert float(np.max(np.abs(got.reshape(256, 8) - want))) <= 1e-15, (q, alpha, x)
 
