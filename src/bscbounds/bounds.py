@@ -75,6 +75,11 @@ def _check_level(name: str, value: float, scale: float = 0.25) -> float:
     return min(max(value, 0.0), scale)
 
 
+def _lift(h: float, x: float) -> float:
+    """The MMSE lemma h + (1 - h) x for x = 4 mmse, unchecked."""
+    return h + (1.0 - h) * x
+
+
 def mgl_scalar(alpha: float, entropy_in: float) -> float:
     """Classical convolution bound h(alpha * h^{-1}(H)) on the noisy entropy."""
     alpha = check_range("alpha", alpha, 0.0, 0.5)
@@ -87,8 +92,7 @@ def scalar_mmse_gerber(alpha: float, mmse: float) -> float:
     entropy of a noisy bit whose prediction error is `mmse`."""
     alpha = check_range("alpha", alpha, 0.0, 0.5)
     mmse = _check_level("mmse", mmse)
-    ha = _h(alpha)
-    return ha + (1.0 - ha) * 4.0 * mmse
+    return _lift(_h(alpha), 4.0 * mmse)
 
 
 def scalar_memory_noise(noise_entropy: float, mmse: float) -> float:
@@ -96,7 +100,7 @@ def scalar_memory_noise(noise_entropy: float, mmse: float) -> float:
     the noise bit's conditional entropy given the earlier noise bits."""
     noise_entropy = _check_level("noise_entropy", noise_entropy, 1.0)
     mmse = _check_level("mmse", mmse)
-    return noise_entropy + (1.0 - noise_entropy) * 4.0 * mmse
+    return _lift(noise_entropy, 4.0 * mmse)
 
 
 def scalar_upper(alpha: float, mmse: float) -> float:
@@ -143,7 +147,7 @@ def conditional_vector_mmse_gerber(family, alpha: float) -> BoundResult:
     what the chain-rule argument supports.
     """
     alpha = check_range("alpha", alpha, 0.0, 0.5)
-    members = [(float(wt), pmf) for wt, pmf in family]
+    members = [(_as_real("mixture weight", wt), pmf) for wt, pmf in family]
     if not members:
         raise DomainError("the mixture family must be nonempty")
     n = members[0][1].n
@@ -153,13 +157,11 @@ def conditional_vector_mmse_gerber(family, alpha: float) -> BoundResult:
     if not all(math.isfinite(wt) and wt >= 0.0 for wt in wts) or abs(sum(wts) - 1.0) > 1e-9:
         raise DomainError("mixture weights must form a probability vector")
 
-    ha = _h(alpha)
     step = sum(wt * _cost_table(pmf) for wt, pmf in members)
     best, best_order = _best_order(n, step, pick_max=True)
-    value = ha + (1.0 - ha) * 4.0 * best / n
     return BoundResult(
         "conditional-mmse-gerber",
-        value,
+        scalar_mmse_gerber(alpha, best / n),
         {"alpha": alpha, "n": n, "mmse": best, "order": best_order},
         variant="shared",
     )
@@ -240,4 +242,4 @@ def sandwich_new(alpha: float, u: float) -> tuple[float, float]:
     u = check_range("u", u, 0.0, 1.0)
     ha = _h(alpha)
     p = inv_binary_entropy(u)
-    return ha + (1.0 - ha) * 4.0 * p * (1.0 - p), ha + (1.0 - ha) * u
+    return _lift(ha, 4.0 * p * (1.0 - p)), _lift(ha, u)

@@ -15,7 +15,7 @@ from collections.abc import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, check_int, check_range
+from .errors import DimensionError, DomainError, check_int, check_open, check_range
 
 __all__ = [
     "MAX_COORDS",
@@ -67,7 +67,10 @@ class ExplicitPmf:
     __slots__ = ("n", "weights", "_memo")
 
     def __init__(self, weights: Iterable[float]) -> None:
-        arr = np.array(np.asarray(weights, dtype=float).ravel(), dtype=float)
+        try:
+            arr = np.array(np.asarray(weights, dtype=float).ravel(), dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise DomainError(f"weights must be real numbers: {exc}") from exc
         size = int(arr.size)
         if size < 2 or size & (size - 1):
             raise DomainError(f"need a power-of-two number of weights >= 2, got {size}")
@@ -218,6 +221,7 @@ def _mmse_along_orders(pmf: ExplicitPmf, orders: Sequence[Sequence[int]]) -> np.
     for i in range(n - 1, -1, -1):
         a, b = t[..., 0], t[..., 1]
         t = a + b
+        # an oracle for _mmse_kernel (worst-case-dominates), so it keeps its own a b / (a + b)
         ctx = a * b
         ctx /= np.maximum(t, _MIN_POSITIVE)
         np.add.reduce(ctx.reshape(count, -1), axis=1, out=terms[i])
@@ -507,9 +511,7 @@ def greedy_permutation(pmf: ExplicitPmf) -> tuple[int, ...]:
 def counterexample_pmf(eps: float) -> ExplicitPmf:
     """Two-bit family P(0,0) = 1/2, P(1,0) = eps, P(0,1) = 0, P(1,1) = 1/2 - eps
     used to probe whether higher single-bit variance should be predicted first."""
-    eps = float(eps)
-    if not 0.0 < eps < 0.5:
-        raise DomainError(f"eps must lie strictly inside (0, 1/2), got {eps!r}")
+    eps = check_open("eps", eps, 0.0, 0.5)
     return ExplicitPmf([0.5, eps, 0.0, 0.5 - eps])
 
 

@@ -21,8 +21,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bounds import BoundResult
-from .errors import DimensionError, DomainError, check_int, check_open, check_range
+from .bounds import BoundResult, _lift
+from .errors import DimensionError, DomainError, _as_real, check_int, check_open, check_range
 from .scalar import _conv, _entropy_vec, _h
 
 __all__ = [
@@ -77,8 +77,13 @@ _MAX_POWER = 1 << 1023
 # their bytes' tables _MC_PIECE at a time over the group's rows, in 128 KB
 # temporaries: pieces of 2^15 steps ran single rows 7% slower, and
 # whole-chunk ones were mapped fresh by malloc each time and made this stage
-# about 2.5x slower. A group's tables take 72 KB a row; groups of 6 to 12
-# rows ran fig3's 21 rows alike, and one group of 21 about 11% slower.
+# about 2.5x slower. A 7-row group's come to 7 x 293 bytes x 8 steps x 8 B
+# = 131,264 B, just over glibc's 128 KiB mmap threshold, so how often they
+# are faulted in again varies with earlier allocations. A chunk merges its
+# pieces before the row's totals: merging each piece into those ran fig3's
+# default rows 5% slower (median of 12 alternating runs, 1.118 vs 1.061 s).
+# A group's tables take 72 KB a row; groups of 6 to 12 rows ran fig3's 21
+# rows alike, and one group of 21 about 11% slower.
 _MC_CHUNK = 1 << 16
 _MC_PIECE = 1 << 14
 _MC_BLOCK = 64
@@ -189,8 +194,7 @@ def series_mmse(q: float) -> float:
 
 def markov_series_bound(params: MarkovHmmParams) -> BoundResult:
     """Entropy-rate lower bound h(alpha) + (1 - h(alpha)) * series_mmse(q)."""
-    ha = _h(params.alpha)
-    value = ha + (1.0 - ha) * series_mmse(params.q)
+    value = _lift(_h(params.alpha), series_mmse(params.q))
     return BoundResult("theorem5", value, {"alpha": params.alpha, "q": params.q})
 
 
@@ -206,7 +210,7 @@ def crossing_q(alpha: float) -> float:
     ha = _h(alpha)
 
     def gap(q: float) -> float:
-        return ha + (1.0 - ha) * series_mmse(q) - _h(_conv(alpha, q))
+        return _lift(ha, series_mmse(q)) - _h(_conv(alpha, q))
 
     grid = np.linspace(1e-6, 0.5 - 1e-6, 512)
     vals = [gap(float(q)) for q in grid]
@@ -276,10 +280,7 @@ def propagate_llr(t: float, q: float) -> float:
     q = check_range("q", q, 0.0, 0.5)
     if q == 0.0:
         raise DomainError("q must be positive, the map is unbounded at q=0")
-    try:
-        t = float(t)
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"t must be a real number, got {t!r}") from exc
+    t = _as_real("t", t)
     if not math.isfinite(t):
         raise DomainError(f"t must be finite, got {t!r}")
     if q == 0.5 or t == 0.0:
@@ -320,10 +321,7 @@ def mmse_given_odds(odds: float, params: MarkovHmmParams) -> float:
     has odds ratio `odds`: a (1-m, m) mixture of x/(1+x)^2 evaluated at
     eta * odds and odds/eta, with m = alpha * q convolved."""
     q, alpha = _positive_rates(params)
-    try:
-        odds = float(odds)
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"odds must be a real number, got {odds!r}") from exc
+    odds = _as_real("odds", odds)
     if not (math.isfinite(odds) and odds > 0.0):
         raise DomainError(f"odds must be positive and finite, got {odds!r}")
     eta = (1.0 - alpha) / alpha
@@ -552,11 +550,9 @@ def _belief_result(params: MarkovHmmParams, star: float | None, floor: float,
     """belief_bound's result in `variant` from the minimizing odds and the
     MMSE floor there, so that both variants can share one root search."""
     q, alpha = params.q, params.alpha
-    hm = _h(_conv(alpha, q))
-    value = hm + (1.0 - hm) * _BELIEF_FACTORS[variant] * floor
     return BoundResult(
         "theorem6",
-        value,
+        _lift(_h(_conv(alpha, q)), _BELIEF_FACTORS[variant] * floor),
         {"alpha": alpha, "q": q, "odds": star, "mmse_floor": floor},
         variant=variant,
     )

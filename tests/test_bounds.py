@@ -150,6 +150,15 @@ class TestConditionalVector:
         assert fam.value == pytest.approx(plain.value, abs=1e-15)
         assert fam.inputs["order"] == plain.inputs["order"]
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_single_member_matches_plain_bit_for_bit(self, n):
+        pmfs = [random_pmf(n, seed=s) for s in range(20)]
+        pmfs += [markov_joint_pmf(n, q) for q in np.linspace(0.01, 0.49, 20)]
+        for pmf in pmfs:
+            for a in (0.02, 0.11, 0.3):
+                fam = conditional_vector_mmse_gerber([(1.0, pmf)], a)
+                assert fam.value == vector_mmse_gerber(pmf, a).value, (n, a)
+
     def test_mixture_of_point_masses(self):
         # knowing the label makes the source deterministic, leaving channel noise
         a = ExplicitPmf([1.0, 0.0, 0.0, 0.0])
@@ -186,6 +195,9 @@ class TestConditionalVector:
         nan = float("nan")
         for family in ([(nan, pmf)], [(0.5, pmf), (0.5, pmf), (nan, pmf)]):
             with pytest.raises(DomainError):
+                conditional_vector_mmse_gerber(family, 0.11)
+        for family in ([(None, pmf)], [(1.0, pmf), ("x", pmf)]):
+            with pytest.raises(DomainError, match="mixture weight must be a real number"):
                 conditional_vector_mmse_gerber(family, 0.11)
 
 

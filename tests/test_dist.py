@@ -63,6 +63,9 @@ class TestExplicitPmf:
             ExplicitPmf([0.7, 0.7])  # way off normalization
         with pytest.raises(DomainError):
             ExplicitPmf([math.inf, 0.0])
+        for bad in (["a", "b"], [[0.5], [0.25, 0.25]], [object(), 0.5]):
+            with pytest.raises(DomainError, match="weights must be real numbers"):
+                ExplicitPmf(bad)
         with pytest.raises(DimensionError):
             ExplicitPmf(np.full(1 << 17, 1.0 / (1 << 17)))
 
@@ -589,7 +592,7 @@ class TestCounterexamplePmf:
             assert conditional_mmse(pmf, 1) > conditional_mmse(pmf, 2)
 
     def test_rejects_boundary(self):
-        for bad in (0.0, 0.5, -0.1, 0.6):
+        for bad in (0.0, 0.5, -0.1, 0.6, None, "x"):
             with pytest.raises(DomainError):
                 counterexample_pmf(bad)
 

@@ -1,6 +1,6 @@
 """The package namespace: each public name exported once, no tuning knob
-left on the public functions, and no private function that the package
-itself never uses."""
+left on the public functions, no private function that the package itself
+never uses, and the paper's MMSE lemma written out in one place."""
 
 import ast
 import inspect
@@ -43,3 +43,35 @@ def test_every_private_function_is_used_in_the_package():
                     users.setdefault(sub.attr, set()).add(owner)
     assert private
     assert [f"{m}.{f}" for m, f in private if not users.get(f, set()) - {(m, f)}] == []
+
+
+def _factors(node):
+    """The factors of a product, reading through the numerator of a quotient."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+        return _factors(node.left) + _factors(node.right)
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
+        return _factors(node.left)
+    return [node]
+
+
+def _is_lemma(node):
+    """Whether node has the MMSE lemma's shape h + (1 - h) * x."""
+    if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)):
+        return False
+    h = ast.dump(node.left)
+    return any(isinstance(f, ast.BinOp) and isinstance(f.op, ast.Sub)
+               and isinstance(f.left, ast.Constant) and f.left.value == 1
+               and ast.dump(f.right) == h for f in _factors(node.right))
+
+
+def test_the_mmse_lemma_is_written_out_only_in_lift():
+    # validate keeps its own copy as an oracle; propagate_llr's q + (1 - q) e
+    # has the lemma's shape but is a Markov step's odds, not the lemma
+    found = []
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "bscbounds").glob("*.py")):
+        if path.stem == "validate":
+            continue
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            found += [f"{path.stem}.{getattr(node, 'name', None)}: {ast.unparse(sub)}"
+                      for sub in ast.walk(node) if _is_lemma(sub)]
+    assert found == ["bounds._lift: h + (1.0 - h) * x", "hmm.propagate_llr: q + (1.0 - q) * e"]

@@ -330,6 +330,9 @@ class TestPropagateLlr:
             propagate_llr(1.0, 0.0)
         with pytest.raises(DomainError):
             propagate_llr(math.inf, 0.2)
+        for bad in (None, "x"):
+            with pytest.raises(DomainError, match="t must be a real number"):
+                propagate_llr(bad, 0.2)
 
 
 class TestOddsCap:
@@ -383,6 +386,9 @@ class TestMmseGivenOdds:
             mmse_given_odds(0.0, MarkovHmmParams(0.1, 0.11))
         with pytest.raises(DomainError):
             mmse_given_odds(-2.0, MarkovHmmParams(0.1, 0.11))
+        for bad in (None, "x"):
+            with pytest.raises(DomainError, match="odds must be a real number"):
+                mmse_given_odds(bad, MarkovHmmParams(0.1, 0.11))
 
 
 # 50-digit oracles for the scalar belief kernels, each computed from the same
