@@ -22,6 +22,7 @@ from .dist import (
     _along_order,
     _best_order,
     _check_permutation,
+    _check_pmf,
     _cost_table,
     _entropy_kernel,
     best_case_mmse_given_output,
@@ -117,7 +118,7 @@ def vector_mmse_gerber(pmf: ExplicitPmf, alpha: float) -> BoundResult:
     """Per-symbol lower bound on the noisy output entropy H(Y)/n, maximized
     over prediction orders of the clean source."""
     alpha = check_range("alpha", alpha, 0.0, 0.5)
-    worst, order = worst_case_mmse(pmf)
+    worst, order = worst_case_mmse(_check_pmf("pmf", pmf))
     value = scalar_mmse_gerber(alpha, worst / pmf.n)
     return BoundResult(
         "mmse-gerber",
@@ -130,7 +131,7 @@ def vector_upper(pmf: ExplicitPmf, alpha: float) -> BoundResult:
     """Per-symbol upper bound on H(Y)/n from the best prediction order that
     sees only noisy observations of the earlier bits."""
     alpha = check_range("alpha", alpha, 0.0, 0.5)
-    best, order = best_case_mmse_given_output(pmf, alpha)
+    best, order = best_case_mmse_given_output(_check_pmf("pmf", pmf), alpha)
     value = scalar_upper(alpha, best / pmf.n)
     return BoundResult(
         "upper",
@@ -147,7 +148,12 @@ def conditional_vector_mmse_gerber(family, alpha: float) -> BoundResult:
     what the chain-rule argument supports.
     """
     alpha = check_range("alpha", alpha, 0.0, 0.5)
-    members = [(_as_real("mixture weight", wt), pmf) for wt, pmf in family]
+    try:
+        pairs = [(wt, pmf) for wt, pmf in family]
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"the mixture family must hold (weight, pmf) pairs: {exc}") from exc
+    members = [(_as_real("mixture weight", wt), _check_pmf("mixture member", pmf))
+               for wt, pmf in pairs]
     if not members:
         raise DomainError("the mixture family must be nonempty")
     n = members[0][1].n
@@ -170,11 +176,13 @@ def conditional_vector_mmse_gerber(family, alpha: float) -> BoundResult:
 def noise_profile(pmf_z: ExplicitPmf, order) -> list[float]:
     """Per-step conditional entropies H(Z_{order[i]} | earlier ordered bits),
     each >= 0 exactly and <= 1 only up to rounding (a step can read 1 + 4.4e-16)."""
-    order = _check_permutation(pmf_z, order)
+    order = _check_permutation(_check_pmf("pmf_z", pmf_z), order)
     return _along_order(_cost_table(pmf_z, kernel=_entropy_kernel), order)
 
 
 def _same_dimension(pmf_x: ExplicitPmf, pmf_z: ExplicitPmf) -> None:
+    _check_pmf("pmf_x", pmf_x)
+    _check_pmf("pmf_z", pmf_z)
     if pmf_x.n != pmf_z.n:
         raise DomainError(f"source has n={pmf_x.n} but noise has n={pmf_z.n}")
 

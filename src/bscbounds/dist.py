@@ -114,6 +114,12 @@ def _restore_pmf(weights: np.ndarray) -> ExplicitPmf:
     return pmf
 
 
+def _check_pmf(name: str, pmf) -> ExplicitPmf:
+    if not isinstance(pmf, ExplicitPmf):
+        raise DomainError(f"{name} must be an ExplicitPmf, got {type(pmf).__name__}")
+    return pmf
+
+
 def _check_permutation(pmf: ExplicitPmf, order: Sequence[int]) -> tuple[int, ...]:
     out = tuple(check_int("order entry", j, 1, pmf.n) for j in order)
     if sorted(out) != list(range(1, pmf.n + 1)):

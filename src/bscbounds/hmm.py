@@ -79,9 +79,10 @@ _MAX_POWER = 1 << 1023
 # whole-chunk ones were mapped fresh by malloc each time and made this stage
 # about 2.5x slower. A 7-row group's come to 7 x 293 bytes x 8 steps x 8 B
 # = 131,264 B, just over glibc's 128 KiB mmap threshold, so how often they
-# are faulted in again varies with earlier allocations. A chunk merges its
-# pieces before the row's totals: merging each piece into those ran fig3's
-# default rows 5% slower (median of 12 alternating runs, 1.118 vs 1.061 s).
+# are faulted in again varies with earlier allocations. Each piece's terms
+# go straight into two running sums a row: fig3's default rows ran as with a
+# per-chunk merge (median of 12 alternating runs, 0.725 vs 0.764 s), and 5%
+# slower when a piece's steps were sliced before _entropy_terms (0.761 s).
 # A group's tables take 72 KB a row; groups of 6 to 12 rows ran fig3's 21
 # rows alike, and one group of 21 about 11% slower.
 _MC_CHUNK = 1 << 16
@@ -126,25 +127,13 @@ def mmse_two_sided(gap: int, q: float) -> float:
     """MMSE of a source bit given both neighbors `gap` steps away.
 
     Closed form (1/4)(1 - r)/(1 + r) with r = (1-2q)^(2 gap), evaluated as
-    (1/4) tanh(-gap log1p(-2q)) to keep full relative precision at small q,
-    and cross-checked on every call against the posterior-ratio form
-    (P_gap (1-P_gap))^2 / (P_{2 gap} (1-P_{2 gap})) built from
-    disagreement_prob.
+    (1/4) tanh(-gap log1p(-2q)) to keep full relative precision at small q.
     """
     gap = min(check_int("gap", gap, 1), _MAX_POWER)
     q = check_range("q", q, 0.0, 0.5)
     if q == 0.0:
         return 0.0
-    value = 0.25 if q == 0.5 else 0.25 * math.tanh(-gap * math.log1p(-2.0 * q))
-    pg = disagreement_prob(gap, q)
-    p2 = disagreement_prob(2 * gap, q)
-    ratio_form = (pg * (1.0 - pg)) ** 2 / (p2 * (1.0 - p2))
-    if abs(value - ratio_form) > 1e-12:
-        raise AssertionError(
-            f"two-sided MMSE forms disagree at gap={gap}, q={q}: "
-            f"{value!r} vs {ratio_form!r}"
-        )
-    return value
+    return 0.25 if q == 0.5 else 0.25 * math.tanh(-gap * math.log1p(-2.0 * q))
 
 
 def dyadic_permutation(n: int) -> tuple[int, ...]:
@@ -651,24 +640,27 @@ def _row_tables(q: np.ndarray, alpha: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return byte_maps, table.reshape(4, rows * 256, 8)
 
 
-def _scan(q: np.ndarray, alpha: np.ndarray, byte_maps: np.ndarray, total: int,
-          rngs: list):
+def _scan(q: np.ndarray, alpha: np.ndarray, byte_maps: np.ndarray, steps: np.ndarray,
+          total: int, rngs: list, skip: int):
     """Run the belief recursion of every row from W_0 = 0 for `total` steps,
-    the rows in lockstep, and yield each chunk as (start, n, flipped, index,
-    odds): its first step and length, and for every flag byte the signs of
-    sigma (bit j set where sigma = -1 at step start + 8 byte + j + 1), its
-    entry in the group's tables (row * 256 + byte) and the odds x = e^V
-    before it (_byte_odds).
+    the rows in lockstep, and yield steps skip + 1 .. total in pieces of at
+    most max(8, _MC_PIECE // rows) steps a row, each as (num, den, cut,
+    flips): pass C2 (_prefix_apply) on the table `steps` over the piece's
+    whole flag bytes, shape (rows, bytes, 8), the slice of the piece's own
+    steps in those bytes' steps, and the bytes' signs of sigma (bit j set
+    where sigma = -1 at the byte's step j).
 
     Since f is odd, V_i = sigma_i W_i, with sigma_i = S_1 ... S_i, obeys
     V_i = sigma_i R_i ln(eta) + f(V_{i-1}), one of two fixed steps, flagged
     where sigma_i R_i = -1. Chunks hold at most _MC_CHUNK steps over all
     rows, split evenly; each row draws from its own generator as
     _chunked_draws does. The flags are packed 8 to a byte, the last byte
-    padded with steps that are never read. The odds and the parity of sigma
-    are carried across chunks, the odds from the chunk's last step.
+    padded with steps that are never read, and the odds before every byte
+    come from _byte_odds. The odds and the parity of sigma are carried
+    across chunks, the odds from the chunk's last step.
     """
     rows = len(rngs)
+    piece = max(8, _MC_PIECE // rows)
     chunks = -(-total // max(8, _MC_CHUNK // rows // 8 * 8))
     width = -(-total // (8 * chunks)) * 8
     draws = [_chunked_draws(rng, total, width) for rng in rngs]
@@ -696,7 +688,11 @@ def _scan(q: np.ndarray, alpha: np.ndarray, byte_maps: np.ndarray, total: int,
         codes = np.packbits(r_neg[:, :n], axis=1, bitorder="little") ^ flipped
         index = codes + offsets
         odds, x = _byte_odds(byte_maps, index, x)
-        yield start, n, flipped, index, odds
+        for lo in range(max(0, skip - start), n, piece):
+            hi = min(lo + piece, n)
+            first, end = lo // 8, -(-hi // 8)
+            num, den = _prefix_apply(steps, index[:, first:end], odds[:, first:end])
+            yield num, den, slice(lo - 8 * first, hi - 8 * first), flipped[:, first:end]
     for draw in draws:
         next(draw, None)
 
@@ -793,20 +789,15 @@ def _entropy_terms(p: np.ndarray, p_c: np.ndarray) -> np.ndarray:
 
 
 def _odds_path(q: float, alpha: float, total: int, rng: np.random.Generator):
-    """Yield (x, flipped) for steps 1 .. total of one row of _scan, in pieces
-    of at most _MC_PIECE steps: x is the odds e^V of V_i = sigma_i W_i, the
-    prefix maps of _byte_maps applied to the odds before each byte, and
-    flipped marks sigma_i = -1."""
+    """Yield (x, flipped) for steps 1 .. total of one row, in _scan's pieces:
+    x is the odds e^V of V_i = sigma_i W_i (pass C2 on _byte_maps' prefix
+    table) and flipped marks sigma_i = -1."""
     q, alpha = np.array([q]), np.array([alpha])
     table = _byte_maps(q, alpha)
     byte_maps = table[..., 7].reshape(2, 2, 256)
-    for _, n, flipped, index, odds in _scan(q, alpha, byte_maps, total, [rng]):
-        flipped = np.unpackbits(flipped[0], count=n, bitorder="little").view(bool)
-        for lo in range(0, n, _MC_PIECE):
-            part = slice(lo // 8, (lo + _MC_PIECE) // 8)
-            num, den = _prefix_apply(table[:, 0], index[0, part], odds[0, part])
-            num /= den
-            yield num.reshape(-1)[:n - lo], flipped[lo:lo + _MC_PIECE]
+    for num, den, cut, flips in _scan(q, alpha, byte_maps, table[:, 0], total, [rng], 0):
+        num /= den
+        yield num.reshape(-1)[cut], np.unpackbits(flips[0], bitorder="little").view(bool)[cut]
 
 
 def _mc_rows(params_seq: list, samples: int, burnin: int, seeds: list) -> list[McEstimate]:
@@ -815,9 +806,11 @@ def _mc_rows(params_seq: list, samples: int, burnin: int, seeds: list) -> list[M
     Rows with a rate at or below _TINY_RATE shortcut to their exact limits,
     and rows with q or alpha exactly 1/2 to (1.0, 0.0), without simulating.
     The others run in lockstep groups of at most _MC_ROWS rows (_scan), and
-    every kept step's -h term (_entropy_terms, _MC_PIECE steps over the
-    group's rows at a time) is folded into each row's running mean and sum
-    of squared deviations (the pairwise update of Chan, Golub & LeVeque).
+    the -h terms of each kept piece (_entropy_terms) are added into two
+    running sums a row, s1 = sum d and s2 = sum d^2 of d = -h - shift, where
+    shift is the mean of the row's first kept piece. The mean is then
+    shift + s1 / N and the sum of squared deviations s2 - s1^2 / N, which
+    loses little to cancellation because the shift lies near the mean.
     """
     samples = check_int("samples", samples, 1)
     burnin = check_int("burnin", burnin, 0)
@@ -843,38 +836,18 @@ def _mc_rows(params_seq: list, samples: int, burnin: int, seeds: list) -> list[M
         alpha = np.array([params.alpha for _, params, _ in group])
         byte_maps, outcomes = _row_tables(q, alpha)
         rngs = [np.random.default_rng(seed) for _, _, seed in group]
-        piece = max(8, _MC_PIECE // rows)
-        count, mean, sq_dev = 0, np.zeros(rows), np.zeros(rows)
-        for start, n, _, index, odds in _scan(q, alpha, byte_maps, total, rngs):
-            # each piece's size, sum and squared deviations from its mean
-            sizes, sums, devs = [], [], []
-            for lo in range(max(0, burnin - start), n, piece):
-                hi = min(lo + piece, n)
-                first, end = lo // 8, -(-hi // 8)
-                hv = _entropy_terms(*_prefix_apply(outcomes, index[:, first:end],
-                                                   odds[:, first:end]))
-                hv = hv[:, lo - 8 * first:hi - 8 * first]
-                part = np.add.reduce(hv, axis=1)
-                dev = hv - (part / (hi - lo))[:, None]
-                sizes.append(hi - lo)
-                sums.append(part)
-                devs.append(np.einsum("ij,ij->i", dev, dev))
-            if not sizes:
-                continue
-            # the chunk's pieces merged, then the chunk merged into the row's
-            # running mean (of -h, negated below) and squared deviations
-            kept = sum(sizes)
-            weights = np.array(sizes, dtype=float)[:, None]
-            part_mean = np.add.reduce(sums) / kept
-            part_sq = np.add.reduce(devs) + np.add.reduce(
-                weights * (sums / weights - part_mean) ** 2)
-            merged = count + kept
-            delta = part_mean - mean
-            mean += delta * (kept / merged)
-            sq_dev += part_sq + delta * delta * (count * kept / merged)
-            count = merged
+        shift, s1, s2 = None, np.zeros(rows), np.zeros(rows)
+        for num, den, cut, _ in _scan(q, alpha, byte_maps, outcomes, total, rngs, burnin):
+            hv = _entropy_terms(num, den)[:, cut]
+            if shift is None:
+                shift = np.add.reduce(hv, axis=1) / hv.shape[1]
+            hv -= shift[:, None]
+            s1 += np.add.reduce(hv, axis=1)
+            s2 += np.einsum("ij,ij->i", hv, hv)
+        # rounding can leave s2 a hair below s1^2 / N when every term is equal
+        sq_dev = np.maximum(s2 - s1 * s1 / samples, 0.0)
         se = np.sqrt(sq_dev / (samples - 1)) / math.sqrt(samples) if samples > 1 else np.zeros(rows)
-        for (i, _, _), est, err in zip(group, (-mean).tolist(), se.tolist()):
+        for (i, _, _), est, err in zip(group, (-(shift + s1 / samples)).tolist(), se.tolist()):
             out[i] = McEstimate(est, err)
     return out
 
@@ -894,8 +867,9 @@ def entropy_rate_mc(
     The steps run in chunks of at most _MC_CHUNK, so memory stays the same
     however many steps run: each chunk's R and S draws are taken as it
     starts (S from a copy of the generator moved past all R draws, which
-    keeps the stream above), and its entropy terms are folded into a running
-    mean and sum of squared deviations. Since f is odd, V_i = S_1 ... S_i W_i
+    keeps the stream above), and its entropy terms are added into two running
+    sums, of their deviations from the first kept piece's mean and of those
+    deviations' squares. Since f is odd, V_i = S_1 ... S_i W_i
     takes one of two fixed steps, V_i = S_1 ... S_i R_i ln(eta) + f(V_{i-1}),
     and h is even in W, so only the odds x = e^V are needed. In odds each
     step is a Moebius map with a nonnegative 2x2 matrix, and a flag byte of

@@ -141,6 +141,12 @@ class TestVectorBounds:
         skew = markov_joint_pmf(2, 0.2)
         assert vector_upper(skew, 0.11).value > vector_mmse_gerber(skew, 0.11).value + 1e-6
 
+    @pytest.mark.parametrize("bound", [vector_mmse_gerber, vector_upper])
+    def test_rejects_a_non_pmf(self, bound):
+        for pmf in ([0.5, 0.5], np.array([0.5, 0.5]), None):
+            with pytest.raises(DomainError, match="pmf must be an ExplicitPmf"):
+                bound(pmf, 0.1)
+
 
 class TestConditionalVector:
     def test_single_member_reduces_to_plain(self):
@@ -198,6 +204,15 @@ class TestConditionalVector:
                 conditional_vector_mmse_gerber(family, 0.11)
         for family in ([(None, pmf)], [(1.0, pmf), ("x", pmf)]):
             with pytest.raises(DomainError, match="mixture weight must be a real number"):
+                conditional_vector_mmse_gerber(family, 0.11)
+
+    def test_rejects_members_that_are_not_weighted_pmfs(self):
+        pmf = markov_joint_pmf(3, 0.2)
+        for family in (pmf, [pmf], [(1.0,)], [(0.5, pmf, 0.5)], [(0.5, pmf), 0.5]):
+            with pytest.raises(DomainError, match=r"\(weight, pmf\) pairs"):
+                conditional_vector_mmse_gerber(family, 0.11)
+        for family in ([(1.0, [0.5, 0.5])], [(0.5, pmf), (0.5, None)]):
+            with pytest.raises(DomainError, match="mixture member must be an ExplicitPmf"):
                 conditional_vector_mmse_gerber(family, 0.11)
 
 
@@ -260,6 +275,19 @@ class TestMemoryNoise:
     def test_dimension_mismatch(self):
         with pytest.raises(DomainError):
             vector_memory_noise(markov_joint_pmf(3, 0.2), markov_joint_pmf(2, 0.2))
+
+    def test_rejects_a_non_pmf(self):
+        pmf = markov_joint_pmf(2, 0.2)
+        calls = [
+            (lambda: noise_profile([0.5, 0.5], (1,)), "pmf_z"),
+            (lambda: vector_memory_noise(pmf, None), "pmf_z"),
+            (lambda: vector_memory_noise(pmf.weights, pmf), "pmf_x"),
+            (lambda: memory_noise_term(pmf, [0.25] * 4, (1, 2)), "pmf_z"),
+            (lambda: memory_noise_term(None, pmf, (1, 2)), "pmf_x"),
+        ]
+        for call, name in calls:
+            with pytest.raises(DomainError, match=f"{name} must be an ExplicitPmf"):
+                call()
 
 
 class TestSandwiches:

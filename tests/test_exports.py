@@ -1,6 +1,7 @@
 """The package namespace: each public name exported once, no tuning knob
 left on the public functions, no private function that the package itself
-never uses, and the paper's MMSE lemma written out in one place."""
+never uses, the paper's MMSE lemma written out in one place, and the Monte
+Carlo's per-step kernels called from one place each."""
 
 import ast
 import inspect
@@ -75,3 +76,18 @@ def test_the_mmse_lemma_is_written_out_only_in_lift():
             found += [f"{path.stem}.{getattr(node, 'name', None)}: {ast.unparse(sub)}"
                       for sub in ast.walk(node) if _is_lemma(sub)]
     assert found == ["bounds._lift: h + (1.0 - h) * x", "hmm.propagate_llr: q + (1.0 - q) * e"]
+
+
+def test_the_monte_carlo_step_kernels_have_one_caller_each():
+    # pass C2 runs on every kept piece inside _scan, and only _mc_rows turns
+    # its weights into entropy terms
+    kernels = {"_prefix_apply", "_entropy_terms"}
+    found = []
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "bscbounds").glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Call):
+                    name = getattr(sub.func, "id", getattr(sub.func, "attr", None))
+                    if name in kernels:
+                        found.append(f"{path.stem}.{getattr(node, 'name', None)}: {name}")
+    assert sorted(found) == ["hmm._mc_rows: _entropy_terms", "hmm._scan: _prefix_apply"]

@@ -98,6 +98,15 @@ class TestMmseTwoSided:
                 direct = conditional_mmse(pmf, gap + 1, [1, n])
                 assert mmse_two_sided(gap, q) == pytest.approx(direct, abs=1e-10)
 
+    def test_matches_posterior_ratio_form(self):
+        # (P_gap (1 - P_gap))^2 / (P_2gap (1 - P_2gap)) from disagreement_prob
+        for gap in (1, 2, 3, 5, 8, 40, 10**6, 10**400):
+            for q in (1e-300, 1e-17, 1e-9, 0.05, 0.2, 0.45, 0.5):
+                pg = disagreement_prob(gap, q)
+                p2 = disagreement_prob(2 * gap, q)
+                ratio_form = (pg * (1.0 - pg)) ** 2 / (p2 * (1.0 - p2))
+                assert abs(mmse_two_sided(gap, q) - ratio_form) <= 1e-12, (gap, q)
+
     def test_two_sided_beats_one_sided(self):
         for q in (0.05, 0.2):
             assert mmse_two_sided(1, q) < q * (1.0 - q)

@@ -346,6 +346,35 @@ def test_batched_rows_match_single_calls(rows):
         assert got.stderr == pytest.approx(want.stderr, rel=1e-9), p
 
 
+@pytest.mark.parametrize("rows,half", [([(0.1, 0.11)], 40_000),
+                                       ([(q, 0.11) for q in FIG3_QS[::3]], 8_000)],
+                         ids=["R=1", "R=7"])
+def test_first_kept_piece_of_one_step_before_a_chunk_boundary(monkeypatch, rows, half):
+    # 2 * half steps run as two chunks of half steps (one row's chunks hold up
+    # to CHUNK steps, a 7-row group's 9,360), so a burn-in of half - 1 keeps
+    # one step of the first chunk: the shift of the running sums is that
+    # single term, not a piece mean
+    cuts = []
+    real = hmm._scan
+
+    def recorded(*args):
+        for piece in real(*args):
+            cuts.append(piece[2])
+            yield piece
+
+    monkeypatch.setattr(hmm, "_scan", recorded)
+    params = [MarkovHmmParams(q, a) for q, a in rows]
+    seeds = [(6, i) for i in range(len(rows))]
+    burnin = half - 1
+    got = entropy_rate_mc_many(params, half + 1, burnin, seeds)
+    assert cuts[0].stop - cuts[0].start == 1
+    for (q, alpha), seed, (est, se) in zip(rows, seeds, got):
+        want_est, want_se = oracle_estimate(oracle_path(q, alpha, 2 * half, seed), q, alpha,
+                                            burnin)
+        assert abs(est - want_est) <= 1e-12, (q, alpha)
+        assert se == pytest.approx(want_se, rel=1e-9, abs=1e-15), (q, alpha)
+
+
 def test_batched_rows_need_one_seed_each():
     params = [MarkovHmmParams(0.1, 0.11)] * 2
     with pytest.raises(DomainError, match="seeds"):
@@ -359,9 +388,9 @@ def test_half_rate_rows_are_not_simulated(monkeypatch):
     simulated = []
     real = hmm._scan
 
-    def counted(q, alpha, byte_maps, total, rngs):
+    def counted(q, alpha, *rest):
         simulated.extend(zip(q.tolist(), alpha.tolist()))
-        return real(q, alpha, byte_maps, total, rngs)
+        return real(q, alpha, *rest)
 
     monkeypatch.setattr(hmm, "_scan", counted)
     rows = [(0.5, 0.11), (0.1, 0.5), (0.5, 0.5), (0.1, 0.11), (0.5 - 1e-9, 0.11)]
