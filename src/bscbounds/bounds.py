@@ -118,7 +118,7 @@ def vector_mmse_gerber(pmf: ExplicitPmf, alpha: float) -> BoundResult:
     """Per-symbol lower bound on the noisy output entropy H(Y)/n, maximized
     over prediction orders of the clean source."""
     alpha = check_range("alpha", alpha, 0.0, 0.5)
-    worst, order = worst_case_mmse(_check_pmf("pmf", pmf))
+    worst, order = worst_case_mmse(pmf)
     value = scalar_mmse_gerber(alpha, worst / pmf.n)
     return BoundResult(
         "mmse-gerber",
@@ -131,7 +131,7 @@ def vector_upper(pmf: ExplicitPmf, alpha: float) -> BoundResult:
     """Per-symbol upper bound on H(Y)/n from the best prediction order that
     sees only noisy observations of the earlier bits."""
     alpha = check_range("alpha", alpha, 0.0, 0.5)
-    best, order = best_case_mmse_given_output(_check_pmf("pmf", pmf), alpha)
+    best, order = best_case_mmse_given_output(pmf, alpha)
     value = scalar_upper(alpha, best / pmf.n)
     return BoundResult(
         "upper",

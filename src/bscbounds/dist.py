@@ -158,7 +158,7 @@ def _channel_mix(m: np.ndarray, t: int, alpha: float, inner: int = 1) -> np.ndar
 
 def entropy(pmf: ExplicitPmf) -> float:
     """Shannon entropy of the joint law, in bits."""
-    w = pmf.weights
+    w = _check_pmf("pmf", pmf).weights
     pos = w[w > 0.0]
     return float(-(pos * np.log2(pos)).sum())
 
@@ -166,7 +166,7 @@ def entropy(pmf: ExplicitPmf) -> float:
 def _conditional_mmse(pmf: ExplicitPmf, target: int, given: Sequence[int], alpha: float) -> float:
     """E[Var(X_target | X_given, each seen through flip rate alpha)]. At alpha = 0
     the channel mix would leave the table unchanged, so it is skipped."""
-    target = check_int("target", target, 1, pmf.n)
+    target = check_int("target", target, 1, _check_pmf("pmf", pmf).n)
     given = tuple(sorted({check_int("conditioning coordinate", j, 1, pmf.n) for j in given}))
     if target in given:
         raise DomainError(f"target {target} also appears in the conditioning set")
@@ -203,7 +203,8 @@ def mmse_along_permutation(pmf: ExplicitPmf, order: Sequence[int]) -> float:
     orders of a pmf at once. It shares no code with the subset search,
     which validate checks against it.
     """
-    return float(_mmse_along_orders(pmf, [_check_permutation(pmf, order)])[0])
+    order = _check_permutation(_check_pmf("pmf", pmf), order)
+    return float(_mmse_along_orders(pmf, [order])[0])
 
 
 def _mmse_along_orders(pmf: ExplicitPmf, orders: Sequence[Sequence[int]]) -> np.ndarray:
@@ -448,7 +449,7 @@ def worst_case_mmse(pmf: ExplicitPmf) -> tuple[float, tuple[int, ...]]:
     whose every prefix is optimal. Refuses n above EXHAUSTIVE_CAP. The result
     is kept in the pmf's memo, so later calls on the same pmf return it.
     """
-    if "worst" not in pmf._memo:
+    if "worst" not in _check_pmf("pmf", pmf)._memo:
         pmf._memo["worst"] = _best_order(pmf.n, _cost_table(pmf), pick_max=True)
     return pmf._memo["worst"]
 
@@ -462,14 +463,14 @@ def best_case_mmse_given_output(pmf: ExplicitPmf, alpha: float) -> tuple[float, 
     whose every prefix is optimal. Refuses n above EXHAUSTIVE_CAP.
     """
     alpha = check_range("alpha", alpha, 0.0, 0.5)
-    return _best_order(pmf.n, _cost_table(pmf, alpha), pick_max=False)
+    return _best_order(_check_pmf("pmf", pmf).n, _cost_table(pmf, alpha), pick_max=False)
 
 
 def apply_bsc(pmf: ExplicitPmf, alpha: float) -> ExplicitPmf:
     """Law of the output when every coordinate passes through an independent
     symmetric channel with flip rate alpha."""
     alpha = check_range("alpha", alpha, 0.0, 0.5)
-    w = pmf.weights
+    w = _check_pmf("pmf", pmf).weights
     for t in range(pmf.n):
         w = _channel_mix(w, t, alpha)
     return ExplicitPmf(w)
@@ -500,7 +501,7 @@ def greedy_permutation(pmf: ExplicitPmf) -> tuple[int, ...]:
     variance 1/4, and its greedy order starts at coordinate 1. Refuses n
     above EXHAUSTIVE_CAP, like every other order search here.
     """
-    cost = _cost_table(pmf)
+    cost = _cost_table(_check_pmf("pmf", pmf))
     remaining = list(range(pmf.n))
     order: list[int] = []
     mask = 0
@@ -550,7 +551,7 @@ def write_pmf(pmf: ExplicitPmf, path) -> None:
     when a file truncated to zero is closed, and the next truncating open
     waits for it, about 60 ms a file on a 2-core VM. Renaming a temporary
     file over the old one stalled as long."""
-    lines = [str(pmf.n)]
+    lines = [str(_check_pmf("pmf", pmf).n)]
     lines.extend(repr(float(v)) for v in pmf.weights)
     _write_text(path, "\n".join(lines) + "\n")
 

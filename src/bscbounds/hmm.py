@@ -84,8 +84,17 @@ _MAX_POWER = 1 << 1023
 # per-chunk merge (median of 12 alternating runs, 0.725 vs 0.764 s), and 5%
 # slower when a piece's steps were sliced before _entropy_terms (0.761 s).
 # A group's tables take 72 KB a row; groups of 6 to 12 rows ran fig3's 21
-# rows alike, and one group of 21 about 11% slower.
+# rows alike, and one group of 21 about 11% slower. A group's rows draw their
+# uniforms one after another into one pair of buffers of at most _MC_DRAWS
+# doubles, 64 KiB each and so below glibc's 128 KiB mmap threshold, and
+# compare them straight into the flags. Fresh R and S arrays came to 1 MiB a
+# chunk for a single row; the buffers lowered the traced peak of one row of
+# 1M steps from 2.56 to 1.58 MiB and ran it about 5% faster (one AMD EPYC
+# core: 0.0108 against 0.0114 s). fig3's 6- and 7-row groups (chunks of 10,000 and 8,750 steps a
+# row) draw two blocks a chunk, which cost its 20 rows 2-4% in-process
+# (medians 0.0153-0.0168 against 0.0150-0.0162 s over 8 alternating runs).
 _MC_CHUNK = 1 << 16
+_MC_DRAWS = 1 << 13
 _MC_PIECE = 1 << 14
 _MC_BLOCK = 64
 _MC_ROWS = 8
@@ -547,25 +556,31 @@ def _belief_result(params: MarkovHmmParams, star: float | None, floor: float,
     )
 
 
-def _chunked_draws(rng: np.random.Generator, total: int, chunk: int = _MC_CHUNK):
-    """Yield the uniforms behind R and S, `chunk` steps at a time.
+def _chunked_draws(rng: np.random.Generator, total: int, width: int,
+                   r_u: np.ndarray, s_u: np.ndarray):
+    """Yield the uniforms behind R and S, `width` steps a chunk, each chunk
+    in blocks of at most r_u.size written into the buffers r_u and s_u: each
+    block is a view into them that the next one overwrites.
 
     They are the numbers, in order, of rng.random(total) for R followed by
     rng.random(total) for S: S comes from a copy of the bit generator moved
     past the R draws, by PCG64.advance where that skips whole doubles and by
-    drawing otherwise. rng ends where those 2 * total draws leave it.
+    drawing into s_u otherwise. rng ends where those 2 * total draws leave it.
     """
     s_bits = type(rng.bit_generator)()
     s_bits.state = rng.bit_generator.state
     s_rng = np.random.Generator(s_bits)
+    block = r_u.size
     if isinstance(s_bits, (np.random.PCG64, np.random.PCG64DXSM)):
         s_bits.advance(total)
     else:
-        for start in range(0, total, _MC_CHUNK):
-            s_rng.random(min(_MC_CHUNK, total - start))
-    for start in range(0, total, chunk):
-        size = min(chunk, total - start)
-        yield rng.random(size), s_rng.random(size)
+        for start in range(0, total, block):
+            s_rng.random(out=s_u[:min(block, total - start)])
+    for start in range(0, total, width):
+        end = min(start + width, total)
+        for lo in range(start, end, block):
+            size = min(block, end - lo)
+            yield rng.random(out=r_u[:size]), s_rng.random(out=s_u[:size])
     rng.bit_generator.state = s_bits.state
 
 
@@ -654,16 +669,20 @@ def _scan(q: np.ndarray, alpha: np.ndarray, byte_maps: np.ndarray, steps: np.nda
     V_i = sigma_i R_i ln(eta) + f(V_{i-1}), one of two fixed steps, flagged
     where sigma_i R_i = -1. Chunks hold at most _MC_CHUNK steps over all
     rows, split evenly; each row draws from its own generator as
-    _chunked_draws does. The flags are packed 8 to a byte, the last byte
-    padded with steps that are never read, and the odds before every byte
-    come from _byte_odds. The odds and the parity of sigma are carried
-    across chunks, the odds from the chunk's last step.
+    _chunked_draws does, all rows into one pair of buffers. The flags are
+    packed 8 to a byte, the last byte padded with steps that are never read,
+    and the odds before every byte come from _byte_odds. The odds and the
+    parity of sigma are carried across chunks, the odds from the chunk's last
+    step.
     """
     rows = len(rngs)
     piece = max(8, _MC_PIECE // rows)
     chunks = -(-total // max(8, _MC_CHUNK // rows // 8 * 8))
     width = -(-total // (8 * chunks)) * 8
-    draws = [_chunked_draws(rng, total, width) for rng in rngs]
+    # one pair of draw buffers for the group: its rows draw one after another
+    block = min(width, _MC_DRAWS)
+    r_u, s_u = np.empty(block), np.empty(block)
+    draws = [_chunked_draws(rng, total, width, r_u, s_u) for rng in rngs]
     offsets = np.arange(0, 256 * rows, 256)[:, None]
     r_neg = np.empty((rows, width), dtype=bool)
     s_neg = np.empty((rows, width), dtype=bool)
@@ -673,10 +692,12 @@ def _scan(q: np.ndarray, alpha: np.ndarray, byte_maps: np.ndarray, steps: np.nda
     limits = list(zip(alpha.tolist(), q.tolist()))
     for start in range(0, total, width):
         n = min(width, total - start)
-        for (r_u, s_u), (r_lim, s_lim), r_row, s_row in zip(map(next, draws), limits,
-                                                            r_neg, s_neg):
-            np.less(r_u, r_lim, out=r_row[:n])
-            np.less(s_u, s_lim, out=s_row[:n])
+        for draw, (r_lim, s_lim), r_row, s_row in zip(draws, limits, r_neg, s_neg):
+            for lo in range(0, n, block):
+                r_block, s_block = next(draw)
+                hi = lo + r_block.size
+                np.less(r_block, r_lim, out=r_row[lo:hi])
+                np.less(s_block, s_lim, out=s_row[lo:hi])
         # sigma flips with every S flag: its sign bits are a running xor of
         # them, taken within each byte from a table and then across bytes
         # from the bytes' parities, bit 7 of their running xor
@@ -866,10 +887,11 @@ def entropy_rate_mc(
 
     The steps run in chunks of at most _MC_CHUNK, so memory stays the same
     however many steps run: each chunk's R and S draws are taken as it
-    starts (S from a copy of the generator moved past all R draws, which
-    keeps the stream above), and its entropy terms are added into two running
-    sums, of their deviations from the first kept piece's mean and of those
-    deviations' squares. Since f is odd, V_i = S_1 ... S_i W_i
+    starts, into two fixed buffers of at most _MC_DRAWS doubles (S from a
+    copy of the generator moved past all R draws, which keeps the stream
+    above), and its entropy terms are added into two running sums, of their
+    deviations from the first kept piece's mean and of those deviations'
+    squares. Since f is odd, V_i = S_1 ... S_i W_i
     takes one of two fixed steps, V_i = S_1 ... S_i R_i ln(eta) + f(V_{i-1}),
     and h is even in W, so only the odds x = e^V are needed. In odds each
     step is a Moebius map with a nonnegative 2x2 matrix, and a flag byte of
@@ -916,28 +938,52 @@ def exact_conditional_entropy(params: MarkovHmmParams, n: int) -> float:
     """Exact H(Y_n | Y_1..Y_{n-1}) by a forward pass over all output prefixes.
 
     Two arrays carry the joint weight of each prefix with the current source
-    bit; each extension doubles them, so n is capped at 20. n = 1 returns the
-    marginal output entropy, exactly 1 for this symmetric source.
+    bit; each extension doubles them, so n is capped at 20. They are
+    allocated at their final size and extended in place, and the last step
+    reuses the same buffers, so the pass works in about five arrays of
+    2^(n-1) doubles (20 MiB at n = 20). n = 1 returns the marginal output
+    entropy, exactly 1 for this symmetric source.
     """
     n = check_int("n", n, 1, _MAX_WINDOW, DimensionError)
     if n == 1:
         return 1.0
     q, alpha = params.q, params.alpha
+    size = 1 << (n - 1)
     # a0/a1: joint weight of (observed prefix, current source bit = 0 or 1),
-    # newest output bit in the highest index position
-    a0 = np.array([0.5 * (1.0 - alpha), 0.5 * alpha])
-    a1 = np.array([0.5 * alpha, 0.5 * (1.0 - alpha)])
-    for _ in range(n - 2):
-        s0 = a0 * (1.0 - q) + a1 * q
-        s1 = a0 * q + a1 * (1.0 - q)
-        a0 = np.concatenate([s0 * (1.0 - alpha), s0 * alpha])
-        a1 = np.concatenate([s1 * alpha, s1 * (1.0 - alpha)])
-    s0 = a0 * (1.0 - q) + a1 * q
-    s1 = a0 * q + a1 * (1.0 - q)
-    prefix = a0 + a1
-    next_one = s0 * alpha + s1 * (1.0 - alpha)
+    # newest output bit in the highest index position; s0/s1 the same after
+    # the next Markov step
+    a0, a1, s0, s1 = (np.empty(size) for _ in range(4))
+    a0[:2] = 0.5 * (1.0 - alpha), 0.5 * alpha
+    a1[:2] = 0.5 * alpha, 0.5 * (1.0 - alpha)
+    for k in range(1, n - 1):
+        m = 1 << k
+        x0, x1, u0, u1 = a0[:m], a1[:m], s0[:m], s1[:m]
+        # s0 = a0 (1 - q) + a1 q and s1 = a0 q + a1 (1 - q), a1's free half
+        # holding a product
+        np.add(np.multiply(x0, 1.0 - q, out=u0), np.multiply(x1, q, out=u1), out=u0)
+        np.add(np.multiply(x0, q, out=u1), np.multiply(x1, 1.0 - q, out=a1[m:2 * m]), out=u1)
+        # a0 = [s0 (1 - alpha), s0 alpha], a1 = [s1 alpha, s1 (1 - alpha)]
+        np.multiply(u0, 1.0 - alpha, out=x0)
+        np.multiply(u0, alpha, out=a0[m:2 * m])
+        np.multiply(u1, alpha, out=x1)
+        np.multiply(u1, 1.0 - alpha, out=a1[m:2 * m])
+    # the last step: the prefix weight a0 + a1 and the next output's weight
+    # s0 alpha + s1 (1 - alpha)
+    np.add(np.multiply(a0, 1.0 - q, out=s0), np.multiply(a1, q, out=s1), out=s0)
+    np.multiply(a0, q, out=s1)
+    prefix = np.add(a0, a1, out=a0)
+    s1 += np.multiply(a1, 1.0 - q, out=a1)
+    s0 *= alpha
+    next_one = np.add(s0, np.multiply(s1, 1.0 - alpha, out=s1), out=s0)
     mask = prefix > 0.0
-    cond = next_one[mask] / prefix[mask]
+    if mask.all():
+        weight, cond = prefix, np.divide(next_one, prefix, out=next_one)
+    else:
+        # zero-mass prefixes drop out, also from the sum's pairwise grouping
+        weight = prefix[mask]
+        cond = next_one[mask] / weight
+    terms = _entropy_vec(cond, out=s1[:cond.size])
+    terms *= weight
     # the prefix weights sum to 1 only up to rounding, which can lift the
     # result past 1 near alpha = 1/2
-    return min(1.0, float((prefix[mask] * _entropy_vec(cond)).sum()))
+    return min(1.0, float(terms.sum()))

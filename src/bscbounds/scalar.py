@@ -40,13 +40,26 @@ def _h(p: float) -> float:
     return -(p * math.log2(p) + (1.0 - p) * math.log1p(-p) / _LN2)
 
 
-def _entropy_vec(p: np.ndarray) -> np.ndarray:
-    # vectorized binary_entropy with the same endpoint convention
+def _entropy_vec(p: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    # vectorized binary_entropy with the same endpoint convention. Given
+    # `out`, an array of p's shape other than p, h goes there and p serves as
+    # scratch, so that one float array of p's size is all it allocates
     p = np.asarray(p, dtype=float)
-    out = np.zeros_like(p)
+    if out is None:
+        p, out = p.copy(), np.empty_like(p)
     inner = (p > 0.0) & (p < 1.0)
-    pi = p[inner]
-    out[inner] = -(pi * np.log2(pi) + (1.0 - pi) * np.log1p(-pi) / _LN2)
+    scratch = np.empty_like(p)
+    # -(p log2(p) + (1 - p) log1p(-p) / ln 2) inside (0, 1), 0 elsewhere
+    np.log2(p, out=out, where=inner)
+    np.multiply(p, out, out=out, where=inner)
+    np.negative(p, out=scratch, where=inner)
+    np.log1p(scratch, out=scratch, where=inner)
+    np.subtract(1.0, p, out=p, where=inner)
+    np.multiply(p, scratch, out=scratch, where=inner)
+    np.divide(scratch, _LN2, out=scratch, where=inner)
+    np.add(out, scratch, out=out, where=inner)
+    np.negative(out, out=out, where=inner)
+    out[~inner] = 0.0
     return out
 
 

@@ -597,6 +597,19 @@ PASS belief-bound-below-simulation    worst_slack= 1.008e-03  (alpha=0.25 q=0.45
         assert all(r.passed for r in results)
         assert peak < 16 * 2**20
 
+    def test_hmm_suite_peak_memory(self):
+        # with its real simulations; numpy.random, which loads lazily on first
+        # use (about 0.7 MiB), is loaded before tracing starts
+        np.random.default_rng(0)
+        tracemalloc.start()
+        try:
+            results = validate.run_suite("hmm", seed=0, budget=500)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert all(r.passed for r in results)
+        assert peak <= 2.5 * 2**20
+
     def test_unknown_suite_rejected_by_parser(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["validate", "nosuch"])

@@ -96,6 +96,34 @@ class TestExplicitPmf:
             assert worst_case_mmse(twin) == worst
 
 
+PMF_TAKERS = {
+    "entropy": entropy,
+    "apply_bsc": lambda pmf: apply_bsc(pmf, 0.1),
+    "worst_case_mmse": worst_case_mmse,
+    "best_case_mmse_given_output": lambda pmf: best_case_mmse_given_output(pmf, 0.1),
+    "greedy_permutation": greedy_permutation,
+    "conditional_mmse": lambda pmf: conditional_mmse(pmf, 1),
+    "noisy_conditional_mmse": lambda pmf: noisy_conditional_mmse(pmf, 1, [2], 0.1),
+    "mmse_along_permutation": lambda pmf: mmse_along_permutation(pmf, (1, 2)),
+}
+
+
+@pytest.mark.parametrize("call", PMF_TAKERS.values(), ids=PMF_TAKERS.keys())
+@pytest.mark.parametrize("bad", [[0.5, 0.5], None, np.full(4, 0.25)],
+                         ids=["list", "none", "array"])
+def test_pmf_functions_refuse_non_pmfs(call, bad):
+    with pytest.raises(DomainError, match="pmf must be an ExplicitPmf"):
+        call(bad)
+
+
+@pytest.mark.parametrize("bad", [[0.5, 0.5], None], ids=["list", "none"])
+def test_write_pmf_refuses_a_non_pmf_and_writes_nothing(tmp_path, bad):
+    path = tmp_path / "bad.pmf"
+    with pytest.raises(DomainError, match="pmf must be an ExplicitPmf"):
+        write_pmf(bad, str(path))
+    assert not path.exists()
+
+
 class TestEntropy:
     def test_uniform_and_point_mass(self):
         assert entropy(ExplicitPmf([0.25] * 4)) == pytest.approx(2.0, abs=1e-12)

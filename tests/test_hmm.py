@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -747,6 +748,58 @@ class TestEntropyRateMc:
             entropy_rate_mc(params, 0)
         with pytest.raises(DomainError):
             entropy_rate_mc(params, 100, burnin=-1)
+
+
+WINDOW_RATES = (0.0, 5e-324, 1e-300, 1e-30, 1e-9, 0.0025, 0.05, 0.11, 0.3, 0.4999999, 0.5)
+
+
+def concatenating_windows(q, alpha, top):
+    """exact_conditional_entropy for n = 1 .. top in one forward pass that
+    doubles its arrays with np.concatenate at every step, as the window was
+    computed before it ran in fixed buffers; kept as the oracle."""
+    a0 = np.array([0.5 * (1.0 - alpha), 0.5 * alpha])
+    a1 = np.array([0.5 * alpha, 0.5 * (1.0 - alpha)])
+    out = [1.0]
+    for n in range(2, top + 1):
+        if n > 2:
+            s0 = a0 * (1.0 - q) + a1 * q
+            s1 = a0 * q + a1 * (1.0 - q)
+            a0 = np.concatenate([s0 * (1.0 - alpha), s0 * alpha])
+            a1 = np.concatenate([s1 * alpha, s1 * (1.0 - alpha)])
+        s0 = a0 * (1.0 - q) + a1 * q
+        s1 = a0 * q + a1 * (1.0 - q)
+        prefix = a0 + a1
+        next_one = s0 * alpha + s1 * (1.0 - alpha)
+        mask = prefix > 0.0
+        cond = next_one[mask] / prefix[mask]
+        h = np.zeros_like(cond)
+        inner = (cond > 0.0) & (cond < 1.0)
+        p = cond[inner]
+        h[inner] = -(p * np.log2(p) + (1.0 - p) * np.log1p(-p) / math.log(2.0))
+        out.append(min(1.0, float((prefix[mask] * h).sum())))
+    return out
+
+
+@pytest.mark.parametrize("q", WINDOW_RATES)
+def test_window_equals_the_concatenating_pass(q):
+    for alpha in WINDOW_RATES:
+        params = MarkovHmmParams(q, alpha)
+        got = [exact_conditional_entropy(params, n) for n in range(1, 21)]
+        assert got == concatenating_windows(q, alpha, 20), alpha
+
+
+@pytest.mark.parametrize("n, mib", [(16, 1.5), (20, 24)])
+def test_window_peak_memory(n, mib):
+    # the concatenating pass peaked at about 7 times its final arrays:
+    # 3.56 MiB at n = 16 and 57.0 MiB at n = 20
+    params = MarkovHmmParams(0.1, 0.11)
+    tracemalloc.start()
+    try:
+        exact_conditional_entropy(params, n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= mib * 2**20
 
 
 class TestExactConditionalEntropy:

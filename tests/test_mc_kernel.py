@@ -231,8 +231,10 @@ def test_float64_loop_drifts_where_the_kernel_does_not():
 @pytest.mark.parametrize("total", [1, CHUNK, 2 * CHUNK + 5])
 def test_chunked_draws_equal_all_at_once(make, total):
     rng = make(4)
-    chunks = list(hmm._chunked_draws(rng, total))
-    assert all(r.size <= CHUNK for r, _ in chunks)
+    r_u, s_u = np.empty(hmm._MC_DRAWS), np.empty(hmm._MC_DRAWS)
+    # each block is a view into the buffers that the next one overwrites
+    chunks = [(r.copy(), s.copy()) for r, s in hmm._chunked_draws(rng, total, CHUNK, r_u, s_u)]
+    assert all(r.size <= r_u.size for r, _ in chunks)
     old = make(4)
     r_all, s_all = old.random(total), old.random(total)
     assert np.array_equal(np.concatenate([r for r, _ in chunks]), r_all)
@@ -258,6 +260,33 @@ def test_peak_memory_is_bounded_by_the_chunk():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
+
+
+def _traced_peak(run):
+    # numpy.random loads lazily on its first use, about 0.7 MiB of module
+    # objects; loading it first keeps the peak independent of test order
+    np.random.default_rng(0)
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_single_row_draws_into_fixed_buffers():
+    # a single row's chunk is 65,536 steps: fresh R and S arrays for it came
+    # to 1 MiB a chunk, against two 64 KiB buffers reused for every chunk
+    params = MarkovHmmParams(0.1, 0.11)
+    assert _traced_peak(lambda: entropy_rate_mc(params, 1_000_000, burnin=0)) <= 2 * 2**20
+
+
+def test_odds_path_draws_into_fixed_buffers():
+    def run():
+        for _ in hmm._odds_path(0.1, 0.11, 1_000_000, np.random.default_rng(0)):
+            pass
+
+    assert _traced_peak(run) <= 2 * 2**20
 
 
 # numpy's vectorised exp can differ from math.exp by one ulp. That moves the
