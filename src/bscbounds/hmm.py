@@ -83,16 +83,18 @@ _MAX_POWER = 1 << 1023
 # go straight into two running sums a row: fig3's default rows ran as with a
 # per-chunk merge (median of 12 alternating runs, 0.725 vs 0.764 s), and 5%
 # slower when a piece's steps were sliced before _entropy_terms (0.761 s).
-# A group's tables take 72 KB a row; groups of 6 to 12 rows ran fig3's 21
-# rows alike, and one group of 21 about 11% slower. A group's rows draw their
-# uniforms one after another into one pair of buffers of at most _MC_DRAWS
-# doubles, 64 KiB each and so below glibc's 128 KiB mmap threshold, and
-# compare them straight into the flags. Fresh R and S arrays came to 1 MiB a
-# chunk for a single row; the buffers lowered the traced peak of one row of
-# 1M steps from 2.56 to 1.58 MiB and ran it about 5% faster (one AMD EPYC
-# core: 0.0108 against 0.0114 s). fig3's 6- and 7-row groups (chunks of 10,000 and 8,750 steps a
-# row) draw two blocks a chunk, which cost its 20 rows 2-4% in-process
-# (medians 0.0153-0.0168 against 0.0150-0.0162 s over 8 alternating runs).
+# A group's tables, _row_tables(..., m), take 72 KB a row; groups of 6 to 12
+# rows ran fig3's 21 rows alike, and one group of 21 about 11% slower. A
+# group's rows draw their uniforms, R from their generators and S from their
+# _s_stream copies, one after another into one pair of buffers of at most
+# _MC_DRAWS doubles, 64 KiB each and so below glibc's 128 KiB mmap threshold,
+# and compare them straight into the flags. Fresh R and S arrays came to
+# 1 MiB a chunk for a single row; the buffers lowered the traced peak of one
+# row of 1M steps from 2.56 to 1.58 MiB and ran it about 5% faster (one AMD
+# EPYC core: 0.0108 against 0.0114 s). fig3's 6- and 7-row groups (chunks of
+# 10,000 and 8,750 steps a row) draw two blocks a chunk, which cost its 20
+# rows 2-4% in-process (medians 0.0153-0.0168 against 0.0150-0.0162 s over 8
+# alternating runs).
 _MC_CHUNK = 1 << 16
 _MC_DRAWS = 1 << 13
 _MC_PIECE = 1 << 14
@@ -192,8 +194,8 @@ def series_mmse(q: float) -> float:
 
 def markov_series_bound(params: MarkovHmmParams) -> BoundResult:
     """Entropy-rate lower bound h(alpha) + (1 - h(alpha)) * series_mmse(q)."""
-    value = _lift(_h(params.alpha), series_mmse(params.q))
-    return BoundResult("theorem5", value, {"alpha": params.alpha, "q": params.q})
+    q, alpha = _check_params(params)
+    return BoundResult("theorem5", _lift(_h(alpha), series_mmse(q)), {"alpha": alpha, "q": q})
 
 
 def crossing_q(alpha: float) -> float:
@@ -252,13 +254,14 @@ def cover_thomas_ceiling(params: MarkovHmmParams, m: int = 1) -> float:
     itself an upper bound on the entropy rate: it grows with m toward 1.
     """
     m = check_int("m", m, 1)
-    return _h(_conv(disagreement_prob(m, params.q), params.alpha))
+    q, alpha = _check_params(params)
+    return _h(_conv(disagreement_prob(m, q), alpha))
 
 
 def rare_transition_baseline(params: MarkovHmmParams) -> float:
     """Comparison baseline h(alpha) - ((1-2 alpha)^2 / (1-alpha)) q log2(q),
     accurate in the rare-transition regime; continuous value h(alpha) at q=0."""
-    q, alpha = params.q, params.alpha
+    q, alpha = _check_params(params)
     ha = _h(alpha)
     if q == 0.0:
         return ha
@@ -288,8 +291,14 @@ def propagate_llr(t: float, q: float) -> float:
     return -val if t < 0.0 else val
 
 
+def _check_params(params: MarkovHmmParams) -> tuple[float, float]:
+    if not isinstance(params, MarkovHmmParams):
+        raise DomainError(f"params must be a MarkovHmmParams, got {type(params).__name__}")
+    return params.q, params.alpha
+
+
 def _positive_rates(params: MarkovHmmParams) -> tuple[float, float]:
-    q, alpha = params.q, params.alpha
+    q, alpha = _check_params(params)
     if q <= 0.0 or alpha <= 0.0:
         raise DomainError("q and alpha must both be positive for the belief recursion")
     return q, alpha
@@ -533,7 +542,7 @@ def belief_bound(params: MarkovHmmParams, variant: str = "factor4") -> BoundResu
     """
     if variant not in _BELIEF_FACTORS:
         raise DomainError(f"variant must be 'factor4' or 'printed', got {variant!r}")
-    q, alpha = params.q, params.alpha
+    q, alpha = _check_params(params)
     if q == 0.0 or alpha == 0.0:
         # m is alpha or q exactly, and the floor of 0 leaves h(m)
         star, floor = None, 0.0
@@ -556,47 +565,39 @@ def _belief_result(params: MarkovHmmParams, star: float | None, floor: float,
     )
 
 
-def _chunked_draws(rng: np.random.Generator, total: int, width: int,
-                   r_u: np.ndarray, s_u: np.ndarray):
-    """Yield the uniforms behind R and S, `width` steps a chunk, each chunk
-    in blocks of at most r_u.size written into the buffers r_u and s_u: each
-    block is a view into them that the next one overwrites.
-
-    They are the numbers, in order, of rng.random(total) for R followed by
-    rng.random(total) for S: S comes from a copy of the bit generator moved
-    past the R draws, by PCG64.advance where that skips whole doubles and by
-    drawing into s_u otherwise. rng ends where those 2 * total draws leave it.
-    """
+def _s_stream(rng: np.random.Generator, total: int, buf: np.ndarray) -> np.random.Generator:
+    """The generator of the S uniforms of a run of `total` steps from rng: a
+    copy of its bit generator moved past the `total` R draws, by
+    PCG64.advance where that skips whole doubles and by drawing them into buf
+    otherwise, so that R and S are the numbers of rng.random(total) followed
+    by rng.random(total). rng itself does not move."""
     s_bits = type(rng.bit_generator)()
     s_bits.state = rng.bit_generator.state
     s_rng = np.random.Generator(s_bits)
-    block = r_u.size
     if isinstance(s_bits, (np.random.PCG64, np.random.PCG64DXSM)):
         s_bits.advance(total)
     else:
-        for start in range(0, total, block):
-            s_rng.random(out=s_u[:min(block, total - start)])
-    for start in range(0, total, width):
-        end = min(start + width, total)
-        for lo in range(start, end, block):
-            size = min(block, end - lo)
-            yield rng.random(out=r_u[:size]), s_rng.random(out=s_u[:size])
-    rng.bit_generator.state = s_bits.state
+        for start in range(0, total, buf.size):
+            s_rng.random(out=buf[:min(buf.size, total - start)])
+    return s_rng
 
 
-def _byte_maps(q, alpha) -> np.ndarray:
-    """The odds maps of every flag byte and of each of its prefixes, for
-    rates q and alpha (floats, or arrays of one shape, every pair in one
-    broadcast pass), shape (4, *q's shape, 256, 8).
+def _row_tables(q: np.ndarray, alpha: np.ndarray,
+                m: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The tables of a lockstep group with rates q and alpha (arrays of one
+    shape (rows,)): the 8-step map [[a, b], [c, d]] of every flag byte, shape
+    (2, 2, rows * 256), for _byte_odds, and the prefix tables that
+    _prefix_apply reads, shape (4, rows * 256, 8), folded at channel rate m
+    (a float, or an array of shape (rows,)); row r's bytes sit at r * 256.
 
     A step takes the odds x = e^V to (a x + b)/(c x + d), the Moebius map of
     D Q, with Q the Markov matrix and D = diag(eta, 1), or diag(1, eta) on a
     flagged step (the same map as diag(1/eta, 1), without rounding 1/eta).
-    Entries [:, ..., byte, k] hold (a, b, c, d) of steps 0..k of the byte,
-    step j flagged by bit j (little-endian, as np.packbits(...,
-    bitorder="little") packs them), scaled so that the largest is 1. Prefix k
-    depends on the low k+1 bits only, so it is built on 2^(k+1) bytes and
-    broadcast.
+    Prefix k of a byte holds (a, b, c, d) of its steps 0..k, step j flagged
+    by bit j (little-endian, as np.packbits(..., bitorder="little") packs
+    them), scaled so that the largest is 1. It depends on the low k+1 bits
+    only, so it is built on 2^(k+1) bytes and broadcast; the byte map is
+    prefix 7.
 
     All entries are positive, so the products lose nothing to cancellation.
     Unscaled they stay within [q^8, eta^8], inside 1e+-64 for any rate above
@@ -607,13 +608,18 @@ def _byte_maps(q, alpha) -> np.ndarray:
     swaps the two steps. Where V stays near 0 and hardly contracts (q small,
     alpha near 1/2), rounding errors then cancel between complementary bytes
     instead of adding up over a chunk as a bias.
+
+    The prefix map of step k applied to the odds x before its byte gives
+    (1-m)(a x + b) + m (c x + d) and m (a x + b) + (1-m)(c x + d), which is
+    (A1 x + B1, A2 x + B2) for the entries
+    (A1, B1, A2, B2) = ((1-m)a + mc, (1-m)b + md, ma + (1-m)c, mb + (1-m)d),
+    folded in place. With m = alpha * q these are the next output's two
+    weights; m = 0 leaves (a, b, c, d) exactly, the odds' numerator and
+    denominator.
     """
-    shape = np.shape(q)
-    q = np.asarray(q, dtype=float).reshape(-1, 1)
-    alpha = np.asarray(alpha, dtype=float).reshape(-1, 1)
-    rows = q.shape[0]
-    eta = (1.0 - alpha) / alpha
-    cq = 1.0 - q
+    rows = q.size
+    eta = (1.0 - alpha[:, None]) / alpha[:, None]
+    q, cq = q[:, None], 1.0 - q[:, None]
     # steps[row, flag, i, j]: [[a, b], [c, d]] of the plain and the flagged step
     steps = np.hstack((eta * cq, eta * q, q, cq, cq, q, eta * q, eta * cq)).reshape(rows, 2, 2, 2)
     table = np.empty((4, rows, 256, 8))
@@ -626,26 +632,8 @@ def _byte_maps(q, alpha) -> np.ndarray:
         table.reshape(4, rows, 128 >> k, 2 << k, 8)[..., k] = (
             maps.reshape(rows, 2 << k, 4).transpose(2, 0, 1)[:, :, None])
     table /= table.max(axis=0)
-    return table.reshape(4, *shape, 256, 8)
-
-
-def _row_tables(q: np.ndarray, alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The tables of a lockstep group: the 8-step map [[a, b], [c, d]] of
-    every flag byte, shape (2, 2, rows * 256), for _byte_odds, and the
-    outcome tables that _prefix_apply reads for _entropy_terms, shape
-    (4, rows * 256, 8); row r's bytes sit at r * 256.
-
-    With m = alpha * q, the prefix map of step k applied to the odds x before
-    its byte predicts the next output's two values with weights
-    (1-m)(a x + b) + m (c x + d) and m (a x + b) + (1-m)(c x + d), which is
-    (A1 x + B1, A2 x + B2) for the outcome entries
-    (A1, B1, A2, B2) = ((1-m)a + mc, (1-m)b + md, ma + (1-m)c, mb + (1-m)d),
-    written over the byte maps' prefix table in place.
-    """
-    table = _byte_maps(q, alpha)
-    rows = q.size
     byte_maps = table[..., 7].reshape(2, 2, rows * 256).copy()
-    m = _conv(alpha, q)[:, None, None]
+    m = np.reshape(m, (-1, 1, 1))
     for u, v in ((table[0], table[2]), (table[1], table[3])):
         first = u * (1.0 - m)
         first += v * m
@@ -655,47 +643,55 @@ def _row_tables(q: np.ndarray, alpha: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return byte_maps, table.reshape(4, rows * 256, 8)
 
 
-def _scan(q: np.ndarray, alpha: np.ndarray, byte_maps: np.ndarray, steps: np.ndarray,
-          total: int, rngs: list, skip: int):
+def _scan(q: np.ndarray, alpha: np.ndarray, m: float | np.ndarray, total: int, rngs: list,
+          skip: int):
     """Run the belief recursion of every row from W_0 = 0 for `total` steps,
     the rows in lockstep, and yield steps skip + 1 .. total in pieces of at
     most max(8, _MC_PIECE // rows) steps a row, each as (num, den, cut,
-    flips): pass C2 (_prefix_apply) on the table `steps` over the piece's
-    whole flag bytes, shape (rows, bytes, 8), the slice of the piece's own
-    steps in those bytes' steps, and the bytes' signs of sigma (bit j set
-    where sigma = -1 at the byte's step j).
+    flips): pass C2 (_prefix_apply) on the prefix tables of _row_tables(q,
+    alpha, m) over the piece's whole flag bytes, shape (rows, bytes, 8), the
+    slice of the piece's own steps in those bytes' steps, and the bytes'
+    signs of sigma (bit j set where sigma = -1 at the byte's step j).
 
     Since f is odd, V_i = sigma_i W_i, with sigma_i = S_1 ... S_i, obeys
     V_i = sigma_i R_i ln(eta) + f(V_{i-1}), one of two fixed steps, flagged
     where sigma_i R_i = -1. Chunks hold at most _MC_CHUNK steps over all
-    rows, split evenly; each row draws from its own generator as
-    _chunked_draws does, all rows into one pair of buffers. The flags are
+    rows, split evenly. Row r draws R from rngs[r] and S from its _s_stream,
+    taken at the row's first draw, all rows into one pair of buffers; rngs[r]
+    is left where the S draws end once the last chunk is drawn. The flags are
     packed 8 to a byte, the last byte padded with steps that are never read,
     and the odds before every byte come from _byte_odds. The odds and the
     parity of sigma are carried across chunks, the odds from the chunk's last
     step.
     """
     rows = len(rngs)
+    byte_maps, steps = _row_tables(q, alpha, m)
     piece = max(8, _MC_PIECE // rows)
     chunks = -(-total // max(8, _MC_CHUNK // rows // 8 * 8))
     width = -(-total // (8 * chunks)) * 8
     # one pair of draw buffers for the group: its rows draw one after another
     block = min(width, _MC_DRAWS)
     r_u, s_u = np.empty(block), np.empty(block)
-    draws = [_chunked_draws(rng, total, width, r_u, s_u) for rng in rngs]
+    s_rngs = []
     offsets = np.arange(0, 256 * rows, 256)[:, None]
     r_neg = np.empty((rows, width), dtype=bool)
     s_neg = np.empty((rows, width), dtype=bool)
     x = np.ones(rows)
     odd = np.zeros((rows, 1), dtype=bool)
     # Python floats: comparing with a numpy scalar costs several times more
-    limits = list(zip(alpha.tolist(), q.tolist()))
+    r_lims, s_lims = alpha.tolist(), q.tolist()
     for start in range(0, total, width):
         n = min(width, total - start)
-        for draw, (r_lim, s_lim), r_row, s_row in zip(draws, limits, r_neg, s_neg):
+        for k, (rng, r_row, s_row) in enumerate(zip(rngs, r_neg, s_neg)):
+            if not start:
+                # taken after the rows before it drew their first chunk, so a
+                # Generator that several rows share keeps its draw order
+                s_rngs.append(_s_stream(rng, total, s_u))
+            s_rng, r_lim, s_lim = s_rngs[k], r_lims[k], s_lims[k]
             for lo in range(0, n, block):
-                r_block, s_block = next(draw)
-                hi = lo + r_block.size
+                hi = min(lo + block, n)
+                r_block = rng.random(out=r_u[:hi - lo])
+                s_block = s_rng.random(out=s_u[:hi - lo])
                 np.less(r_block, r_lim, out=r_row[lo:hi])
                 np.less(s_block, s_lim, out=s_row[lo:hi])
         # sigma flips with every S flag: its sign bits are a running xor of
@@ -714,8 +710,8 @@ def _scan(q: np.ndarray, alpha: np.ndarray, byte_maps: np.ndarray, steps: np.nda
             first, end = lo // 8, -(-hi // 8)
             num, den = _prefix_apply(steps, index[:, first:end], odds[:, first:end])
             yield num, den, slice(lo - 8 * first, hi - 8 * first), flipped[:, first:end]
-    for draw in draws:
-        next(draw, None)
+    for rng, s_rng in zip(rngs, s_rngs):
+        rng.bit_generator.state = s_rng.bit_generator.state
 
 
 def _byte_odds(byte_maps: np.ndarray, index: np.ndarray,
@@ -781,8 +777,8 @@ def _prefix_apply(table: np.ndarray, index: np.ndarray,
     """Pass C2: (A x + B, C x + D) at every step of the flag bytes `index`
     of _scan, shape (*index.shape, 8), with (A, B, C, D) the step's entry in
     `table` (4, entries, 8) and x the odds before its byte: the odds'
-    numerator and denominator on _byte_maps' prefix table, the next output's
-    two weights on _row_tables' outcome tables."""
+    numerator and denominator on the prefix tables of _row_tables(..., 0),
+    the next output's two weights on those of _row_tables(..., alpha * q)."""
     x = np.repeat(x, 8, axis=-1).reshape(*index.shape, 8)
     num = table[0].take(index, axis=0)
     num *= x
@@ -811,12 +807,10 @@ def _entropy_terms(p: np.ndarray, p_c: np.ndarray) -> np.ndarray:
 
 def _odds_path(q: float, alpha: float, total: int, rng: np.random.Generator):
     """Yield (x, flipped) for steps 1 .. total of one row, in _scan's pieces:
-    x is the odds e^V of V_i = sigma_i W_i (pass C2 on _byte_maps' prefix
-    table) and flipped marks sigma_i = -1."""
-    q, alpha = np.array([q]), np.array([alpha])
-    table = _byte_maps(q, alpha)
-    byte_maps = table[..., 7].reshape(2, 2, 256)
-    for num, den, cut, flips in _scan(q, alpha, byte_maps, table[:, 0], total, [rng], 0):
+    x is the odds e^V of V_i = sigma_i W_i (pass C2 on the prefix tables of
+    _row_tables(..., 0), the odds' numerator and denominator) and flipped
+    marks sigma_i = -1."""
+    for num, den, cut, flips in _scan(np.array([q]), np.array([alpha]), 0.0, total, [rng], 0):
         num /= den
         yield num.reshape(-1)[cut], np.unpackbits(flips[0], bitorder="little").view(bool)[cut]
 
@@ -838,6 +832,7 @@ def _mc_rows(params_seq: list, samples: int, burnin: int, seeds: list) -> list[M
     out: list[McEstimate | None] = []
     live = []
     for params, seed in zip(params_seq, seeds):
+        _check_params(params)
         if params.alpha <= _TINY_RATE:
             out.append(McEstimate(_h(params.q), 0.0))
         elif params.q <= _TINY_RATE:
@@ -855,10 +850,9 @@ def _mc_rows(params_seq: list, samples: int, burnin: int, seeds: list) -> list[M
         rows = len(group)
         q = np.array([params.q for _, params, _ in group])
         alpha = np.array([params.alpha for _, params, _ in group])
-        byte_maps, outcomes = _row_tables(q, alpha)
         rngs = [np.random.default_rng(seed) for _, _, seed in group]
         shift, s1, s2 = None, np.zeros(rows), np.zeros(rows)
-        for num, den, cut, _ in _scan(q, alpha, byte_maps, outcomes, total, rngs, burnin):
+        for num, den, cut, _ in _scan(q, alpha, _conv(alpha, q), total, rngs, burnin):
             hv = _entropy_terms(num, den)[:, cut]
             if shift is None:
                 shift = np.add.reduce(hv, axis=1) / hv.shape[1]
@@ -887,22 +881,22 @@ def entropy_rate_mc(
 
     The steps run in chunks of at most _MC_CHUNK, so memory stays the same
     however many steps run: each chunk's R and S draws are taken as it
-    starts, into two fixed buffers of at most _MC_DRAWS doubles (S from a
-    copy of the generator moved past all R draws, which keeps the stream
-    above), and its entropy terms are added into two running sums, of their
-    deviations from the first kept piece's mean and of those deviations'
-    squares. Since f is odd, V_i = S_1 ... S_i W_i
-    takes one of two fixed steps, V_i = S_1 ... S_i R_i ln(eta) + f(V_{i-1}),
-    and h is even in W, so only the odds x = e^V are needed. In odds each
+    starts, into two fixed buffers of at most _MC_DRAWS doubles (S from
+    _s_stream, a copy of the generator moved past all R draws, which keeps
+    the stream above), and its entropy terms are added into two running
+    sums, of their deviations from the first kept piece's mean and of those
+    deviations' squares. Since f is odd, V_i = S_1 ... S_i W_i takes one of
+    two fixed steps, V_i = S_1 ... S_i R_i ln(eta) + f(V_{i-1}), and h is
+    even in W, so only the odds x = e^V are needed. In odds each
     step is a Moebius map with a nonnegative 2x2 matrix, and a flag byte of
     8 steps one of 256 fixed maps: one table per (q, alpha) holds them and
-    their prefixes (_byte_maps). The chunk runs as a byte-table scan (_scan,
+    their prefixes (_row_tables). The chunk runs as a byte-table scan (_scan,
     _byte_odds): the maps of byte pairs, pairs of pairs and whole blocks are
     multiplied out, the block maps are composed across the blocks by
     doubling, and the odds before every byte are read off them on the way
-    back down. Each step's two output weights come from outcome tables
-    folded from its byte's prefix maps (_row_tables) at the odds before the
-    byte (_prefix_apply), with no per-step odds, exp or log1p. This kernel
+    back down. Each step's two output weights come from its byte's prefix
+    maps folded at m = alpha * q (_row_tables(..., m)) at the odds before
+    the byte (_prefix_apply), with no per-step odds, exp or log1p. This kernel
     (_mc_rows) is the one entropy_rate_mc_many runs on many rows at once.
 
     The reported stderr uses the i.i.d. formula; consecutive W values are
@@ -945,9 +939,9 @@ def exact_conditional_entropy(params: MarkovHmmParams, n: int) -> float:
     entropy, exactly 1 for this symmetric source.
     """
     n = check_int("n", n, 1, _MAX_WINDOW, DimensionError)
+    q, alpha = _check_params(params)
     if n == 1:
         return 1.0
-    q, alpha = params.q, params.alpha
     size = 1 << (n - 1)
     # a0/a1: joint weight of (observed prefix, current source bit = 0 or 1),
     # newest output bit in the highest index position; s0/s1 the same after

@@ -40,13 +40,10 @@ def _h(p: float) -> float:
     return -(p * math.log2(p) + (1.0 - p) * math.log1p(-p) / _LN2)
 
 
-def _entropy_vec(p: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    # vectorized binary_entropy with the same endpoint convention. Given
-    # `out`, an array of p's shape other than p, h goes there and p serves as
+def _entropy_vec(p: np.ndarray, out: np.ndarray) -> np.ndarray:
+    # vectorized binary_entropy with the same endpoint convention: h goes to
+    # `out`, a float array of p's shape other than p, and p serves as
     # scratch, so that one float array of p's size is all it allocates
-    p = np.asarray(p, dtype=float)
-    if out is None:
-        p, out = p.copy(), np.empty_like(p)
     inner = (p > 0.0) & (p < 1.0)
     scratch = np.empty_like(p)
     # -(p log2(p) + (1 - p) log1p(-p) / ln 2) inside (0, 1), 0 elsewhere

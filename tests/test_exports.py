@@ -1,7 +1,8 @@
 """The package namespace: each public name exported once, no tuning knob
 left on the public functions, no private function that the package itself
-never uses, the paper's MMSE lemma written out in one place, and the Monte
-Carlo's per-step kernels called from one place each."""
+never uses, no private default that only the tests rely on, the paper's MMSE
+lemma written out in one place, and the Monte Carlo's per-step kernels called
+from one place each."""
 
 import ast
 import inspect
@@ -45,6 +46,42 @@ def test_every_private_function_is_used_in_the_package():
     assert private
     assert [f"{m}.{f}" for m, f in private if not users.get(f, set()) - {(m, f)}] == []
 
+
+
+def _leaves_out(call, index, name):
+    """Whether a call leaves the parameter `name` to its default: not passed
+    by keyword or through **kwargs, nor by position (index None: keyword-only)
+    or through *args."""
+    if any(kw.arg in (name, None) for kw in call.keywords):
+        return False
+    return index is None or (len(call.args) <= index
+                             and not any(isinstance(a, ast.Starred) for a in call.args))
+
+
+def test_every_private_default_is_left_out_by_a_package_call():
+    # a default that only the tests rely on keeps a second way of calling a
+    # private function alive for them alone
+    private, calls = [], {}
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "bscbounds").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        private += [(path.stem, node) for node in tree.body
+                    if isinstance(node, ast.FunctionDef) and node.name.startswith("_")]
+        for sub in ast.walk(tree):
+            if isinstance(sub, ast.Call):
+                name = getattr(sub.func, "id", getattr(sub.func, "attr", None))
+                calls.setdefault(name, []).append(sub)
+    found = []
+    for module, fn in private:
+        args = fn.args
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        defaulted = [(i, arg.arg) for i, arg in enumerate(positional) if i >= first]
+        defaulted += [(None, arg.arg) for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                      if default is not None]
+        found += [f"{module}.{fn.name}({name})" for index, name in defaulted
+                  if not any(_leaves_out(call, index, name) for call in calls.get(fn.name, []))]
+    assert private
+    assert found == []
 
 def _factors(node):
     """The factors of a product, reading through the numerator of a quotient."""

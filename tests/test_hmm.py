@@ -49,6 +49,30 @@ class TestParams:
             MarkovHmmParams(0.1, -0.01)
 
 
+PARAMS_TAKERS = {
+    "markov_series_bound": markov_series_bound,
+    "cover_thomas_ceiling": cover_thomas_ceiling,
+    "rare_transition_baseline": rare_transition_baseline,
+    "odds_cap": odds_cap,
+    "mmse_given_odds": lambda params: mmse_given_odds(2.0, params),
+    "quartic_coefficients": quartic_coefficients,
+    "stationary_odds": stationary_odds,
+    "minimizing_odds": minimizing_odds,
+    "belief_bound": belief_bound,
+    "entropy_rate_mc": lambda params: entropy_rate_mc(params, 100, burnin=0),
+    "entropy_rate_mc_many": lambda params: hmm.entropy_rate_mc_many(
+        [MarkovHmmParams(0.1, 0.11), params], 100, 0, [1, 2]),
+    "exact_conditional_entropy": lambda params: exact_conditional_entropy(params, 4),
+}
+
+
+@pytest.mark.parametrize("call", PARAMS_TAKERS.values(), ids=PARAMS_TAKERS.keys())
+@pytest.mark.parametrize("bad", [(0.1, 0.11), None], ids=["tuple", "none"])
+def test_params_functions_refuse_non_params(call, bad):
+    with pytest.raises(DomainError, match="params must be a MarkovHmmParams"):
+        call(bad)
+
+
 class TestDisagreementProb:
     def test_values(self):
         assert disagreement_prob(0, 0.2) == 0.0

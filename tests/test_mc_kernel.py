@@ -19,6 +19,7 @@ from bscbounds.hmm import (
     entropy_rate_mc_many,
     propagate_llr,
 )
+from bscbounds.scalar import _conv
 
 BLOCK = 64
 CHUNK = hmm._MC_CHUNK
@@ -196,7 +197,7 @@ def test_edge_rates_match_oracle(q, alpha):
 
 @pytest.mark.parametrize("q,alpha", EDGE_PAIRS)
 def test_byte_table_matches_eight_single_steps(q, alpha):
-    table = hmm._byte_maps(q, alpha)
+    _, table = hmm._row_tables(np.array([q]), np.array([alpha]), 0.0)
     eta = (1.0 - alpha) / alpha
     cq = 1.0 - q
     flags = np.arange(256)
@@ -230,17 +231,62 @@ def test_float64_loop_drifts_where_the_kernel_does_not():
 ], ids=["pcg64", "pcg64dxsm", "mt19937", "philox"])
 @pytest.mark.parametrize("total", [1, CHUNK, 2 * CHUNK + 5])
 def test_chunked_draws_equal_all_at_once(make, total):
-    rng = make(4)
-    r_u, s_u = np.empty(hmm._MC_DRAWS), np.empty(hmm._MC_DRAWS)
-    # each block is a view into the buffers that the next one overwrites
-    chunks = [(r.copy(), s.copy()) for r, s in hmm._chunked_draws(rng, total, CHUNK, r_u, s_u)]
-    assert all(r.size <= r_u.size for r, _ in chunks)
     old = make(4)
     r_all, s_all = old.random(total), old.random(total)
-    assert np.array_equal(np.concatenate([r for r, _ in chunks]), r_all)
-    assert np.array_equal(np.concatenate([s for _, s in chunks]), s_all)
+    # the S stream starts where the R draws end, and taking it leaves the
+    # caller's generator where it was
+    rng = make(4)
+    s_rng = hmm._s_stream(rng, total, np.empty(hmm._MC_DRAWS))
+    assert np.array_equal(s_rng.random(total), s_all)
+    assert np.array_equal(rng.random(total), r_all)
+    # end to end: sigma is the running xor of the S flags, and a step is
+    # flagged, scaling the carried odds by 1/eta instead of eta, where R's
+    # flag differs from sigma
+    q, alpha = 0.1, 0.11
+    rng = make(4)
+    pieces = list(hmm._odds_path(q, alpha, total, rng))
+    x = np.concatenate([x for x, _ in pieces])
+    flipped = np.concatenate([f for _, f in pieces])
+    assert np.array_equal(flipped, np.logical_xor.accumulate(s_all < q))
+    prev = np.concatenate(([1.0], x[:-1]))
+    carried = ((1.0 - q) * prev + q) / (q * prev + (1.0 - q))
+    assert np.array_equal(x < carried, (r_all < alpha) ^ flipped)
     # the caller's generator ends where the old 2 * total draws left it
     assert np.array_equal(rng.random(8), old.random(8))
+
+
+@pytest.mark.parametrize("bits", [np.random.PCG64DXSM, np.random.MT19937, np.random.Philox,
+                                  np.random.SFC64],
+                         ids=["pcg64dxsm", "mt19937", "philox", "sfc64"])
+@pytest.mark.parametrize("total", [1, 700, CHUNK + 1])
+def test_estimates_on_every_bit_generator_match_the_oracle(bits, total):
+    q, alpha = 0.1, 0.11
+    oracle = oracle_path(q, alpha, total, np.random.Generator(bits(8)))
+    for burnin in sorted({0, total // 3, total - 1}):
+        rng = np.random.Generator(bits(8))
+        est, se = entropy_rate_mc(MarkovHmmParams(q, alpha), total - burnin, burnin=burnin,
+                                  seed=rng)
+        want_est, want_se = oracle_estimate(oracle, q, alpha, burnin)
+        assert abs(est - want_est) <= 1e-12, (total, burnin)
+        assert se == pytest.approx(want_se, rel=1e-9, abs=1e-15), (total, burnin)
+        # the generator ends where 2 * total draws leave it
+        old = np.random.Generator(bits(8))
+        old.random(2 * total)
+        assert rng.random() == old.random(), (total, burnin)
+
+
+@pytest.mark.parametrize("bits,want", [
+    (np.random.PCG64, ("0x1.931245c9e43dap-1", "0x1.a2f3a1773f140p-1", "0x1.d571b88cc5a9bp-1")),
+    (np.random.MT19937, ("0x1.92b394109a437p-1", "0x1.a32d598f86235p-1", "0x1.098e58fee88bcp-2")),
+], ids=["pcg64", "mt19937"])
+def test_a_generator_shared_by_two_rows_keeps_its_draw_order(bits, want):
+    # both rows draw their R uniforms from g in turn, chunk by chunk; the
+    # second row's S stream is a copy of g taken after the first row drew its
+    # first chunk, and g ends where the second row's S draws end
+    g = np.random.Generator(bits(3))
+    got = entropy_rate_mc_many([MarkovHmmParams(0.1, 0.11), MarkovHmmParams(0.2, 0.05)],
+                               30000, 1000, [g, g])
+    assert (got[0].estimate.hex(), got[1].estimate.hex(), g.random().hex()) == want
 
 
 def test_generator_seed_is_advanced_as_before():
@@ -330,17 +376,18 @@ def test_support_check_reads_the_extreme_odds():
                          ids=["edge"] + [f"fig3-alpha{a}" for a in FIG3_RATES])
 def test_broadcast_builder_matches_the_reference(pairs):
     q, alpha = (np.array(v) for v in zip(*pairs))
-    table = hmm._byte_maps(q, alpha)
-    assert table.shape == (4, len(pairs), 256, 8)
+    _, table = hmm._row_tables(q, alpha, 0.0)
+    assert table.shape == (4, len(pairs) * 256, 8)
     for row, (qi, ai) in enumerate(pairs):
         want = reference_byte_maps(qi, ai)
-        assert np.array_equal(table[:, row], want), (qi, ai)
-        assert np.array_equal(hmm._byte_maps(qi, ai), want), (qi, ai)
+        assert np.array_equal(table[:, 256 * row:256 * (row + 1)], want), (qi, ai)
+        _, single = hmm._row_tables(np.array([qi]), np.array([ai]), 0.0)
+        assert np.array_equal(single, want), (qi, ai)
 
 
 @pytest.mark.parametrize("q,alpha", EDGE_PAIRS + [DRIFTING, (0.1, 0.11), (0.5, 0.02)])
 def test_outcome_tables_match_the_odds_route(q, alpha):
-    _, outcomes = hmm._row_tables(np.array([q]), np.array([alpha]))
+    _, outcomes = hmm._row_tables(np.array([q]), np.array([alpha]), _conv(alpha, q))
     table = reference_byte_maps(q, alpha)
     every_byte = np.arange(256)[None]
     for x in np.geomspace(1e-12, 1e12, 25):
