@@ -87,24 +87,19 @@ _MAX_POWER = 1 << 1023
 # rows ran fig3's 21 rows alike, and one group of 21 about 11% slower. A
 # group's rows draw their uniforms, R from their generators and S from their
 # _s_stream copies, one after another into one pair of buffers of at most
-# _MC_DRAWS doubles, 64 KiB each and so below glibc's 128 KiB mmap threshold,
-# and compare them straight into the flags. Fresh R and S arrays came to
-# 1 MiB a chunk for a single row; the buffers lowered the traced peak of one
-# row of 1M steps from 2.56 to 1.58 MiB and ran it about 5% faster (one AMD
-# EPYC core: 0.0108 against 0.0114 s). fig3's 6- and 7-row groups (chunks of
-# 10,000 and 8,750 steps a row) draw two blocks a chunk, which cost its 20
-# rows 2-4% in-process (medians 0.0153-0.0168 against 0.0150-0.0162 s over 8
-# alternating runs).
+# _MC_PIECE doubles, and compare them straight into the flags, so every row
+# of a group of 4 or more draws a chunk's R and S in one call each. Fresh R
+# and S arrays came to 1 MiB a chunk for a single row; the buffers hold the
+# traced peak of one row of 1M steps at 1.66 MiB, against 2.56 MiB. Buffers
+# of 8,192 doubles made each row of fig3's 6- and 7-row groups (chunks of
+# 10,000 and 8,752 steps a row) draw in two calls, 112 where a 7-row group of
+# 70,000-step rows now makes 56, with in-process times alike (one AMD EPYC
+# core, medians of 31 calls over 8 alternating runs: fig3's 20 rows took
+# 15.5-17.1 ms with those buffers and 14.6-16.4 ms with these).
 _MC_CHUNK = 1 << 16
-_MC_DRAWS = 1 << 13
 _MC_PIECE = 1 << 14
 _MC_BLOCK = 64
 _MC_ROWS = 8
-# bit k of _RUNNING_XOR[b] is the xor of bits 0..k of the byte b
-_RUNNING_XOR = np.arange(256, dtype=np.uint8)
-_RUNNING_XOR ^= _RUNNING_XOR << 1
-_RUNNING_XOR ^= _RUNNING_XOR << 2
-_RUNNING_XOR ^= _RUNNING_XOR << 4
 
 
 @dataclass(frozen=True)
@@ -647,22 +642,23 @@ def _scan(q: np.ndarray, alpha: np.ndarray, m: float | np.ndarray, total: int, r
           skip: int):
     """Run the belief recursion of every row from W_0 = 0 for `total` steps,
     the rows in lockstep, and yield steps skip + 1 .. total in pieces of at
-    most max(8, _MC_PIECE // rows) steps a row, each as (num, den, cut,
-    flips): pass C2 (_prefix_apply) on the prefix tables of _row_tables(q,
-    alpha, m) over the piece's whole flag bytes, shape (rows, bytes, 8), the
-    slice of the piece's own steps in those bytes' steps, and the bytes'
-    signs of sigma (bit j set where sigma = -1 at the byte's step j).
+    most max(8, _MC_PIECE // rows) steps a row, each as (num, den, cut):
+    pass C2 (_prefix_apply) on the prefix tables of _row_tables(q, alpha, m)
+    over the piece's whole flag bytes, shape (rows, bytes, 8), and the slice
+    of the piece's own steps in those bytes' steps.
 
     Since f is odd, V_i = sigma_i W_i, with sigma_i = S_1 ... S_i, obeys
     V_i = sigma_i R_i ln(eta) + f(V_{i-1}), one of two fixed steps, flagged
     where sigma_i R_i = -1. Chunks hold at most _MC_CHUNK steps over all
     rows, split evenly. Row r draws R from rngs[r] and S from its _s_stream,
-    taken at the row's first draw, all rows into one pair of buffers; rngs[r]
-    is left where the S draws end once the last chunk is drawn. The flags are
-    packed 8 to a byte, the last byte padded with steps that are never read,
-    and the odds before every byte come from _byte_odds. The odds and the
-    parity of sigma are carried across chunks, the odds from the chunk's last
-    step.
+    taken at the row's first draw, in blocks of at most _MC_PIECE into one
+    pair of buffers that all rows share; rngs[r] is left where the S draws
+    end once the last chunk is drawn. sigma's signs are the running xor of
+    the S flags, taken in place, and a step's flag is its R flag xor sigma's.
+    The flags are packed 8 to a byte, the last byte padded with steps that
+    are never read, and the odds before every byte come from _byte_odds. The
+    odds and the sign of sigma are carried across chunks from the chunk's
+    last step.
     """
     rows = len(rngs)
     byte_maps, steps = _row_tables(q, alpha, m)
@@ -670,14 +666,14 @@ def _scan(q: np.ndarray, alpha: np.ndarray, m: float | np.ndarray, total: int, r
     chunks = -(-total // max(8, _MC_CHUNK // rows // 8 * 8))
     width = -(-total // (8 * chunks)) * 8
     # one pair of draw buffers for the group: its rows draw one after another
-    block = min(width, _MC_DRAWS)
+    block = min(width, _MC_PIECE)
     r_u, s_u = np.empty(block), np.empty(block)
     s_rngs = []
     offsets = np.arange(0, 256 * rows, 256)[:, None]
     r_neg = np.empty((rows, width), dtype=bool)
     s_neg = np.empty((rows, width), dtype=bool)
     x = np.ones(rows)
-    odd = np.zeros((rows, 1), dtype=bool)
+    odd = np.zeros(rows, dtype=np.uint8)
     # Python floats: comparing with a numpy scalar costs several times more
     r_lims, s_lims = alpha.tolist(), q.tolist()
     for start in range(0, total, width):
@@ -694,22 +690,20 @@ def _scan(q: np.ndarray, alpha: np.ndarray, m: float | np.ndarray, total: int, r
                 s_block = s_rng.random(out=s_u[:hi - lo])
                 np.less(r_block, r_lim, out=r_row[lo:hi])
                 np.less(s_block, s_lim, out=s_row[lo:hi])
-        # sigma flips with every S flag: its sign bits are a running xor of
-        # them, taken within each byte from a table and then across bytes
-        # from the bytes' parities, bit 7 of their running xor
-        flipped = _RUNNING_XOR.take(np.packbits(s_neg[:, :n], axis=1, bitorder="little"))
-        ends = flipped >= 128
-        parity = np.logical_xor.accumulate(np.hstack((odd, ends[:, :-1])), axis=1)
-        odd = parity[:, -1:] ^ ends[:, -1:]
-        flipped ^= parity.view(np.uint8) * np.uint8(255)
-        codes = np.packbits(r_neg[:, :n], axis=1, bitorder="little") ^ flipped
-        index = codes + offsets
+        # sigma flips with every S flag: it is their running xor, carried
+        # across chunks by its last step's sign
+        sigma = s_neg[:, :n].view(np.uint8)
+        sigma[:, 0] ^= odd
+        np.bitwise_xor.accumulate(sigma, axis=1, out=sigma)
+        odd = sigma[:, -1].copy()
+        flags = np.bitwise_xor(r_neg[:, :n], s_neg[:, :n], out=r_neg[:, :n])
+        index = np.packbits(flags, axis=1, bitorder="little") + offsets
         odds, x = _byte_odds(byte_maps, index, x)
         for lo in range(max(0, skip - start), n, piece):
             hi = min(lo + piece, n)
             first, end = lo // 8, -(-hi // 8)
             num, den = _prefix_apply(steps, index[:, first:end], odds[:, first:end])
-            yield num, den, slice(lo - 8 * first, hi - 8 * first), flipped[:, first:end]
+            yield num, den, slice(lo - 8 * first, hi - 8 * first)
     for rng, s_rng in zip(rngs, s_rngs):
         rng.bit_generator.state = s_rng.bit_generator.state
 
@@ -736,7 +730,9 @@ def _byte_odds(byte_maps: np.ndarray, index: np.ndarray,
     size = min(_MC_BLOCK, 1 << (nbytes - 1).bit_length())
     blocks = -(-nbytes // size)
     pad = blocks * size - nbytes
-    padded = np.pad(index, ((0, 0), (0, pad)), mode="edge") if pad else index
+    padded = index
+    if pad:
+        padded = np.concatenate((index, np.repeat(index[:, -1:], pad, axis=1)), axis=1)
     # level[:, :, j] holds [[a, b], [c, d]] of part j of every block of every
     # row; m[:, :1] * p[:1] + m[:, 1:] * p[1:] is the matrix product m p
     level = byte_maps.take(padded.reshape(rows, blocks, size).transpose(2, 0, 1), axis=2)
@@ -806,27 +802,77 @@ def _entropy_terms(p: np.ndarray, p_c: np.ndarray) -> np.ndarray:
 
 
 def _odds_path(q: float, alpha: float, total: int, rng: np.random.Generator):
-    """Yield (x, flipped) for steps 1 .. total of one row, in _scan's pieces:
-    x is the odds e^V of V_i = sigma_i W_i (pass C2 on the prefix tables of
-    _row_tables(..., 0), the odds' numerator and denominator) and flipped
-    marks sigma_i = -1."""
-    for num, den, cut, flips in _scan(np.array([q]), np.array([alpha]), 0.0, total, [rng], 0):
+    """Yield the odds x = e^V of V_i = sigma_i W_i for steps 1 .. total of
+    one row, in _scan's pieces, from pass C2 on the prefix tables of
+    _row_tables(..., 0), the odds' numerator and denominator."""
+    for num, den, cut in _scan(np.array([q]), np.array([alpha]), 0.0, total, [rng], 0):
         num /= den
-        yield num.reshape(-1)[cut], np.unpackbits(flips[0], bitorder="little").view(bool)[cut]
+        yield num.reshape(-1)[cut]
 
 
-def _mc_rows(params_seq: list, samples: int, burnin: int, seeds: list) -> list[McEstimate]:
-    """The Monte Carlo kernel behind entropy_rate_mc and entropy_rate_mc_many.
+def entropy_rate_mc(
+    params: MarkovHmmParams, samples: int, burnin: int = 100_000, seed=0
+) -> McEstimate:
+    """Monte Carlo estimate of the output entropy rate via the belief
+    recursion W_i = R_i ln(eta) + S_i f(W_{i-1}).
 
-    Rows with a rate at or below _TINY_RATE shortcut to their exact limits,
-    and rows with q or alpha exactly 1/2 to (1.0, 0.0), without simulating.
-    The others run in lockstep groups of at most _MC_ROWS rows (_scan), and
-    the -h terms of each kept piece (_entropy_terms) are added into two
+    One sequential stream starts at W_0 = 0; R flips sign with probability
+    alpha and S with probability q, the R draws taken from the generator
+    before the S draws. After `burnin` discarded steps the estimate averages
+    h(logistic(W) * q * alpha) over `samples` kept steps. `seed` is anything
+    numpy's default_rng accepts. This is entropy_rate_mc_many on one row,
+    whose docstring describes the kernel; its memory stays the same however
+    many steps run.
+
+    The reported stderr uses the i.i.d. formula; consecutive W values are
+    correlated, so it understates the true uncertainty and consumers should
+    pad their margins. Rates at or below 1e-8 shortcut to the exact limits
+    h(q) and h(alpha) with zero stderr, and q or alpha exactly 1/2, where
+    the output is i.i.d. fair bits, to 1.0 with zero stderr. These rows are
+    not simulated, so a Generator passed as `seed` is not advanced.
+    """
+    return entropy_rate_mc_many([params], samples, burnin, [seed])[0]
+
+
+def entropy_rate_mc_many(params_seq, samples: int, burnin: int, seeds) -> list[McEstimate]:
+    """entropy_rate_mc for every MarkovHmmParams of params_seq, row i drawing
+    from seeds[i] with the same samples and burnin, simulated in lockstep.
+
+    Each row keeps its own R and S draws, so row i's estimate is what
+    entropy_rate_mc(params_seq[i], samples, burnin, seeds[i]) returns, up to
+    the rounding of its summation order. Each seed makes its own generator,
+    so a Generator passed for two rows would interleave their draws. Rows
+    with a rate at or below _TINY_RATE shortcut to their exact limits, and
+    rows with q or alpha exactly 1/2 to (1.0, 0.0), without simulating.
+
+    The others run in lockstep groups of at most _MC_ROWS, each one _scan in
+    chunks of at most _MC_CHUNK steps over the group's rows, so memory is
+    bounded whatever the number of rows and steps. Each chunk's R and S
+    draws are taken as it starts, into one pair of buffers of at most
+    _MC_PIECE doubles (S from _s_stream, a copy of the generator moved past
+    all R draws, which keeps entropy_rate_mc's stream). Since f is odd,
+    V_i = S_1 ... S_i W_i takes one of two fixed steps, and h is even in W,
+    so only the odds x = e^V are needed. In odds each step is a Moebius map
+    with a nonnegative 2x2 matrix, and a flag byte of 8 steps one of 256
+    fixed maps: one table per (q, alpha) holds them and their prefixes
+    (_row_tables), built for a whole group in one pass. A chunk runs as a
+    byte-table scan (_byte_odds): the maps of byte pairs, pairs of pairs and
+    whole blocks are multiplied out, the block maps are composed across the
+    blocks by doubling, and the odds before every byte are read off them on
+    the way back down. Each step's two output weights come from its byte's
+    prefix maps folded at m = alpha * q at the odds before the byte
+    (_prefix_apply), with no per-step odds, exp or log1p.
+
+    The -h terms of each kept piece (_entropy_terms) are added into two
     running sums a row, s1 = sum d and s2 = sum d^2 of d = -h - shift, where
     shift is the mean of the row's first kept piece. The mean is then
     shift + s1 / N and the sum of squared deviations s2 - s1^2 / N, which
     loses little to cancellation because the shift lies near the mean.
     """
+    params_seq, seeds = list(params_seq), list(seeds)
+    if len(seeds) != len(params_seq):
+        raise DomainError(f"seeds must give one seed per row: {len(params_seq)} rows, "
+                          f"{len(seeds)} seeds")
     samples = check_int("samples", samples, 1)
     burnin = check_int("burnin", burnin, 0)
     out: list[McEstimate | None] = []
@@ -852,7 +898,7 @@ def _mc_rows(params_seq: list, samples: int, burnin: int, seeds: list) -> list[M
         alpha = np.array([params.alpha for _, params, _ in group])
         rngs = [np.random.default_rng(seed) for _, _, seed in group]
         shift, s1, s2 = None, np.zeros(rows), np.zeros(rows)
-        for num, den, cut, _ in _scan(q, alpha, _conv(alpha, q), total, rngs, burnin):
+        for num, den, cut in _scan(q, alpha, _conv(alpha, q), total, rngs, burnin):
             hv = _entropy_terms(num, den)[:, cut]
             if shift is None:
                 shift = np.add.reduce(hv, axis=1) / hv.shape[1]
@@ -867,65 +913,6 @@ def _mc_rows(params_seq: list, samples: int, burnin: int, seeds: list) -> list[M
     return out
 
 
-def entropy_rate_mc(
-    params: MarkovHmmParams, samples: int, burnin: int = 100_000, seed=0
-) -> McEstimate:
-    """Monte Carlo estimate of the output entropy rate via the belief
-    recursion W_i = R_i ln(eta) + S_i f(W_{i-1}).
-
-    One sequential stream starts at W_0 = 0; R flips sign with probability
-    alpha and S with probability q, the R draws taken from the generator
-    before the S draws. After `burnin` discarded steps the estimate averages
-    h(logistic(W) * q * alpha) over `samples` kept steps. `seed` is anything
-    numpy's default_rng accepts.
-
-    The steps run in chunks of at most _MC_CHUNK, so memory stays the same
-    however many steps run: each chunk's R and S draws are taken as it
-    starts, into two fixed buffers of at most _MC_DRAWS doubles (S from
-    _s_stream, a copy of the generator moved past all R draws, which keeps
-    the stream above), and its entropy terms are added into two running
-    sums, of their deviations from the first kept piece's mean and of those
-    deviations' squares. Since f is odd, V_i = S_1 ... S_i W_i takes one of
-    two fixed steps, V_i = S_1 ... S_i R_i ln(eta) + f(V_{i-1}), and h is
-    even in W, so only the odds x = e^V are needed. In odds each
-    step is a Moebius map with a nonnegative 2x2 matrix, and a flag byte of
-    8 steps one of 256 fixed maps: one table per (q, alpha) holds them and
-    their prefixes (_row_tables). The chunk runs as a byte-table scan (_scan,
-    _byte_odds): the maps of byte pairs, pairs of pairs and whole blocks are
-    multiplied out, the block maps are composed across the blocks by
-    doubling, and the odds before every byte are read off them on the way
-    back down. Each step's two output weights come from its byte's prefix
-    maps folded at m = alpha * q (_row_tables(..., m)) at the odds before
-    the byte (_prefix_apply), with no per-step odds, exp or log1p. This kernel
-    (_mc_rows) is the one entropy_rate_mc_many runs on many rows at once.
-
-    The reported stderr uses the i.i.d. formula; consecutive W values are
-    correlated, so it understates the true uncertainty and consumers should
-    pad their margins. Rates at or below 1e-8 shortcut to the exact limits
-    h(q) and h(alpha) with zero stderr, and q or alpha exactly 1/2, where
-    the output is i.i.d. fair bits, to 1.0 with zero stderr. These rows are
-    not simulated, so a Generator passed as `seed` is not advanced.
-    """
-    return _mc_rows([params], samples, burnin, [seed])[0]
-
-
-def entropy_rate_mc_many(params_seq, samples: int, burnin: int, seeds) -> list[McEstimate]:
-    """entropy_rate_mc for every MarkovHmmParams of params_seq, row i drawing
-    from seeds[i] with the same samples and burnin, simulated in lockstep.
-
-    Each row keeps its own R and S draws, so row i's estimate is what
-    entropy_rate_mc(params_seq[i], samples, burnin, seeds[i]) returns, up to
-    the rounding of its summation order. The rows run in groups of at most
-    _MC_ROWS: a group's byte tables are built in one pass, and its chunks
-    hold at most _MC_CHUNK steps over all its rows, so memory is bounded
-    whatever the number of rows. Each seed makes its own generator, so a
-    Generator passed for two rows would interleave their draws.
-    """
-    params_seq, seeds = list(params_seq), list(seeds)
-    if len(seeds) != len(params_seq):
-        raise DomainError(f"seeds must give one seed per row: {len(params_seq)} rows, "
-                          f"{len(seeds)} seeds")
-    return _mc_rows(params_seq, samples, burnin, seeds)
 
 
 def exact_conditional_entropy(params: MarkovHmmParams, n: int) -> float:

@@ -264,7 +264,7 @@ def _max_abs_f(params: hmm.MarkovHmmParams, steps: int, rng: np.random.Generator
     """
     lo = hi = 1.0
     seen = 0
-    for x, _ in hmm._odds_path(params.q, params.alpha, steps, rng):
+    for x in hmm._odds_path(params.q, params.alpha, steps, rng):
         seen += x.size
         if seen == steps:
             x = x[:-1]

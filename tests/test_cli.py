@@ -355,7 +355,7 @@ class TestFigure:
 
         # the batched entry fig3 calls, and the kernel behind every simulation
         monkeypatch.setattr(cli, "entropy_rate_mc_many", refuse)
-        monkeypatch.setattr(hmm, "_mc_rows", refuse)
+        monkeypatch.setattr(hmm, "_scan", refuse)
         out = tmp_path / "big.csv"
         code, _, err = run_cli(capsys, "figure", "fig3", *flags, "--out", str(out))
         assert code == 2
@@ -386,7 +386,7 @@ def test_negative_seed_exits_2_before_any_work(capsys, monkeypatch, tmp_path, ar
         raise AssertionError("the seed must be checked before any work")
 
     monkeypatch.setattr(cli, "entropy_rate_mc_many", refuse)
-    monkeypatch.setattr(hmm, "_mc_rows", refuse)
+    monkeypatch.setattr(hmm, "_scan", refuse)
     monkeypatch.setattr(cli.validate_mod, "run_suite", refuse)
     monkeypatch.chdir(tmp_path)
     code, out, err = run_cli(capsys, *argv, "--seed", "-1")

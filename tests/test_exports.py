@@ -116,8 +116,8 @@ def test_the_mmse_lemma_is_written_out_only_in_lift():
 
 
 def test_the_monte_carlo_step_kernels_have_one_caller_each():
-    # pass C2 runs on every kept piece inside _scan, and only _mc_rows turns
-    # its weights into entropy terms
+    # pass C2 runs on every kept piece inside _scan, and only
+    # entropy_rate_mc_many turns its weights into entropy terms
     kernels = {"_prefix_apply", "_entropy_terms"}
     found = []
     for path in sorted((Path(__file__).resolve().parents[1] / "src" / "bscbounds").glob("*.py")):
@@ -127,4 +127,4 @@ def test_the_monte_carlo_step_kernels_have_one_caller_each():
                     name = getattr(sub.func, "id", getattr(sub.func, "attr", None))
                     if name in kernels:
                         found.append(f"{path.stem}.{getattr(node, 'name', None)}: {name}")
-    assert sorted(found) == ["hmm._mc_rows: _entropy_terms", "hmm._scan: _prefix_apply"]
+    assert sorted(found) == ["hmm._scan: _prefix_apply", "hmm.entropy_rate_mc_many: _entropy_terms"]

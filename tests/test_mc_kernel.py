@@ -139,13 +139,18 @@ def oracle_estimate(path, q, alpha, burnin):
     return float(hv.mean()), se
 
 
-def belief_path(q, alpha, total, rng):
+def belief_path(q, alpha, total, seed):
     """Yield W_1 .. W_total of the belief recursion from W_0 = 0, at most
     _MC_PIECE values at a time: W = +-ln x of hmm._odds_path's odds, with
-    the sign of sigma put back."""
-    for x, flipped in hmm._odds_path(q, alpha, total, rng):
+    the sign of sigma, the running xor of the S flags, put back."""
+    draws = np.random.default_rng(seed)
+    draws.random(total)
+    sigma = np.logical_xor.accumulate(draws.random(total) < q)
+    done = 0
+    for x in hmm._odds_path(q, alpha, total, np.random.default_rng(seed)):
         v = np.log(x)
-        yield np.where(flipped, -v, v)
+        yield np.where(sigma[done:done + x.size], -v, v)
+        done += x.size
 
 
 def propagate_llr_vec(t, q):
@@ -157,7 +162,7 @@ def propagate_llr_vec(t, q):
 
 
 def kernel_path(q, alpha, total, seed):
-    return np.concatenate(list(belief_path(q, alpha, total, np.random.default_rng(seed))))
+    return np.concatenate(list(belief_path(q, alpha, total, seed)))
 
 
 def check_against_oracle(q, alpha, total, seed):
@@ -236,7 +241,7 @@ def test_chunked_draws_equal_all_at_once(make, total):
     # the S stream starts where the R draws end, and taking it leaves the
     # caller's generator where it was
     rng = make(4)
-    s_rng = hmm._s_stream(rng, total, np.empty(hmm._MC_DRAWS))
+    s_rng = hmm._s_stream(rng, total, np.empty(hmm._MC_PIECE))
     assert np.array_equal(s_rng.random(total), s_all)
     assert np.array_equal(rng.random(total), r_all)
     # end to end: sigma is the running xor of the S flags, and a step is
@@ -244,13 +249,11 @@ def test_chunked_draws_equal_all_at_once(make, total):
     # flag differs from sigma
     q, alpha = 0.1, 0.11
     rng = make(4)
-    pieces = list(hmm._odds_path(q, alpha, total, rng))
-    x = np.concatenate([x for x, _ in pieces])
-    flipped = np.concatenate([f for _, f in pieces])
-    assert np.array_equal(flipped, np.logical_xor.accumulate(s_all < q))
+    x = np.concatenate(list(hmm._odds_path(q, alpha, total, rng)))
+    sigma = np.logical_xor.accumulate(s_all < q)
     prev = np.concatenate(([1.0], x[:-1]))
     carried = ((1.0 - q) * prev + q) / (q * prev + (1.0 - q))
-    assert np.array_equal(x < carried, (r_all < alpha) ^ flipped)
+    assert np.array_equal(x < carried, (r_all < alpha) ^ sigma)
     # the caller's generator ends where the old 2 * total draws left it
     assert np.array_equal(rng.random(8), old.random(8))
 
@@ -289,23 +292,32 @@ def test_a_generator_shared_by_two_rows_keeps_its_draw_order(bits, want):
     assert (got[0].estimate.hex(), got[1].estimate.hex(), g.random().hex()) == want
 
 
+class CountingGenerator(np.random.Generator):
+    """A Generator that counts its calls of random."""
+
+    calls = 0
+
+    def random(self, *args, **kwargs):
+        self.calls += 1
+        return super().random(*args, **kwargs)
+
+
+def test_a_fig3_sweep_group_draws_each_row_once_a_chunk():
+    # the last lockstep group of a fig3-sweep invocation: 7 rows of 70,000
+    # steps run 8 chunks of 8,752 steps a row, and each row draws a chunk's
+    # R uniforms in one call, 56 in all
+    rows = FIG3_QS[12:19]
+    rngs = [CountingGenerator(np.random.PCG64((7, i))) for i in range(len(rows))]
+    entropy_rate_mc_many([MarkovHmmParams(q, 0.11) for q in rows], 60_000, 10_000, rngs)
+    assert [g.calls for g in rngs] == [8] * 7
+
+
 def test_generator_seed_is_advanced_as_before():
     rng = np.random.default_rng(21)
     entropy_rate_mc(MarkovHmmParams(0.1, 0.11), 500, burnin=100, seed=rng)
     old = np.random.default_rng(21)
     old.random(2 * 600)
     assert rng.random() == old.random()
-
-
-def test_peak_memory_is_bounded_by_the_chunk():
-    params = MarkovHmmParams(0.1, 0.11)
-    tracemalloc.start()
-    try:
-        entropy_rate_mc(params, 1_000_000, burnin=0)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 32 * 2**20
 
 
 def _traced_peak(run):
@@ -322,7 +334,7 @@ def _traced_peak(run):
 
 def test_single_row_draws_into_fixed_buffers():
     # a single row's chunk is 65,536 steps: fresh R and S arrays for it came
-    # to 1 MiB a chunk, against two 64 KiB buffers reused for every chunk
+    # to 1 MiB a chunk, against two 128 KiB buffers reused for every chunk
     params = MarkovHmmParams(0.1, 0.11)
     assert _traced_peak(lambda: entropy_rate_mc(params, 1_000_000, burnin=0)) <= 2 * 2**20
 
@@ -365,8 +377,7 @@ def test_support_check_reads_the_extreme_odds():
     # odds alone; the per-step route over the whole path is the reference
     params = MarkovHmmParams(0.1, 0.11)
     steps = 100_000
-    path = np.concatenate(list(belief_path(params.q, params.alpha, steps,
-                                           np.random.default_rng(4))))
+    path = np.concatenate(list(belief_path(params.q, params.alpha, steps, 4)))
     want = float(np.abs(propagate_llr_vec(path[:-1], params.q)).max())
     got = validate._max_abs_f(params, steps, np.random.default_rng(4))
     assert abs(got - want) <= 1e-15 * want
