@@ -47,12 +47,9 @@ from .hmm import (
 from .scalar import binary_convolve, binary_entropy
 
 # Largest inputs that set work or memory. The Monte Carlo streams its steps
-# in fixed chunks and buffers, and its traced peak stays within 1.2-2.2 MiB
-# at any length and any number of rows (one row of 10M steps 1.8 MiB, 8 rows
-# of 1M 2.1 MiB, 1,000 rows of 10,000 1.9 MiB), so the step caps bound
-# work: at 11-12 ns per step (one AMD EPYC core, Python 3.11) one fig3 row at
-# the row cap takes about 0.14 s and a whole fig3 run at the total cap about
-# 11 s.
+# in fixed chunks and buffers, so its memory does not grow with the steps or
+# the rows and the step caps bound work; README's fig3 section gives the
+# measured peaks and times.
 _MAX_POINTS = 100_001
 _MAX_MC_STEPS = 10_000_000
 _MAX_FIG3_STEPS = 1_000_000_000

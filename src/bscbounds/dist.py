@@ -137,18 +137,6 @@ def _marginal(weights: np.ndarray, n: int, coords: Sequence[int]) -> np.ndarray:
     return t.reshape(-1)
 
 
-def _split_mmse(m: np.ndarray, t: int) -> float:
-    """E[P(1-P)] for bit t of a flat joint table: the sum of a b / tot over
-    the contexts of the other bits, tot = a + b the context's mass;
-    zero-mass contexts drop out."""
-    m3 = m.reshape(-1, 2, 1 << t)
-    a = m3[:, 0, :]
-    b = m3[:, 1, :]
-    tot = a + b
-    mask = tot > 0.0
-    return float((a[mask] * b[mask] / tot[mask]).sum())
-
-
 def _channel_mix(m: np.ndarray, t: int, alpha: float, inner: int = 1) -> np.ndarray:
     """Replace bit t of a flat joint table by its symmetric-flip output; with
     `inner`, bit t of the index over contiguous blocks of that many entries."""
@@ -164,8 +152,9 @@ def entropy(pmf: ExplicitPmf) -> float:
 
 
 def _conditional_mmse(pmf: ExplicitPmf, target: int, given: Sequence[int], alpha: float) -> float:
-    """E[Var(X_target | X_given, each seen through flip rate alpha)]. At alpha = 0
-    the channel mix would leave the table unchanged, so it is skipped."""
+    """E[Var(X_target | X_given, each seen through flip rate alpha)]: the sum
+    of _mmse_kernel over the contexts of the given bits. At alpha = 0 the
+    channel mix would leave the table unchanged, so it is skipped."""
     target = check_int("target", target, 1, _check_pmf("pmf", pmf).n)
     given = tuple(sorted({check_int("conditioning coordinate", j, 1, pmf.n) for j in given}))
     if target in given:
@@ -177,7 +166,8 @@ def _conditional_mmse(pmf: ExplicitPmf, target: int, given: Sequence[int], alpha
         for s in range(len(coords)):
             if s != t:
                 m = _channel_mix(m, s, alpha)
-    return _split_mmse(m, t)
+    m = m.reshape(-1, 2, 1 << t)
+    return float(_mmse_kernel(m[:, 0], m[:, 1]).sum())
 
 
 def conditional_mmse(pmf: ExplicitPmf, target: int, given: Sequence[int] = ()) -> float:

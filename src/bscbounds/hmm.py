@@ -52,6 +52,11 @@ __all__ = [
 
 # flip rates below this are routed to their exact zero-rate limits
 _TINY_RATE = 1e-8
+# Theorem 6's odds need both rates at least this: then eta <= 1e30, the cap
+# is at most about 1/q <= 1e30 and beta eta^4 <= 1e150, so every float of the
+# quartic stays below about 1e270. _TINY_RATE would weaken values that work:
+# at q = 1e-8, alpha = 0.3 the bound is 0.88129091243, at q = 0 0.88129090412.
+_MIN_ODDS_RATE = 1e-30
 
 _RESIDUAL_TOL = 1e-9
 # belief_bound's variants and the factor on its MMSE floor
@@ -88,14 +93,14 @@ _MAX_POWER = 1 << 1023
 # group's rows draw their uniforms, R from their generators and S from their
 # _s_stream copies, one after another into one pair of buffers of at most
 # _MC_PIECE doubles, and compare them straight into the flags, so every row
-# of a group of 4 or more draws a chunk's R and S in one call each. Fresh R
-# and S arrays came to 1 MiB a chunk for a single row; the buffers hold the
-# traced peak of one row of 1M steps at 1.66 MiB, against 2.56 MiB. Buffers
-# of 8,192 doubles made each row of fig3's 6- and 7-row groups (chunks of
-# 10,000 and 8,752 steps a row) draw in two calls, 112 where a 7-row group of
-# 70,000-step rows now makes 56, with in-process times alike (one AMD EPYC
-# core, medians of 31 calls over 8 alternating runs: fig3's 20 rows took
-# 15.5-17.1 ms with those buffers and 14.6-16.4 ms with these).
+# of a group of 4 or more draws a chunk's R and S in one call each. So a
+# run's memory does not grow with its steps or rows; README's fig3 section
+# gives the traced peaks. Buffers of 8,192 doubles made each row of fig3's
+# 6- and 7-row groups (chunks of 10,000 and 8,752 steps a row) draw in two
+# calls, 112 where a 7-row group of 70,000-step rows now makes 56, with
+# in-process times alike (one AMD EPYC core, medians of 31 calls over 8
+# alternating runs: fig3's 20 rows took 15.5-17.1 ms with those buffers and
+# 14.6-16.4 ms with these).
 _MC_CHUNK = 1 << 16
 _MC_PIECE = 1 << 14
 _MC_BLOCK = 64
@@ -292,10 +297,17 @@ def _check_params(params: MarkovHmmParams) -> tuple[float, float]:
     return params.q, params.alpha
 
 
+def _in_odds_range(q: float, alpha: float) -> bool:
+    """Whether theorem 6's odds functions take these rates: both at least
+    _MIN_ODDS_RATE, where their floats cannot overflow."""
+    return min(q, alpha) >= _MIN_ODDS_RATE
+
+
 def _positive_rates(params: MarkovHmmParams) -> tuple[float, float]:
     q, alpha = _check_params(params)
-    if q <= 0.0 or alpha <= 0.0:
-        raise DomainError("q and alpha must both be positive for the belief recursion")
+    if not _in_odds_range(q, alpha):
+        raise DomainError(f"q and alpha must both be at least {_MIN_ODDS_RATE} "
+                          "for the belief recursion")
     return q, alpha
 
 
@@ -350,9 +362,10 @@ class QuarticCoefficients:
 
     def scaled_residual(self, s: float) -> float:
         """|p(s)| over the norm of the term vector (c4 s^4, ..., c0), a
-        scale-free backward error for a claimed root."""
+        scale-free backward error for a claimed root. The norm is a hypot,
+        as the squares of terms past 1e154 would overflow to inf."""
         terms = (self.c4 * s**4, self.c3 * s**3, self.c2 * s**2, self.c1 * s, self.c0)
-        return abs(self(s)) / math.sqrt(sum(v * v for v in terms))
+        return abs(self(s)) / math.hypot(*terms)
 
 
 def quartic_coefficients(params: MarkovHmmParams) -> QuarticCoefficients:
@@ -532,14 +545,15 @@ def belief_bound(params: MarkovHmmParams, variant: str = "factor4") -> BoundResu
         h(m) + (1 - h(m)) * 4 * mmse_given_odds(minimizing_odds, params).
 
     variant="printed" drops the factor 4 and is kept for comparison only; it
-    is strictly weaker everywhere. Zero rates take their continuity limits,
-    h(alpha) as q -> 0 and h(q) as alpha -> 0.
+    is strictly weaker everywhere. Rates below 1e-30, zero included, take
+    the floor 0, where the bound is h(m): the continuity limits h(alpha) as
+    q -> 0 and h(q) as alpha -> 0, and below the odds' range a valid but
+    weaker bound.
     """
     if variant not in _BELIEF_FACTORS:
         raise DomainError(f"variant must be 'factor4' or 'printed', got {variant!r}")
     q, alpha = _check_params(params)
-    if q == 0.0 or alpha == 0.0:
-        # m is alpha or q exactly, and the floor of 0 leaves h(m)
+    if not _in_odds_range(q, alpha):
         star, floor = None, 0.0
     else:
         star = minimizing_odds(params)
@@ -826,10 +840,11 @@ def entropy_rate_mc(
 
     The reported stderr uses the i.i.d. formula; consecutive W values are
     correlated, so it understates the true uncertainty and consumers should
-    pad their margins. Rates at or below 1e-8 shortcut to the exact limits
-    h(q) and h(alpha) with zero stderr, and q or alpha exactly 1/2, where
-    the output is i.i.d. fair bits, to 1.0 with zero stderr. These rows are
-    not simulated, so a Generator passed as `seed` is not advanced.
+    pad their margins. If either rate is at or below 1e-8, the estimate is h
+    of the larger rate with zero stderr, exact when the smaller one is 0;
+    if q or alpha is exactly 1/2, the output is i.i.d. fair bits and the
+    estimate 1.0 with zero stderr. These rows are not simulated, so a
+    Generator passed as `seed` is not advanced.
     """
     return entropy_rate_mc_many([params], samples, burnin, [seed])[0]
 
@@ -842,8 +857,8 @@ def entropy_rate_mc_many(params_seq, samples: int, burnin: int, seeds) -> list[M
     entropy_rate_mc(params_seq[i], samples, burnin, seeds[i]) returns, up to
     the rounding of its summation order. Each seed makes its own generator,
     so a Generator passed for two rows would interleave their draws. Rows
-    with a rate at or below _TINY_RATE shortcut to their exact limits, and
-    rows with q or alpha exactly 1/2 to (1.0, 0.0), without simulating.
+    with a rate at or below _TINY_RATE read (h of the larger rate, 0.0), and
+    rows with q or alpha exactly 1/2 (1.0, 0.0), without simulating.
 
     The others run in lockstep groups of at most _MC_ROWS, each one _scan in
     chunks of at most _MC_CHUNK steps over the group's rows, so memory is
@@ -879,10 +894,8 @@ def entropy_rate_mc_many(params_seq, samples: int, burnin: int, seeds) -> list[M
     live = []
     for params, seed in zip(params_seq, seeds):
         _check_params(params)
-        if params.alpha <= _TINY_RATE:
-            out.append(McEstimate(_h(params.q), 0.0))
-        elif params.q <= _TINY_RATE:
-            out.append(McEstimate(_h(params.alpha), 0.0))
+        if min(params.q, params.alpha) <= _TINY_RATE:
+            out.append(McEstimate(_h(max(params.q, params.alpha)), 0.0))
         elif params.q == 0.5 or params.alpha == 0.5:
             # the output is i.i.d. fair bits
             out.append(McEstimate(1.0, 0.0))
@@ -911,8 +924,6 @@ def entropy_rate_mc_many(params_seq, samples: int, burnin: int, seeds) -> list[M
         for (i, _, _), est, err in zip(group, (-(shift + s1 / samples)).tolist(), se.tolist()):
             out[i] = McEstimate(est, err)
     return out
-
-
 
 
 def exact_conditional_entropy(params: MarkovHmmParams, n: int) -> float:

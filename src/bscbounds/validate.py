@@ -382,11 +382,10 @@ def _hmm_checks(seed: int, budget: int):
     for a in (0.05, 0.11, 0.25, 0.3):
         for q in (0.05, 0.1, 0.3, 0.45):
             params = hmm.MarkovHmmParams(q, a)
-            poly = hmm.quartic_coefficients(params)
             roots = hmm.stationary_odds(params)
             cap = hmm.odds_cap(params)
             grid = np.linspace(1.0, cap, 20001)
-            eta = poly.eta
+            eta = (1.0 - a) / a
             m = scalar.binary_convolve(a, q)
             gp = ((1.0 - m) * eta * (1.0 - eta * grid) / (1.0 + eta * grid) ** 3
                   + m * eta * (eta - grid) / (eta + grid) ** 3)

@@ -88,6 +88,12 @@ class TestBound:
         assert code == 2
         assert "alpha" in err
 
+    def test_theorem6_below_the_odds_range(self, capsys):
+        # the odds floats overflowed here; the floor-0 value h(alpha * q) is printed
+        code, out, err = run_cli(capsys, "bound", "theorem6", "--alpha", "1e-300", "--q", "0.3")
+        assert (code, err) == (0, "")
+        assert float(out.rsplit("=", 1)[1]) == pytest.approx(binary_entropy(0.3), abs=1e-12)
+
     def test_theorem6_near_half_alpha(self, capsys):
         code, out, _ = run_cli(capsys, "bound", "theorem6", "--alpha", "0.499999999",
                                "--q", "0.1")
@@ -275,6 +281,17 @@ class TestFigure:
                              "--samples", "2000", "--burnin", "500",
                              "--out", str(tmp_path / "a022.csv"))
         assert code == 0
+
+    @pytest.mark.parametrize("alpha", ["1e-9", "1e-100", "5e-324"])
+    def test_fig3_at_tiny_channel_rates(self, capsys, tmp_path, alpha):
+        # at q = 0 the output is BSC(alpha) noise on a constant: every bound
+        # and the Monte Carlo read h(alpha)
+        out = tmp_path / "tiny.csv"
+        code, _, err = run_cli(capsys, "figure", "fig3", "--alpha", alpha, "--points", "5",
+                               "--samples", "100", "--burnin", "0", "--out", str(out))
+        assert (code, err) == (0, "")
+        first = out.read_text(encoding="ascii").splitlines()[1].split(",")
+        assert first[1:7] == [f"{binary_entropy(float(alpha)):.9g}"] * 5 + ["0"]
 
     def test_fig3_near_half_alpha(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "figure", "fig3", "--alpha", "0.499999999",

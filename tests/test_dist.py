@@ -512,6 +512,51 @@ class TestNoisyConditionalMmse:
             assert noisy >= clean - 1e-12
 
 
+def _brute_noisy_mmse(pmf, target, given, alpha):
+    """E[Var(X_target | Y_given)] by enumeration: every outcome through every
+    flip pattern of the given bits, summed per noisy context; a context no
+    outcome reaches never enters the sum."""
+    contexts = {}
+    for x, w in enumerate(pmf.weights.tolist()):
+        for flips in itertools.product((0, 1), repeat=len(given)):
+            p = w
+            for f in flips:
+                p *= alpha if f else 1.0 - alpha
+            if p:
+                y = tuple((x >> (j - 1)) & 1 ^ f for j, f in zip(given, flips))
+                contexts.setdefault(y, [0.0, 0.0])[(x >> (target - 1)) & 1] += p
+    return sum(a * b / (a + b) for a, b in contexts.values())
+
+
+def _zero_mass_pmfs():
+    """pmfs on 4 bits where some contexts have no mass."""
+    points = [ExplicitPmf(np.eye(16)[k]) for k in (0, 5, 15)]
+    sparse = random_pmf(4, seed=9).weights * (np.arange(16) % 3 != 0)
+    return points + [markov_joint_pmf(4, 0.0), ExplicitPmf(sparse / sparse.sum())]
+
+
+class TestZeroMassContexts:
+    @pytest.mark.parametrize("pmf", _zero_mass_pmfs(), ids=["point0", "point5", "point15",
+                                                           "frozen-markov", "sparse"])
+    @pytest.mark.parametrize("alpha", [0.0, 0.11, 0.5])
+    def test_match_enumeration(self, pmf, alpha):
+        for target in range(1, 5):
+            others = [j for j in range(1, 5) if j != target]
+            for k in range(4):
+                for given in itertools.combinations(others, k):
+                    want = _brute_noisy_mmse(pmf, target, given, alpha)
+                    got = noisy_conditional_mmse(pmf, target, given, alpha)
+                    assert got == pytest.approx(want, rel=1e-12, abs=0), (target, given)
+                    if not alpha:
+                        assert conditional_mmse(pmf, target, given) == got
+
+    def test_point_mass_is_exactly_zero(self):
+        for pmf in _zero_mass_pmfs()[:3]:
+            for given in ((), (2,), (2, 3, 4)):
+                assert conditional_mmse(pmf, 1, given) == 0.0
+                assert noisy_conditional_mmse(pmf, 1, given, 0.11) == 0.0
+
+
 class TestApplyBsc:
     def test_zero_noise_is_identity(self):
         pmf = random_pmf(3, seed=2)

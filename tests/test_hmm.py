@@ -725,6 +725,64 @@ class TestBeliefBound:
             params = MarkovHmmParams(q, a)
             assert belief_bound(params).value <= exact_conditional_entropy(params, 16) + 1e-9
 
+    def test_every_rate_down_to_the_smallest_double(self):
+        # below 1e-30 the floor is 0 and the bound h(alpha * q); the odds
+        # floats overflowed there, at every q for alpha <= 1e-78
+        rates = [0.0, 5e-324, 1e-320, 1e-300, 1e-200, 1e-154, 1e-150, 1e-100, 1e-78,
+                 1e-60, 1e-31, 1e-30, 1e-29, 1e-20, 1e-8, 0.11, 0.3, 0.4999999, 0.5]
+        rates += (10.0 ** np.random.default_rng(5).uniform(-323, math.log10(0.5), 30)).tolist()
+        for q in rates:
+            for alpha in rates:
+                params = MarkovHmmParams(q, alpha)
+                floor = binary_entropy(binary_convolve(alpha, q))
+                for variant in ("factor4", "printed"):
+                    assert floor <= belief_bound(params, variant).value <= 1.0, (q, alpha)
+
+    @pytest.mark.parametrize("q, alpha", [(1e-30, 1e-30), (1e-30, 1e-25), (1e-29, 1e-30),
+                                          (1e-25, 1e-25)])
+    def test_floor_is_the_least_mmse_at_the_range_floor(self, q, alpha):
+        # the squares in the residual's norm pass 1e308 here; summed to inf
+        # they let spurious tangent roots pass, and the floor missed the
+        # minimum by up to 7 decades
+        params = MarkovHmmParams(q, alpha)
+        floor = mmse_given_odds(minimizing_odds(params), params)
+        grid = np.geomspace(1.0, odds_cap(params), 2001).tolist()
+        assert floor <= min(mmse_given_odds(s, params) for s in grid) * (1.0 + 1e-9)
+
+
+ODDS_FUNCTIONS = {
+    "odds_cap": odds_cap,
+    "mmse_given_odds": lambda params: mmse_given_odds(2.0, params),
+    "quartic_coefficients": quartic_coefficients,
+    "stationary_odds": stationary_odds,
+    "minimizing_odds": minimizing_odds,
+}
+
+
+class TestOddsRange:
+    @pytest.mark.parametrize("name", ODDS_FUNCTIONS)
+    @pytest.mark.parametrize("q, alpha", [(0.0, 0.11), (0.1, 0.0), (9.9e-31, 0.11),
+                                          (0.3, 1e-300), (1e-154, 0.11), (5e-324, 5e-324)])
+    def test_refuses_rates_below_1e_30(self, name, q, alpha):
+        with pytest.raises(DomainError, match="at least 1e-30"):
+            ODDS_FUNCTIONS[name](MarkovHmmParams(q, alpha))
+
+    @pytest.mark.parametrize("q, alpha", [(1e-30, 1e-30), (1e-30, 0.11), (0.3, 1e-30),
+                                          (1e-30, 0.5), (0.5, 1e-30)])
+    def test_finite_at_the_range_floor(self, q, alpha):
+        params = MarkovHmmParams(q, alpha)
+        poly = quartic_coefficients(params)
+        assert all(math.isfinite(c) for c in (poly.c4, poly.c3, poly.c2, poly.c1, poly.c0))
+        cap = odds_cap(params)
+        assert math.isfinite(cap) and cap >= 1.0
+        assert all(1.0 < r <= cap for r in stationary_odds(params))
+        assert 0.0 < mmse_given_odds(minimizing_odds(params), params) <= 0.25
+
+    def test_scaled_residual_past_the_square_range(self):
+        # terms of 1e210 square past the largest double; the norm stays finite
+        poly = QuarticCoefficients(1e90, 0.0, 0.0, 0.0, -1.0, eta=1.0)
+        assert poly.scaled_residual(1e30) == 1.0
+
 
 class TestEntropyRateMc:
     def test_deterministic_per_seed(self):
@@ -740,6 +798,13 @@ class TestEntropyRateMc:
         assert entropy_rate_mc(MarkovHmmParams(0.0, 0.2), 100) == (binary_entropy(0.2), 0.0)
         est, se = entropy_rate_mc(MarkovHmmParams(1e-9, 0.11), 100)
         assert est == binary_entropy(0.11) and se == 0.0
+
+    def test_both_rates_tiny_give_h_of_the_larger(self):
+        # a constant source seen through BSC(alpha) has rate h(alpha) exactly
+        assert entropy_rate_mc(MarkovHmmParams(0.0, 1e-9), 100) == (binary_entropy(1e-9), 0.0)
+        assert entropy_rate_mc(MarkovHmmParams(1e-9, 0.0), 100) == (binary_entropy(1e-9), 0.0)
+        assert entropy_rate_mc(MarkovHmmParams(1e-10, 1e-9), 100) == (
+            binary_entropy(1e-9), 0.0)
 
     def test_half_rates_give_one_exactly(self):
         est, se = entropy_rate_mc(MarkovHmmParams(0.5, 0.11), 2000, burnin=100, seed=1)
