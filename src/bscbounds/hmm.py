@@ -15,6 +15,8 @@ map propagate_llr.
 from __future__ import annotations
 
 import math
+import os
+import threading
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -91,20 +93,31 @@ _MAX_POWER = 1 << 1023
 # A group's tables, _row_tables(..., m), take 72 KB a row; groups of 6 to 12
 # rows ran fig3's 21 rows alike, and one group of 21 about 11% slower. A
 # group's rows draw their uniforms, R from their generators and S from their
-# _s_stream copies, one after another into one pair of buffers of at most
-# _MC_PIECE doubles, and compare them straight into the flags, so every row
-# of a group of 4 or more draws a chunk's R and S in one call each. So a
-# run's memory does not grow with its steps or rows; README's fig3 section
-# gives the traced peaks. Buffers of 8,192 doubles made each row of fig3's
-# 6- and 7-row groups (chunks of 10,000 and 8,752 steps a row) draw in two
-# calls, 112 where a 7-row group of 70,000-step rows now makes 56, with
-# in-process times alike (one AMD EPYC core, medians of 31 calls over 8
-# alternating runs: fig3's 20 rows took 15.5-17.1 ms with those buffers and
-# 14.6-16.4 ms with these).
+# _s_stream copies, one after another into one pair of draw buffers of at
+# most _MC_PIECE doubles, and compare them straight into the flags, so every
+# row of a group of 4 or more draws a chunk's R and S in one call each. The
+# flags go into two pairs of (rows, width) buffers: a helper thread draws
+# chunk c + 1 into one while the calling thread scans chunk c from the
+# other, as the draws release the GIL and took about a quarter of
+# fig3-sweep's time. So a run's memory does not grow with its steps or
+# rows; README's fig3 section gives the traced peaks. Buffers of 8,192
+# doubles made each row of fig3's 6- and 7-row groups (chunks of 10,000 and
+# 8,752 steps a row) draw in two calls, 112 where a 7-row group of
+# 70,000-step rows now makes 56, with in-process times alike (one AMD EPYC
+# core, medians of 31 calls over 8 alternating runs: fig3's 20 rows took
+# 15.5-17.1 ms with those buffers and 14.6-16.4 ms with these).
 _MC_CHUNK = 1 << 16
 _MC_PIECE = 1 << 14
 _MC_BLOCK = 64
 _MC_ROWS = 8
+
+# (pid, executor) of the helper thread that _scan draws on. It is made on the
+# first Monte Carlo call, not at import, and made again in a process whose
+# pid differs: a fork-started child inherits the executor but not its
+# thread, and would wait for ever on a draw submitted to it. One per process,
+# not per call, so that no call pays for starting a thread.
+_DRAWER: tuple | None = None
+_DRAWER_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -420,7 +433,9 @@ def _monotone_root(coeffs: tuple[float, ...], slope: tuple[float, ...],
                    a: float, b: float, fa: float) -> float:
     """The root in (a, b) of the polynomial `coeffs` (descending degree),
     which is monotone there, has value fa at a and the opposite sign at b;
-    `slope` holds its derivative's coefficients.
+    `slope` holds its derivative's coefficients. The last Newton step may
+    land on a or b itself by rounding: stationary_odds returns a root equal
+    to the cap where both rates are at most about 1.4e-17.
 
     Newton steps, each after moving the bracket end on the current point's
     side of the root to that point. A step that would not land strictly
@@ -496,8 +511,12 @@ def _roots_between(poly: QuarticCoefficients, lo: float, hi: float,
 
 
 def stationary_odds(params: MarkovHmmParams) -> tuple[float, ...]:
-    """Roots of the slope quartic inside the open interval (1, odds_cap),
-    ascending: the odds values where the conditioned MMSE turns around.
+    """Roots of the slope quartic inside the interval (1, odds_cap],
+    ascending: the odds values where the conditioned MMSE turns around. The
+    root search's last step can land on the end of its bracket, so a root
+    can equal the cap where both rates are at most about 1.4e-17 (at
+    q = alpha = 1e-30 the larger root is the cap, 9.999999999999999e29; on
+    22,500 log-uniform rate pairs in [1e-30, 1/2], nowhere else).
 
     They are isolated on that interval alone, in plain floats, by
     _roots_between, which reports a tangent root once. Every returned root
@@ -652,6 +671,20 @@ def _row_tables(q: np.ndarray, alpha: np.ndarray,
     return byte_maps, table.reshape(4, rows * 256, 8)
 
 
+def _drawer():
+    """This process's helper thread for _scan's draws, as a one-worker
+    ThreadPoolExecutor, made on first use."""
+    global _DRAWER
+    with _DRAWER_LOCK:
+        if _DRAWER is None or _DRAWER[0] != os.getpid():
+            # imported here, so that only a process that runs the Monte Carlo
+            # pays for it
+            from concurrent.futures import ThreadPoolExecutor
+
+            _DRAWER = (os.getpid(), ThreadPoolExecutor(1, thread_name_prefix="bscbounds-draws"))
+        return _DRAWER[1]
+
+
 def _scan(q: np.ndarray, alpha: np.ndarray, m: float | np.ndarray, total: int, rngs: list,
           skip: int):
     """Run the belief recursion of every row from W_0 = 0 for `total` steps,
@@ -664,18 +697,20 @@ def _scan(q: np.ndarray, alpha: np.ndarray, m: float | np.ndarray, total: int, r
     Since f is odd, V_i = sigma_i W_i, with sigma_i = S_1 ... S_i, obeys
     V_i = sigma_i R_i ln(eta) + f(V_{i-1}), one of two fixed steps, flagged
     where sigma_i R_i = -1. Chunks hold at most _MC_CHUNK steps over all
-    rows, split evenly. Row r draws R from rngs[r] and S from its _s_stream,
-    taken at the row's first draw, in blocks of at most _MC_PIECE into one
-    pair of buffers that all rows share; rngs[r] is left where the S draws
-    end once the last chunk is drawn. sigma's signs are the running xor of
-    the S flags, taken in place, and a step's flag is its R flag xor sigma's.
-    The flags are packed 8 to a byte, the last byte padded with steps that
-    are never read, and the odds before every byte come from _byte_odds. The
-    odds and the sign of sigma are carried across chunks from the chunk's
-    last step.
+    rows, split evenly. The flags are drawn one chunk ahead on a helper
+    thread (_drawer), into the other of two pairs of flag buffers, while
+    this thread scans the chunk before; the helper is the only user of the
+    rows' generators until the scan ends. Chunk by chunk, row r draws R from
+    rngs[r] and S from its _s_stream, taken at the row's first draw, in
+    blocks of at most _MC_PIECE into one pair of buffers that all rows
+    share; rngs[r] is left where the S draws end once the last chunk is
+    drawn. sigma's signs are the running xor of the S flags, taken in place,
+    and a step's flag is its R flag xor sigma's. The flags are packed 8 to a
+    byte, the last byte padded with steps that are never read, and the odds
+    before every byte come from _byte_odds. The odds and the sign of sigma
+    are carried across chunks from the chunk's last step.
     """
     rows = len(rngs)
-    byte_maps, steps = _row_tables(q, alpha, m)
     piece = max(8, _MC_PIECE // rows)
     chunks = -(-total // max(8, _MC_CHUNK // rows // 8 * 8))
     width = -(-total // (8 * chunks)) * 8
@@ -683,14 +718,11 @@ def _scan(q: np.ndarray, alpha: np.ndarray, m: float | np.ndarray, total: int, r
     block = min(width, _MC_PIECE)
     r_u, s_u = np.empty(block), np.empty(block)
     s_rngs = []
-    offsets = np.arange(0, 256 * rows, 256)[:, None]
-    r_neg = np.empty((rows, width), dtype=bool)
-    s_neg = np.empty((rows, width), dtype=bool)
-    x = np.ones(rows)
-    odd = np.zeros(rows, dtype=np.uint8)
     # Python floats: comparing with a numpy scalar costs several times more
     r_lims, s_lims = alpha.tolist(), q.tolist()
-    for start in range(0, total, width):
+
+    def draw(start, r_neg, s_neg):
+        # the flags of the chunk at `start`, on the helper thread
         n = min(width, total - start)
         for k, (rng, r_row, s_row) in enumerate(zip(rngs, r_neg, s_neg)):
             if not start:
@@ -704,20 +736,41 @@ def _scan(q: np.ndarray, alpha: np.ndarray, m: float | np.ndarray, total: int, r
                 s_block = s_rng.random(out=s_u[:hi - lo])
                 np.less(r_block, r_lim, out=r_row[lo:hi])
                 np.less(s_block, s_lim, out=s_row[lo:hi])
-        # sigma flips with every S flag: it is their running xor, carried
-        # across chunks by its last step's sign
-        sigma = s_neg[:, :n].view(np.uint8)
-        sigma[:, 0] ^= odd
-        np.bitwise_xor.accumulate(sigma, axis=1, out=sigma)
-        odd = sigma[:, -1].copy()
-        flags = np.bitwise_xor(r_neg[:, :n], s_neg[:, :n], out=r_neg[:, :n])
-        index = np.packbits(flags, axis=1, bitorder="little") + offsets
-        odds, x = _byte_odds(byte_maps, index, x)
-        for lo in range(max(0, skip - start), n, piece):
-            hi = min(lo + piece, n)
-            first, end = lo // 8, -(-hi // 8)
-            num, den = _prefix_apply(steps, index[:, first:end], odds[:, first:end])
-            yield num, den, slice(lo - 8 * first, hi - 8 * first)
+        return r_neg, s_neg
+
+    flag_bufs = [(np.empty((rows, width), dtype=bool), np.empty((rows, width), dtype=bool))
+                 for _ in range(2)]
+    drawer = _drawer()
+    pending = drawer.submit(draw, 0, *flag_bufs[0])
+    try:
+        # built while the first chunk is drawn
+        byte_maps, steps = _row_tables(q, alpha, m)
+        offsets = np.arange(0, 256 * rows, 256)[:, None]
+        x = np.ones(rows)
+        odd = np.zeros(rows, dtype=np.uint8)
+        for c, start in enumerate(range(0, total, width)):
+            r_neg, s_neg = pending.result()
+            if start + width < total:
+                pending = drawer.submit(draw, start + width, *flag_bufs[(c + 1) % 2])
+            n = min(width, total - start)
+            # sigma flips with every S flag: it is their running xor, carried
+            # across chunks by its last step's sign
+            sigma = s_neg[:, :n].view(np.uint8)
+            sigma[:, 0] ^= odd
+            np.bitwise_xor.accumulate(sigma, axis=1, out=sigma)
+            odd = sigma[:, -1].copy()
+            flags = np.bitwise_xor(r_neg[:, :n], s_neg[:, :n], out=r_neg[:, :n])
+            index = np.packbits(flags, axis=1, bitorder="little") + offsets
+            odds, x = _byte_odds(byte_maps, index, x)
+            for lo in range(max(0, skip - start), n, piece):
+                hi = min(lo + piece, n)
+                first, end = lo // 8, -(-hi // 8)
+                num, den = _prefix_apply(steps, index[:, first:end], odds[:, first:end])
+                yield num, den, slice(lo - 8 * first, hi - 8 * first)
+    finally:
+        # a scan that ends early, by an error or a close, still waits for the
+        # helper to let go of the generators
+        pending.exception()
     for rng, s_rng in zip(rngs, s_rngs):
         rng.bit_generator.state = s_rng.bit_generator.state
 
@@ -863,13 +916,16 @@ def entropy_rate_mc_many(params_seq, samples: int, burnin: int, seeds) -> list[M
     The others run in lockstep groups of at most _MC_ROWS, each one _scan in
     chunks of at most _MC_CHUNK steps over the group's rows, so memory is
     bounded whatever the number of rows and steps. Each chunk's R and S
-    draws are taken as it starts, into one pair of buffers of at most
-    _MC_PIECE doubles (S from _s_stream, a copy of the generator moved past
-    all R draws, which keeps entropy_rate_mc's stream). Since f is odd,
-    V_i = S_1 ... S_i W_i takes one of two fixed steps, and h is even in W,
-    so only the odds x = e^V are needed. In odds each step is a Moebius map
-    with a nonnegative 2x2 matrix, and a flag byte of 8 steps one of 256
-    fixed maps: one table per (q, alpha) holds them and their prefixes
+    uniforms are drawn one chunk ahead on a helper thread, one per process,
+    while the chunk before is scanned, so a run uses a second core where
+    there is one. They go into one pair of buffers of at most _MC_PIECE
+    doubles (S from _s_stream, a copy of the generator moved past all R
+    draws, which keeps entropy_rate_mc's stream) and are compared into the
+    free one of two pairs of flag buffers, in the order one thread would
+    draw them. Since f is odd, V_i = S_1 ... S_i W_i takes one of two fixed
+    steps, and h is even in W, so only the odds x = e^V are needed. In odds
+    each step is a Moebius map with a nonnegative 2x2 matrix, and a flag
+    byte of 8 steps one of 256 fixed maps: one table per (q, alpha) holds them and their prefixes
     (_row_tables), built for a whole group in one pass. A chunk runs as a
     byte-table scan (_byte_odds): the maps of byte pairs, pairs of pairs and
     whole blocks are multiplied out, the block maps are composed across the

@@ -4,7 +4,14 @@ replaced, which is kept here as the oracle, and against the earlier builders
 and routes kept here as references."""
 
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -293,13 +300,23 @@ def test_a_generator_shared_by_two_rows_keeps_its_draw_order(bits, want):
 
 
 class CountingGenerator(np.random.Generator):
-    """A Generator that counts its calls of random."""
+    """A Generator that counts its calls of random, records the thread that
+    made each, and raises DrawFailed on call number fail_at."""
 
     calls = 0
+    threads = ()
+    fail_at = None
 
     def random(self, *args, **kwargs):
         self.calls += 1
+        self.threads += (threading.get_ident(),)
+        if self.calls == self.fail_at:
+            raise DrawFailed(self.calls)
         return super().random(*args, **kwargs)
+
+
+class DrawFailed(Exception):
+    pass
 
 
 def test_a_fig3_sweep_group_draws_each_row_once_a_chunk():
@@ -310,6 +327,114 @@ def test_a_fig3_sweep_group_draws_each_row_once_a_chunk():
     rngs = [CountingGenerator(np.random.PCG64((7, i))) for i in range(len(rows))]
     entropy_rate_mc_many([MarkovHmmParams(q, 0.11) for q in rows], 60_000, 10_000, rngs)
     assert [g.calls for g in rngs] == [8] * 7
+
+
+def test_a_generator_shared_by_two_groups_keeps_its_draw_order():
+    # 9 rows run as two lockstep groups of 4 and 5 rows, two chunks each; g
+    # drives all of them, so every row's draws and every group's turn must
+    # come in the order of one thread
+    g = CountingGenerator(np.random.PCG64(11))
+    params = [MarkovHmmParams(q, 0.11) for q in FIG3_QS[:9]]
+    got = entropy_rate_mc_many(params, 20_000, 1_005, [g] * 9)
+    drew_on = set(g.threads)
+    assert [e.estimate.hex() for e in got] + [g.random().hex()] == [
+        "0x1.3fb1a3c787f1cp-1", "0x1.62c28c86354d4p-1", "0x1.7d2e1d4baaac5p-1",
+        "0x1.923d3177c68bfp-1", "0x1.a2ea614b82105p-1", "0x1.b186be239847dp-1",
+        "0x1.be98bfe10b25dp-1", "0x1.c9a44040928b1p-1", "0x1.d2dc448273fb2p-1",
+        "0x1.eb27ab9c1d86cp-2"]
+    # every draw ran on one helper thread, not the caller's, and the next
+    # call draws on the same one
+    h = CountingGenerator(np.random.PCG64(12))
+    entropy_rate_mc(params[0], 1_000, burnin=0, seed=h)
+    assert len(drew_on) == 1 and set(h.threads) == drew_on
+    assert threading.get_ident() not in drew_on
+
+
+def test_a_failed_draw_raises_in_the_caller_and_spares_the_helper():
+    params = MarkovHmmParams(0.1, 0.11)
+    want = entropy_rate_mc(params, 2 * CHUNK, burnin=CHUNK, seed=3)
+    threads = threading.active_count()
+    for _ in range(20):
+        # a row's chunk of CHUNK steps draws in 4 blocks, so call 6 is the
+        # second block of the second chunk, drawn while the first is scanned
+        g = CountingGenerator(np.random.PCG64(3))
+        g.fail_at = 6
+        with pytest.raises(DrawFailed):
+            entropy_rate_mc(params, 2 * CHUNK, burnin=CHUNK, seed=g)
+        assert g.calls == 6 and threading.get_ident() not in g.threads
+        assert entropy_rate_mc(params, 2 * CHUNK, burnin=CHUNK, seed=3) == want
+    assert threading.active_count() == threads
+
+
+def test_callers_on_several_threads_share_the_helper():
+    # four callers, more than the cores here, submit their chunks to the one
+    # helper in turn; each must still read its own draws into its own buffers
+    params = [MarkovHmmParams(q, 0.11) for q in FIG3_QS[:3]]
+
+    def run(k):
+        return entropy_rate_mc_many(params, 30_000, 10_000, [(k, i) for i in range(3)])
+
+    want = [run(k) for k in range(4)]
+    got = [None] * 4
+
+    def store(k):
+        got[k] = run(k)
+
+    callers = [threading.Thread(target=store, args=(k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
+    assert got == want
+
+
+def test_no_thread_starts_before_the_first_monte_carlo_call():
+    code = ("import threading, bscbounds.cli\n"
+            "from bscbounds.hmm import MarkovHmmParams, entropy_rate_mc\n"
+            "print(threading.active_count())\n"
+            "entropy_rate_mc(MarkovHmmParams(0.1, 0.11), 100, burnin=0)\n"
+            "print(threading.active_count())\n")
+    # the child imports the package under test, not an installed copy
+    env = {**os.environ, "PYTHONPATH": str(Path(hmm.__file__).resolve().parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True, timeout=60)
+    assert out.stdout.split() == ["1", "2"]
+
+
+def _estimate_in_child(conn):
+    conn.send(entropy_rate_mc(MarkovHmmParams(0.1, 0.11), 20_000, burnin=1_000, seed=5))
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="no fork start method here")
+def test_a_forked_child_draws_on_a_helper_of_its_own():
+    # the child inherits the parent's helper but not its thread: a draw
+    # submitted to that helper would never run
+    want = entropy_rate_mc(MarkovHmmParams(0.1, 0.11), 20_000, burnin=1_000, seed=5)
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_estimate_in_child, args=(send,))
+    with warnings.catch_warnings():
+        # newer Pythons warn that forking a process with threads may deadlock;
+        # that fork is what this test makes
+        warnings.simplefilter("ignore", DeprecationWarning)
+        child.start()
+    try:
+        assert recv.poll(20), "the forked child's Monte Carlo call did not return"
+        got = recv.recv()
+    finally:
+        child.join(10)
+        if child.is_alive():
+            child.kill()
+            child.join()
+    assert not child.is_alive() and child.exitcode == 0
+    assert (got.estimate.hex(), got.stderr.hex()) == (want.estimate.hex(), want.stderr.hex())
 
 
 def test_generator_seed_is_advanced_as_before():
