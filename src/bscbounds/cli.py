@@ -9,7 +9,10 @@ validation suite failed, 2 domain error, 3 file error.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
+import os
+import stat
 import sys
 
 import numpy as np
@@ -141,6 +144,19 @@ _FIGURES = {
 }
 
 
+def _check_out_dir(path: str) -> None:
+    """Raise the OSError, naming path, that writing path would raise if its
+    directory is missing or not a directory: a figure checks this before it
+    computes its rows, which for fig3 can take seconds."""
+    try:
+        if stat.S_ISDIR(os.stat(os.path.dirname(path) or ".").st_mode):
+            return
+        code = errno.ENOTDIR
+    except OSError as exc:
+        code = exc.errno
+    raise OSError(code, os.strerror(code), path)
+
+
 def _run_figure(args: argparse.Namespace) -> int:
     check_int("--seed", args.seed, 0)
     check_int("--points", args.points, 2, _MAX_POINTS)
@@ -153,10 +169,11 @@ def _run_figure(args: argparse.Namespace) -> int:
     if args.which == "fig3" and steps > _MAX_FIG3_STEPS:
         raise DomainError(f"fig3 runs --points * (--samples + --burnin) Monte Carlo steps, "
                           f"at most {_MAX_FIG3_STEPS}, got {steps}")
+    out = f"{args.which}.csv" if args.out is None else args.out
+    _check_out_dir(out)
     header, end, columns = _FIGURES[args.which]
     grid = np.linspace(0.0, end, args.points).tolist()
     rows = [(v, *cols) for v, cols in zip(grid, columns(args, grid))]
-    out = f"{args.which}.csv" if args.out is None else args.out
     lines = [",".join(header)]
     lines.extend(",".join(_fmt9(v) for v in row) for row in rows)
     _write_text(out, "\n".join(lines) + "\n")

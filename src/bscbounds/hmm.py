@@ -111,11 +111,12 @@ _MC_PIECE = 1 << 14
 _MC_BLOCK = 64
 _MC_ROWS = 8
 
-# (pid, executor) of the helper thread that _scan draws on. It is made on the
-# first Monte Carlo call, not at import, and made again in a process whose
-# pid differs: a fork-started child inherits the executor but not its
-# thread, and would wait for ever on a draw submitted to it. One per process,
-# not per call, so that no call pays for starting a thread.
+# (pid, jobs) of the helper thread that _scan draws on, with jobs the queue
+# it takes its draws from. It is made on the first Monte Carlo call, not at
+# import, and made again in a process whose pid differs: a fork-started child
+# inherits the queue but not its thread, and would wait for ever on a draw
+# put on it. One per process, not per call, so that no call pays for
+# starting a thread.
 _DRAWER: tuple | None = None
 _DRAWER_LOCK = threading.Lock()
 
@@ -672,17 +673,33 @@ def _row_tables(q: np.ndarray, alpha: np.ndarray,
 
 
 def _drawer():
-    """This process's helper thread for _scan's draws, as a one-worker
-    ThreadPoolExecutor, made on first use."""
+    """This process's helper thread for _scan's draws, made on first use, as
+    its job queue and a new queue for one caller's results. The helper is a
+    daemon thread that takes (function, args, done) jobs from the job queue
+    in turn and puts (result, None) on done, or (None, error) if the function
+    raised, and goes on to the next job either way."""
+    # imported here, so that only a process that runs the Monte Carlo pays
+    # for it
+    from queue import SimpleQueue
+
+    def serve(jobs):
+        while True:
+            function, args, done = jobs.get()
+            try:
+                done.put((function(*args), None))
+            except BaseException as error:
+                done.put((None, error))
+            # let go of the job's buffers while waiting for the next
+            del function, args, done
+
     global _DRAWER
     with _DRAWER_LOCK:
         if _DRAWER is None or _DRAWER[0] != os.getpid():
-            # imported here, so that only a process that runs the Monte Carlo
-            # pays for it
-            from concurrent.futures import ThreadPoolExecutor
-
-            _DRAWER = (os.getpid(), ThreadPoolExecutor(1, thread_name_prefix="bscbounds-draws"))
-        return _DRAWER[1]
+            jobs = SimpleQueue()
+            threading.Thread(target=serve, args=(jobs,), name="bscbounds-draws",
+                             daemon=True).start()
+            _DRAWER = (os.getpid(), jobs)
+        return _DRAWER[1], SimpleQueue()
 
 
 def _scan(q: np.ndarray, alpha: np.ndarray, m: float | np.ndarray, total: int, rngs: list,
@@ -740,8 +757,9 @@ def _scan(q: np.ndarray, alpha: np.ndarray, m: float | np.ndarray, total: int, r
 
     flag_bufs = [(np.empty((rows, width), dtype=bool), np.empty((rows, width), dtype=bool))
                  for _ in range(2)]
-    drawer = _drawer()
-    pending = drawer.submit(draw, 0, *flag_bufs[0])
+    jobs, done = _drawer()
+    jobs.put((draw, (0, *flag_bufs[0]), done))
+    pending = True
     try:
         # built while the first chunk is drawn
         byte_maps, steps = _row_tables(q, alpha, m)
@@ -749,9 +767,14 @@ def _scan(q: np.ndarray, alpha: np.ndarray, m: float | np.ndarray, total: int, r
         x = np.ones(rows)
         odd = np.zeros(rows, dtype=np.uint8)
         for c, start in enumerate(range(0, total, width)):
-            r_neg, s_neg = pending.result()
+            drawn, error = done.get()
+            pending = False
+            if error is not None:
+                raise error
+            r_neg, s_neg = drawn
             if start + width < total:
-                pending = drawer.submit(draw, start + width, *flag_bufs[(c + 1) % 2])
+                jobs.put((draw, (start + width, *flag_bufs[(c + 1) % 2]), done))
+                pending = True
             n = min(width, total - start)
             # sigma flips with every S flag: it is their running xor, carried
             # across chunks by its last step's sign
@@ -770,7 +793,8 @@ def _scan(q: np.ndarray, alpha: np.ndarray, m: float | np.ndarray, total: int, r
     finally:
         # a scan that ends early, by an error or a close, still waits for the
         # helper to let go of the generators
-        pending.exception()
+        if pending:
+            done.get()
     for rng, s_rng in zip(rngs, s_rngs):
         rng.bit_generator.state = s_rng.bit_generator.state
 

@@ -392,6 +392,16 @@ class TestFigure:
         assert code == 3
         assert "file error" in err
 
+    def test_missing_out_dir_exits_3_before_the_sweep(self, capsys, monkeypatch, tmp_path):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the directory must be checked before any work")
+
+        monkeypatch.setattr(cli, "entropy_rate_mc_many", refuse)
+        out = tmp_path / "no" / "such" / "fig3.csv"
+        code, msg, err = run_cli(capsys, "figure", "fig3", "--points", "3", "--out", str(out))
+        assert (code, msg) == (3, "")
+        assert err == f"file error: [Errno 2] No such file or directory: '{out}'\n"
+
 
 # the (alpha, q) points at which validate's hmm suite runs the Monte Carlo
 HMM_GRID = [(a, q) for a in (0.05, 0.11, 0.25) for q in (0.01, 0.05, 0.1, 0.2, 0.3, 0.45)]

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -366,6 +367,34 @@ def test_a_failed_draw_raises_in_the_caller_and_spares_the_helper():
     assert threading.active_count() == threads
 
 
+class SlowGenerator(CountingGenerator):
+    """A CountingGenerator whose calls after the fourth take 0.05 s longer."""
+
+    def random(self, *args, **kwargs):
+        if self.calls >= 4:
+            time.sleep(0.05)
+        return super().random(*args, **kwargs)
+
+
+def test_closing_a_scan_waits_for_the_draw_in_flight():
+    # a row's chunk of CHUNK steps draws in 4 blocks: the first piece comes
+    # once chunk 0's 4 calls are done and chunk 1's are put on the helper,
+    # which here take 0.05 s each, so the close finds them still running
+    params = MarkovHmmParams(0.1, 0.11)
+    want = entropy_rate_mc(params, 2 * CHUNK, burnin=CHUNK, seed=3)
+    threads = threading.active_count()
+    g = SlowGenerator(np.random.PCG64(3))
+    path = hmm._odds_path(0.1, 0.11, 3 * CHUNK, g)
+    next(path)
+    assert g.calls < 8
+    path.close()
+    # the close returned once chunk 1 was drawn, and chunk 2 was never asked for
+    assert g.calls == 8
+    time.sleep(0.1)
+    assert g.calls == 8 and threading.active_count() == threads
+    assert entropy_rate_mc(params, 2 * CHUNK, burnin=CHUNK, seed=3) == want
+
+
 def test_callers_on_several_threads_share_the_helper():
     # four callers, more than the cores here, submit their chunks to the one
     # helper in turn; each must still read its own draws into its own buffers
@@ -395,16 +424,19 @@ def test_callers_on_several_threads_share_the_helper():
 
 
 def test_no_thread_starts_before_the_first_monte_carlo_call():
-    code = ("import threading, bscbounds.cli\n"
+    # the helper needs neither concurrent.futures nor, through it, logging,
+    # whose imports took about 2.8 ms of a fresh process's first call
+    code = ("import sys, threading, bscbounds.cli\n"
             "from bscbounds.hmm import MarkovHmmParams, entropy_rate_mc\n"
             "print(threading.active_count())\n"
             "entropy_rate_mc(MarkovHmmParams(0.1, 0.11), 100, burnin=0)\n"
-            "print(threading.active_count())\n")
+            "print(threading.active_count())\n"
+            "print(*(m in sys.modules for m in ('concurrent.futures', 'logging')))\n")
     # the child imports the package under test, not an installed copy
     env = {**os.environ, "PYTHONPATH": str(Path(hmm.__file__).resolve().parents[1])}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True, timeout=60)
-    assert out.stdout.split() == ["1", "2"]
+    assert out.stdout.split() == ["1", "2", "False", "False"]
 
 
 def _estimate_in_child(conn):
