@@ -145,15 +145,21 @@ _FIGURES = {
 
 
 def _check_out_dir(path: str) -> None:
-    """Raise the OSError, naming path, that writing path would raise if its
-    directory is missing or not a directory: a figure checks this before it
-    computes its rows, which for fig3 can take seconds."""
-    try:
-        if stat.S_ISDIR(os.stat(os.path.dirname(path) or ".").st_mode):
-            return
-        code = errno.ENOTDIR
-    except OSError as exc:
-        code = exc.errno
+    """Raise the OSError, naming path, that writing path would raise if path
+    is empty or a directory, or its directory is missing or not a directory:
+    a figure checks this before it computes its rows, which for fig3 can
+    take seconds."""
+    if not path:
+        code = errno.ENOENT
+    elif os.path.isdir(path):
+        code = errno.EISDIR
+    else:
+        try:
+            if stat.S_ISDIR(os.stat(os.path.dirname(path) or ".").st_mode):
+                return
+            code = errno.ENOTDIR
+        except OSError as exc:
+            code = exc.errno
     raise OSError(code, os.strerror(code), path)
 
 
@@ -224,62 +230,101 @@ def _run_pmf_mmse(args: argparse.Namespace) -> int:
     return 0
 
 
+def _bound_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("kind", choices=_BOUNDS)
+    p.add_argument("--alpha", type=float, help="channel flip rate")
+    p.add_argument("--q", type=float, help="source flip rate")
+    p.add_argument("--entropy", type=float, help="entropy input, bits per symbol")
+    p.add_argument("--mmse", type=float, help="MMSE input, per symbol")
+    p.add_argument("--n", type=int, default=1, help="block order for cover-thomas")
+    p.add_argument("--variant", choices=("factor4", "printed"), default="factor4",
+                   help="theorem6 flavor (default factor4)")
+    p.set_defaults(run=_run_bound)
+
+
+def _figure_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("which", choices=_FIGURES)
+    p.add_argument("--out", help="output path (default <figure>.csv)")
+    p.add_argument("--alpha", type=float, default=0.11,
+                   help="channel flip rate (default 0.11)")
+    p.add_argument("--x", type=float, default=0.5,
+                   help="fig1b: fixed MMSE level (default 0.5)")
+    p.add_argument("--entropy", type=float, default=0.5,
+                   help="fig2b: fixed input entropy (default 0.5)")
+    p.add_argument("--points", type=int, default=201)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=int, default=200_000,
+                   help="fig3: Monte Carlo samples per row")
+    p.add_argument("--burnin", type=int, default=100_000,
+                   help="fig3: discarded Monte Carlo steps per row")
+    p.set_defaults(run=_run_figure)
+
+
+def _validate_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("suite", choices=validate_mod.SUITES + ("all",))
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--budget", type=int, default=500,
+                   help="random instances per randomized check")
+    p.set_defaults(run=_run_validate)
+
+
+def _pmf_mmse_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("path")
+    p.add_argument("--alpha", type=float,
+                   help="also evaluate the noisy-entropy bounds at this flip rate")
+    p.set_defaults(run=_run_pmf_mmse)
+
+
+# Each command maps to its help line in the full tree and the function that
+# declares its arguments, for the full tree and for the command's own parser.
+_COMMANDS = {
+    "bound": ("evaluate one bound and print it", _bound_args),
+    "figure": ("write one comparison-curve CSV", _figure_args),
+    "validate": ("run invariant suites", _validate_args),
+    "pmf-mmse": ("inspect an explicit pmf file", _pmf_mmse_args),
+}
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on first use and then shared: parsing
-    leaves nothing in it, so every main() call in a process reuses it."""
+    """The full argument parser, every command under one top level, built on
+    first use and then shared: parsing leaves nothing in it, so every main()
+    call in a process that needs it reuses it."""
     parser = argparse.ArgumentParser(
         prog="bscbounds",
         description="MMSE-driven entropy bounds for binary processes "
                     "observed through symmetric noise",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    pb = sub.add_parser("bound", help="evaluate one bound and print it")
-    pb.add_argument("kind", choices=_BOUNDS)
-    pb.add_argument("--alpha", type=float, help="channel flip rate")
-    pb.add_argument("--q", type=float, help="source flip rate")
-    pb.add_argument("--entropy", type=float, help="entropy input, bits per symbol")
-    pb.add_argument("--mmse", type=float, help="MMSE input, per symbol")
-    pb.add_argument("--n", type=int, default=1, help="block order for cover-thomas")
-    pb.add_argument("--variant", choices=("factor4", "printed"), default="factor4",
-                    help="theorem6 flavor (default factor4)")
-    pb.set_defaults(run=_run_bound)
-
-    pf = sub.add_parser("figure", help="write one comparison-curve CSV")
-    pf.add_argument("which", choices=_FIGURES)
-    pf.add_argument("--out", help="output path (default <figure>.csv)")
-    pf.add_argument("--alpha", type=float, default=0.11,
-                    help="channel flip rate (default 0.11)")
-    pf.add_argument("--x", type=float, default=0.5,
-                    help="fig1b: fixed MMSE level (default 0.5)")
-    pf.add_argument("--entropy", type=float, default=0.5,
-                    help="fig2b: fixed input entropy (default 0.5)")
-    pf.add_argument("--points", type=int, default=201)
-    pf.add_argument("--seed", type=int, default=0)
-    pf.add_argument("--samples", type=int, default=200_000,
-                    help="fig3: Monte Carlo samples per row")
-    pf.add_argument("--burnin", type=int, default=100_000,
-                    help="fig3: discarded Monte Carlo steps per row")
-    pf.set_defaults(run=_run_figure)
-
-    pv = sub.add_parser("validate", help="run invariant suites")
-    pv.add_argument("suite", choices=validate_mod.SUITES + ("all",))
-    pv.add_argument("--seed", type=int, default=0)
-    pv.add_argument("--budget", type=int, default=500,
-                    help="random instances per randomized check")
-    pv.set_defaults(run=_run_validate)
-
-    pp = sub.add_parser("pmf-mmse", help="inspect an explicit pmf file")
-    pp.add_argument("path")
-    pp.add_argument("--alpha", type=float,
-                    help="also evaluate the noisy-entropy bounds at this flip rate")
-    pp.set_defaults(run=_run_pmf_mmse)
+    for name, (help_line, add_args) in _COMMANDS.items():
+        add_args(sub.add_parser(name, help=help_line))
     return parser
 
 
+@functools.cache
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """The parser of one command alone, the same one build_parser() hangs
+    under its subcommand `name`, built on first use and then shared."""
+    parser = argparse.ArgumentParser(prog=f"bscbounds {name}")
+    _COMMANDS[name][1](parser)
+    return parser
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """Parse argv with its command's own parser, which reads and reports
+    everything after the command name as the full tree's subparser does. The
+    full tree builds a parser for every command, so it is built only where
+    it decides the output: without a command name to run, and for arguments
+    the command does not take, which its top level reports."""
+    if argv and argv[0] in _COMMANDS:
+        args, extra = _command_parser(argv[0]).parse_known_args(argv[1:])
+        if not extra:
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.run(args)
     except DomainError as exc:

@@ -548,9 +548,12 @@ def write_pmf(pmf: ExplicitPmf, path) -> None:
 
 def read_pmf(path) -> ExplicitPmf:
     """Parse a pmf file: first token n, then 2**n weights, whitespace-separated."""
+    # read as bytes: bytes.decode("ascii") needs no codec lookup, a text-mode
+    # open does
+    with open(path, "rb") as fh:
+        data = fh.read(_MAX_PMF_BYTES + 1)
     try:
-        with open(path, "r", encoding="ascii") as fh:
-            text = fh.read(_MAX_PMF_BYTES + 1)
+        text = data.decode("ascii")
     except UnicodeDecodeError as exc:
         raise DomainError(f"{path}: pmf file is not ASCII ({exc})") from exc
     if len(text) > _MAX_PMF_BYTES:

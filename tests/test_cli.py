@@ -402,6 +402,19 @@ class TestFigure:
         assert (code, msg) == (3, "")
         assert err == f"file error: [Errno 2] No such file or directory: '{out}'\n"
 
+    @pytest.mark.parametrize("kind", ["directory", "empty"])
+    def test_directory_or_empty_out_exits_3_before_the_sweep(self, capsys, monkeypatch,
+                                                             tmp_path, kind):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the path must be checked before any work")
+
+        monkeypatch.setattr(cli, "entropy_rate_mc_many", refuse)
+        out, message = {"directory": (f"{tmp_path}/", "[Errno 21] Is a directory"),
+                        "empty": ("", "[Errno 2] No such file or directory")}[kind]
+        code, msg, err = run_cli(capsys, "figure", "fig3", "--points", "3", "--out", out)
+        assert (code, msg) == (3, "")
+        assert err == f"file error: {message}: '{out}'\n"
+
 
 # the (alpha, q) points at which validate's hmm suite runs the Monte Carlo
 HMM_GRID = [(a, q) for a in (0.05, 0.11, 0.25) for q in (0.01, 0.05, 0.1, 0.2, 0.3, 0.45)]
@@ -770,6 +783,29 @@ class TestParserReuse:
         monkeypatch.setattr(cli.argparse, "ArgumentParser", refuse)
         assert run_cli(capsys, *argv) == first
 
+    def test_a_command_builds_only_its_own_parser(self, tmp_path):
+        # a fresh process, because the parser caches live as long as it does
+        script = """
+import argparse, sys
+from bscbounds import cli
+built = []
+init = argparse.ArgumentParser.__init__
+def counting(self, *args, **kwargs):
+    built.append(kwargs.get("prog"))
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting
+assert cli.main(["bound", "mgl", "--alpha", "0.11", "--entropy", "0.5"]) == 0
+assert cli.main(sys.argv[1:]) == 0
+print(built, cli.build_parser.cache_info().currsize)
+"""
+        src = str(Path(bscbounds.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", script, *self._pmf_file(tmp_path)],
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == \
+            "['bscbounds bound', 'bscbounds pmf-mmse'] 0"
+
     def test_same_argv_twice_prints_the_same(self, capsys, tmp_path):
         for argv in (self._pmf_file(tmp_path),
                      ["bound", "theorem6", "--alpha", "0.11", "--q", "0.1",
@@ -809,6 +845,35 @@ class TestParserReuse:
         code, out, err = run_cli(capsys, *failing)
         assert (code, out) == (2, "") and err.startswith("domain error:")
         assert [run_cli(capsys, *argv) for argv in calls] == before
+
+
+def _parse_exit(capsys, parse, argv):
+    with pytest.raises(SystemExit) as excinfo:
+        parse(argv)
+    out, err = capsys.readouterr()
+    return excinfo.value.code, out, err
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["nosuch"],
+    ["bound", "--help"], ["bound"], ["bound", "nosuch"],
+    ["bound", "mgl", "--alpha", "x"], ["bound", "mgl", "--alpha"],
+    ["bound", "mgl", "--alpha", "0.11", "--entropy", "0.5", "--bogus"],
+    ["figure", "--help"], ["figure"], ["figure", "nosuch"],
+    ["figure", "fig3", "--alpha", "x"], ["figure", "fig3", "--out"],
+    ["figure", "fig3", "extra"],
+    ["validate", "--help"], ["validate"], ["validate", "nosuch"],
+    ["validate", "all", "--budget", "x"], ["validate", "all", "--seed"],
+    ["validate", "all", "extra"],
+    ["pmf-mmse", "--help"], ["pmf-mmse"],
+    ["pmf-mmse", "x.pmf", "--alpha", "x"], ["pmf-mmse", "x.pmf", "--alpha"],
+    ["pmf-mmse", "x.pmf", "--bogus"],
+], ids=lambda argv: "_".join(argv) or "no-args")
+def test_parse_exits_as_the_full_parser_does(capsys, argv):
+    # main() parses with the running command's own parser; the full tree
+    # decided every one of these outputs before that
+    assert _parse_exit(capsys, cli.main, argv) == \
+        _parse_exit(capsys, cli.build_parser().parse_args, argv)
 
 
 class TestModuleEntry:
