@@ -23,11 +23,12 @@ from .dist import (
     _best_order,
     _check_permutation,
     _check_pmf,
+    _check_pmfs,
     _cost_table,
     _entropy_kernel,
-    best_case_mmse_given_output,
+    best_case_mmse_given_output_many,
     entropy,
-    worst_case_mmse,
+    worst_case_mmse_many,
 )
 from .errors import DomainError, _as_real, check_range
 from .scalar import _conv, _h, inv_binary_entropy
@@ -39,7 +40,9 @@ __all__ = [
     "scalar_memory_noise",
     "scalar_upper",
     "vector_mmse_gerber",
+    "vector_mmse_gerber_many",
     "vector_upper",
+    "vector_upper_many",
     "conditional_vector_mmse_gerber",
     "noise_profile",
     "memory_noise_term",
@@ -114,30 +117,41 @@ def scalar_upper(alpha: float, mmse: float) -> float:
     return _h(0.5 + (0.5 - alpha) * math.sqrt(arg))
 
 
+def _order_result(name: str, bound, alpha: float, pmf: ExplicitPmf, found) -> BoundResult:
+    """The BoundResult of a searched (mmse, order) at its per-symbol level."""
+    mmse, order = found
+    return BoundResult(name, bound(alpha, mmse / pmf.n),
+                       {"alpha": alpha, "n": pmf.n, "mmse": mmse, "order": order})
+
+
 def vector_mmse_gerber(pmf: ExplicitPmf, alpha: float) -> BoundResult:
     """Per-symbol lower bound on the noisy output entropy H(Y)/n, maximized
     over prediction orders of the clean source."""
+    return vector_mmse_gerber_many([pmf], alpha)[0]
+
+
+def vector_mmse_gerber_many(pmfs, alpha: float) -> list[BoundResult]:
+    """vector_mmse_gerber of each pmf at one alpha, in input order and with
+    the same results; the order searches run in lockstep."""
     alpha = check_range("alpha", alpha, 0.0, 0.5)
-    worst, order = worst_case_mmse(pmf)
-    value = scalar_mmse_gerber(alpha, worst / pmf.n)
-    return BoundResult(
-        "mmse-gerber",
-        value,
-        {"alpha": alpha, "n": pmf.n, "mmse": worst, "order": order},
-    )
+    pmfs = _check_pmfs(pmfs)
+    return [_order_result("mmse-gerber", scalar_mmse_gerber, alpha, pmf, found)
+            for pmf, found in zip(pmfs, worst_case_mmse_many(pmfs))]
 
 
 def vector_upper(pmf: ExplicitPmf, alpha: float) -> BoundResult:
     """Per-symbol upper bound on H(Y)/n from the best prediction order that
     sees only noisy observations of the earlier bits."""
+    return vector_upper_many([pmf], alpha)[0]
+
+
+def vector_upper_many(pmfs, alpha: float) -> list[BoundResult]:
+    """vector_upper of each pmf at one alpha, in input order and with the
+    same results; the order searches run in lockstep."""
     alpha = check_range("alpha", alpha, 0.0, 0.5)
-    best, order = best_case_mmse_given_output(pmf, alpha)
-    value = scalar_upper(alpha, best / pmf.n)
-    return BoundResult(
-        "upper",
-        value,
-        {"alpha": alpha, "n": pmf.n, "mmse": best, "order": order},
-    )
+    pmfs = _check_pmfs(pmfs)
+    return [_order_result("upper", scalar_upper, alpha, pmf, found)
+            for pmf, found in zip(pmfs, best_case_mmse_given_output_many(pmfs, alpha))]
 
 
 def conditional_vector_mmse_gerber(family, alpha: float) -> BoundResult:

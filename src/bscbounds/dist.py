@@ -9,6 +9,7 @@ stores coordinate x_{k+1}; coordinates are numbered 1..n throughout.
 from __future__ import annotations
 
 import functools
+import math
 import os
 import stat
 from collections.abc import Iterable, Sequence
@@ -26,7 +27,9 @@ __all__ = [
     "noisy_conditional_mmse",
     "mmse_along_permutation",
     "worst_case_mmse",
+    "worst_case_mmse_many",
     "best_case_mmse_given_output",
+    "best_case_mmse_given_output_many",
     "apply_bsc",
     "markov_joint_pmf",
     "greedy_permutation",
@@ -51,6 +54,15 @@ _MIN_POSITIVE = float(np.nextafter(0.0, 1.0))
 # weight vectors further than this from unit mass are rejected, closer ones
 # are renormalized
 _SUM_TOL = 1e-9
+
+# the order searches cut each group of same-n pmfs into stacks whose expanded
+# cost table holds at most this many doubles (512 KiB): one member at n = 8,
+# 303 at n = 4
+_STACK_ENTRIES = 1 << 16
+
+# _stacked_lattice keeps the offset lattices of this many (n, stack size)
+# pairs; callers choose the stack sizes, so the cache needs a bound
+_STACK_PLANS = 16
 
 
 class ExplicitPmf:
@@ -118,6 +130,14 @@ def _check_pmf(name: str, pmf) -> ExplicitPmf:
     if not isinstance(pmf, ExplicitPmf):
         raise DomainError(f"{name} must be an ExplicitPmf, got {type(pmf).__name__}")
     return pmf
+
+
+def _check_pmfs(pmfs) -> list[ExplicitPmf]:
+    try:
+        pmfs = list(pmfs)
+    except TypeError as exc:
+        raise DomainError(f"pmfs must be an iterable of ExplicitPmf: {exc}") from exc
+    return [_check_pmf("pmf", pmf) for pmf in pmfs]
 
 
 def _check_permutation(pmf: ExplicitPmf, order: Sequence[int]) -> tuple[int, ...]:
@@ -242,7 +262,8 @@ def _expand(t: np.ndarray, k: int) -> np.ndarray:
     index 2 leaves it unobserved, so every subset marginal sits in one
     3-valued table, each derived from its parent by summing one axis. The
     axes after the first k ride along: every sum adds whole contiguous
-    blocks of them. The table is written into one new array, axis k-1
+    blocks of them, and _build_cost_tables' batch of pmfs rides along as
+    the last of them. The table is written into one new array, axis k-1
     first, each sum reading the entries the later axes already hold.
     """
     out = np.empty((3,) * k + t.shape[k:])
@@ -259,9 +280,10 @@ def _fold(r: np.ndarray, k: int) -> np.ndarray:
     On each of the first k axes, index 0 becomes the unobserved entry and
     index 1 the sum over both observed values, so with the k axes folded
     their flat index is the subset mask (axis 0 holds the highest
-    coordinate); the trailing axes ride along as in _expand. The axes fold
-    first to last into one new array, the first read from r and the others
-    in place; r itself is left as it was.
+    coordinate); the trailing axes ride along as in _expand,
+    _build_cost_tables' batch of pmfs last. The axes fold first to last into
+    one new array, the first read from r and the others in place; r itself
+    is left as it was.
     """
     if not k:
         return r
@@ -277,8 +299,9 @@ def _fold(r: np.ndarray, k: int) -> np.ndarray:
 
 @functools.cache
 def _cost_plan(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The index arrays of _cost_table at n coordinates, read-only: the gather
-    that regroups the weights, and the (mask, bit) scatter of the result.
+    """The index arrays of _build_cost_tables at n coordinates, read-only:
+    the gather that regroups the weights, and the (mask, bit) scatter of the
+    result.
 
     masks[c, j-1] is the (n-1)-bit context index c with a 0 put in at bit
     j-1, and the gather puts the weight with x_j = x and the other
@@ -323,34 +346,62 @@ def _entropy_kernel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return ctx
 
 
-def _cost_table(pmf: ExplicitPmf, alpha: float = 0.0, kernel=_mmse_kernel) -> np.ndarray:
-    """cost[mask, j-1] = the sum of `kernel` over the contexts of the mask
-    bits, each seen through a symmetric channel with flip rate alpha:
-    E[Var(X_j | mask)] for _mmse_kernel, H(X_j | mask) for _entropy_kernel.
+def _build_cost_tables(weights: np.ndarray, alpha: float, kernel) -> np.ndarray:
+    """cost[mask, j-1, ...] = the sum of `kernel` over the contexts of the
+    mask bits, each bit seen through a symmetric channel with flip rate
+    alpha: E[Var(X_j | mask)] for _mmse_kernel, H(X_j | mask) for
+    _entropy_kernel. `weights` is one pmf's table of 2**n weights, or a
+    (2**n, B) stack of B tables, one a column; the result has the same
+    trailing batch axis.
 
     All targets are handled at once: the weights are regrouped by (the
     other coordinates, j, x_j). Every other coordinate passes through the
     channel and is expanded to its subset marginals; x_j splits each
     context's mass into the kernel's (a, b); and the contexts fold to masks.
-    Entries whose mask contains j are NaN. Each kernel's clean table
-    (alpha = 0) is built once per pmf and kept read-only in its memo."""
-    if not alpha and kernel in pmf._memo:
-        return pmf._memo[kernel]
-    n = pmf.n
+    The batch rides along as the last axis through the gather, the channel,
+    _expand, the kernel and _fold, every step elementwise across it, so each
+    member's table is the one it would get alone. Entries whose mask
+    contains j are NaN.
+    """
+    size, batch = weights.shape[0], weights.shape[1:]
+    n = size.bit_length() - 1
     gather, masks, bit = _cost_plan(n)
-    t = pmf.weights[gather]
+    t = weights.take(gather, axis=0)
     if alpha:
-        # the context index counts the blocks of 2 n entries
+        # the context index counts the blocks of 2 n weights, each a batch
         for s in range(n - 1):
-            t = _channel_mix(t, s, alpha, 2 * n)
-    t = _expand(t.reshape((2,) * (n - 1) + (n, 2)), n - 1)
-    folded = _fold(kernel(t[..., 0], t[..., 1]), n - 1).reshape(-1, n)
-    cost = np.full((1 << n, n), np.nan)
-    cost[masks, bit] = folded
-    if not alpha:
-        cost.setflags(write=False)
-        pmf._memo[kernel] = cost
+            t = _channel_mix(t, s, alpha, 2 * n * math.prod(batch))
+    t = _expand(t.reshape((2,) * (n - 1) + (n, 2) + batch), n - 1)
+    x = (slice(None),) * n  # x_j is axis n, after the context bits and j
+    folded = _fold(kernel(t[x + (0,)], t[x + (1,)]), n - 1)
+    cost = np.full((size, n) + batch, np.nan)
+    cost[masks, bit] = folded.reshape((-1, n) + batch)
     return cost
+
+
+def _cost_tables(pmfs: Sequence[ExplicitPmf], alpha: float, kernel) -> list[np.ndarray]:
+    """_build_cost_tables of pmfs of one n, a lone pmf's as it is and the
+    others' as one stack. Each kernel's clean table (alpha = 0) is built
+    once per pmf and kept read-only in its memo."""
+    new = pmfs if alpha else [p for p in pmfs if kernel not in p._memo]
+    if len(new) > 1:
+        stack = _build_cost_tables(np.array([p.weights for p in new]).T, alpha, kernel)
+        # one copy puts the batch first, each member's table contiguous
+        tables = list(np.ascontiguousarray(stack.transpose(2, 0, 1)))
+    else:
+        tables = [_build_cost_tables(p.weights, alpha, kernel) for p in new]
+    if alpha:
+        return tables
+    for pmf, table in zip(new, tables):
+        table.setflags(write=False)
+        pmf._memo[kernel] = table
+    return [p._memo[kernel] for p in pmfs]
+
+
+def _cost_table(pmf: ExplicitPmf, alpha: float = 0.0, kernel=_mmse_kernel) -> np.ndarray:
+    """The (2**n, n) cost table of one pmf: the one-member case of
+    _cost_tables."""
+    return _cost_tables([pmf], alpha, kernel)[0]
 
 
 def _along_order(table: np.ndarray, order: Sequence[int]) -> list[float]:
@@ -389,8 +440,31 @@ def _lattice(n: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
     return tuple(levels)
 
 
-def _best_order(n: int, step: np.ndarray, pick_max: bool) -> tuple[float, tuple[int, ...]]:
-    """Optimal additive prediction order by dynamic programming over subsets.
+@functools.lru_cache(maxsize=_STACK_PLANS)
+def _stacked_lattice(n: int, count: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+    """_lattice(n) over `count` disjoint copies of the subsets, read-only:
+    copy b's masks offset by b 2**n and its step indices by b 2**n n, so
+    they address a stack of `count` (2**n, n) step tables. At count 1 it is
+    _lattice(n) itself."""
+    lattice = _lattice(n)
+    if count == 1:
+        return lattice
+    off = np.arange(count)[:, None, None] << n
+    levels = []
+    for sub, pred, idx in lattice:
+        k = pred.shape[1]
+        level = ((off[:, 0] + sub).reshape(-1), (off + pred).reshape(-1, k),
+                 (off * n + idx).reshape(-1, k))
+        for arr in level:
+            arr.setflags(write=False)
+        levels.append(level)
+    return tuple(levels)
+
+
+def _best_orders(n: int, steps: Sequence[np.ndarray],
+                 pick_max: bool) -> list[tuple[float, tuple[int, ...]]]:
+    """Optimal additive prediction order of each (2**n, n) step table, by one
+    dynamic program over the subsets of all of them.
 
     `step[mask, j-1]` is the cost of predicting coordinate j after the ones
     in mask. Forward over subsets of growing size,
@@ -400,10 +474,13 @@ def _best_order(n: int, step: np.ndarray, pick_max: bool) -> tuple[float, tuple[
     which is exactly the max (or min) of the left-to-right sums of all n!
     orders, since rounded addition is monotone. The returned order is the
     lexicographically first one whose every prefix is optimal for its set.
+    The tables' subsets are disjoint copies in one lattice, so each result
+    is the one its table would get alone.
     """
-    lattice = _lattice(n)
-    flat = step.reshape(-1)
-    best = np.zeros(1 << n)
+    count, size = len(steps), 1 << n
+    lattice = _stacked_lattice(n, count)
+    flat = np.concatenate(steps, axis=None) if count > 1 else steps[0].reshape(-1)
+    best = np.zeros(count * size)
     tight = []
     for sub, pred, idx in lattice:
         cand = best.take(pred)
@@ -411,24 +488,57 @@ def _best_order(n: int, step: np.ndarray, pick_max: bool) -> tuple[float, tuple[
         best[sub] = top = cand.max(axis=1) if pick_max else cand.min(axis=1)
         tight.append(cand == top[:, None])
 
-    # reach[S]: a chain of tight edges leads from S to the full set
-    reach = np.zeros(1 << n, dtype=bool)
-    reach[-1] = True
+    # reach[S]: a chain of tight edges leads from S to its copy's full set
+    reach = np.zeros(count * size, dtype=bool)
+    reach[size - 1::size] = True
     for (sub, pred, _), edge in zip(reversed(lattice), reversed(tight)):
         reach[pred[edge & reach[sub][:, None]]] = True
 
-    # the walk reads Python floats, which add exactly as float64 scalars do
+    # the walk reads Python floats, which add exactly as float64 scalars do;
+    # copy b's masks carry b in their bits from n up
     best, reach = best.tolist(), reach.tolist()
-    order: list[int] = []
-    mask = 0
-    for _ in range(n):
-        here, row = best[mask], step[mask].tolist()
-        j = next(j for j in range(n)
-                 if not mask >> j & 1 and reach[mask | 1 << j]
-                 and here + row[j] == best[mask | 1 << j])
-        order.append(j + 1)
-        mask |= 1 << j
-    return best[-1], tuple(order)
+    found = []
+    for base, step in zip(range(0, count * size, size), steps):
+        order: list[int] = []
+        mask = base
+        for _ in range(n):
+            here, row = best[mask], step[mask - base].tolist()
+            j = next(j for j in range(n)
+                     if not mask >> j & 1 and reach[mask | 1 << j]
+                     and here + row[j] == best[mask | 1 << j])
+            order.append(j + 1)
+            mask |= 1 << j
+        found.append((best[mask], tuple(order)))
+    return found
+
+
+def _best_order(n: int, step: np.ndarray, pick_max: bool) -> tuple[float, tuple[int, ...]]:
+    """The one-table case of _best_orders."""
+    return _best_orders(n, [step], pick_max)[0]
+
+
+def _stacks(pmfs: Sequence[ExplicitPmf]) -> list[list[int]]:
+    """The indices of pmfs grouped by n, each group cut in input order into
+    stacks whose expanded cost table, 2 n 3**(n-1) doubles a member, holds at
+    most _STACK_ENTRIES doubles. Every n is held to the cap before any table
+    is built."""
+    groups: dict[int, list[int]] = {}
+    for i, pmf in enumerate(pmfs):
+        groups.setdefault(pmf.n, []).append(i)
+    for n in groups:
+        _check_table_size(n)
+    stacks = []
+    for n, idx in groups.items():
+        per = max(1, _STACK_ENTRIES // (2 * n * 3 ** (n - 1)))
+        stacks += [idx[s:s + per] for s in range(0, len(idx), per)]
+    return stacks
+
+
+def _search(pmfs: Sequence[ExplicitPmf], alpha: float,
+            pick_max: bool) -> list[tuple[float, tuple[int, ...]]]:
+    """The optimal MMSE order of each pmf of one stack, each bit seen through
+    flip rate alpha."""
+    return _best_orders(pmfs[0].n, _cost_tables(pmfs, alpha, _mmse_kernel), pick_max)
 
 
 def worst_case_mmse(pmf: ExplicitPmf) -> tuple[float, tuple[int, ...]]:
@@ -439,9 +549,20 @@ def worst_case_mmse(pmf: ExplicitPmf) -> tuple[float, tuple[int, ...]]:
     whose every prefix is optimal. Refuses n above EXHAUSTIVE_CAP. The result
     is kept in the pmf's memo, so later calls on the same pmf return it.
     """
-    if "worst" not in _check_pmf("pmf", pmf)._memo:
-        pmf._memo["worst"] = _best_order(pmf.n, _cost_table(pmf), pick_max=True)
-    return pmf._memo["worst"]
+    return worst_case_mmse_many([pmf])[0]
+
+
+def worst_case_mmse_many(pmfs: Iterable[ExplicitPmf]) -> list[tuple[float, tuple[int, ...]]]:
+    """worst_case_mmse of each pmf, in input order, with the same results and
+    memo: the pmfs without a kept result are searched in lockstep, grouped
+    by n. Refuses n above EXHAUSTIVE_CAP before any search."""
+    pmfs = _check_pmfs(pmfs)
+    todo = [pmf for pmf in pmfs if "worst" not in pmf._memo]
+    for idx in _stacks(todo):
+        stack = [todo[i] for i in idx]
+        for pmf, found in zip(stack, _search(stack, 0.0, pick_max=True)):
+            pmf._memo["worst"] = found
+    return [pmf._memo["worst"] for pmf in pmfs]
 
 
 def best_case_mmse_given_output(pmf: ExplicitPmf, alpha: float) -> tuple[float, tuple[int, ...]]:
@@ -452,8 +573,22 @@ def best_case_mmse_given_output(pmf: ExplicitPmf, alpha: float) -> tuple[float, 
     Returns (value, order), the order being the lexicographically first one
     whose every prefix is optimal. Refuses n above EXHAUSTIVE_CAP.
     """
+    return best_case_mmse_given_output_many([pmf], alpha)[0]
+
+
+def best_case_mmse_given_output_many(
+    pmfs: Iterable[ExplicitPmf], alpha: float
+) -> list[tuple[float, tuple[int, ...]]]:
+    """best_case_mmse_given_output of each pmf at one alpha, in input order
+    and with the same results, searched in lockstep, grouped by n. Refuses n
+    above EXHAUSTIVE_CAP before any search."""
     alpha = check_range("alpha", alpha, 0.0, 0.5)
-    return _best_order(_check_pmf("pmf", pmf).n, _cost_table(pmf, alpha), pick_max=False)
+    pmfs = _check_pmfs(pmfs)
+    out: list = [None] * len(pmfs)
+    for idx in _stacks(pmfs):
+        for i, found in zip(idx, _search([pmfs[i] for i in idx], alpha, pick_max=False)):
+            out[i] = found
+    return out
 
 
 def apply_bsc(pmf: ExplicitPmf, alpha: float) -> ExplicitPmf:

@@ -112,11 +112,11 @@ def _dist_checks(seed: int, budget: int):
     rng = np.random.default_rng(seed)
 
     lower, upper, dominate, cases = [], [], [], []
-    for k, pmf in enumerate(_random_pmfs(rng, max(budget // 5, 20))):
+    pmfs = list(_random_pmfs(rng, max(budget // 5, 20)))
+    for k, (pmf, (worst_val, _)) in enumerate(zip(pmfs, dist.worst_case_mmse_many(pmfs))):
         h = dist.entropy(pmf)
         phat = scalar.inv_binary_entropy(h / pmf.n)
         floor = 4.0 * pmf.n * phat * (1.0 - phat)
-        worst_val, _ = dist.worst_case_mmse(pmf)
         perms, m = _along_every_order(pmf)
         lower.append(4.0 * m - floor + 1e-10)
         upper.append(h - 4.0 * m + 1e-10)
@@ -145,8 +145,8 @@ def _dist_checks(seed: int, budget: int):
     yield "half-noise-erases", 1e-12 - np.array(errs), lambda k: f"pmf#{k}"
 
     gaps = []
-    for pmf in _random_pmfs(rng, 20):
-        best0, _ = dist.best_case_mmse_given_output(pmf, 0.0)
+    pmfs = list(_random_pmfs(rng, 20))
+    for pmf, (best0, _) in zip(pmfs, dist.best_case_mmse_given_output_many(pmfs, 0.0)):
         _, direct = _along_every_order(pmf)
         gaps.append(abs(best0 - direct.min()))
     yield "noiseless-best-case", 1e-12 - np.array(gaps), lambda k: f"pmf#{k}"
@@ -169,12 +169,16 @@ def _bounds_checks(seed: int, budget: int):
 
     alphas = (0.0, 0.05, 0.11, 0.25, 0.5)
     low, up, mgl = [], [], []
-    for pmf in _random_pmfs(rng, max(budget // 5, 25)):
+    pmfs = list(_random_pmfs(rng, max(budget // 5, 25)))
+    # per alpha, the bound values of every pmf; read back pmf by pmf
+    lows = [[r.value for r in bounds.vector_mmse_gerber_many(pmfs, a)] for a in alphas]
+    ups = [[r.value for r in bounds.vector_upper_many(pmfs, a)] for a in alphas]
+    for k, pmf in enumerate(pmfs):
         hx = dist.entropy(pmf) / pmf.n
-        for a in alphas:
+        for j, a in enumerate(alphas):
             hy = dist.entropy(dist.apply_bsc(pmf, a)) / pmf.n
-            low.append(hy - bounds.vector_mmse_gerber(pmf, a).value + 1e-10)
-            up.append(bounds.vector_upper(pmf, a).value - hy + 1e-10)
+            low.append(hy - lows[j][k] + 1e-10)
+            up.append(ups[j][k] - hy + 1e-10)
             mgl.append(hy - bounds.mgl_scalar(a, hx) + 1e-10)
 
     def tag(i):

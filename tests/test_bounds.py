@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from bscbounds import (
+    DimensionError,
     DomainError,
     ExplicitPmf,
     apply_bsc,
@@ -24,9 +25,12 @@ from bscbounds import (
     scalar_upper,
     vector_memory_noise,
     vector_mmse_gerber,
+    vector_mmse_gerber_many,
     vector_upper,
+    vector_upper_many,
     worst_case_mmse,
 )
+from bscbounds import dist
 
 
 def _product(margs):
@@ -146,6 +150,57 @@ class TestVectorBounds:
         for pmf in ([0.5, 0.5], np.array([0.5, 0.5]), None):
             with pytest.raises(DomainError, match="pmf must be an ExplicitPmf"):
                 bound(pmf, 0.1)
+
+
+def _stack_pmfs(n):
+    """Random, Markov (q = 0.2, and q = 0, which ties every order) and
+    point-mass pmfs, each call a new set with empty memos."""
+    point = np.zeros(1 << n)
+    point[-1] = 1.0
+    return [random_pmf(n, seed=40 + n), markov_joint_pmf(n, 0.2), markov_joint_pmf(n, 0.0),
+            ExplicitPmf(point)]
+
+
+class TestStackedVectorBounds:
+    """vector_mmse_gerber_many and vector_upper_many run the order searches
+    in lockstep stacks; each result must be the single call's."""
+
+    @pytest.mark.parametrize("entries", [None, 1 << 24], ids=["cut", "uncut"])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_many_equals_the_single_calls(self, n, entries, monkeypatch):
+        if entries:
+            monkeypatch.setattr(dist, "_STACK_ENTRIES", entries)
+        for alpha in (0.0, 0.11, 0.5):
+            for many, one in ((vector_mmse_gerber_many, vector_mmse_gerber),
+                              (vector_upper_many, vector_upper)):
+                stacked, single = _stack_pmfs(n), _stack_pmfs(n)
+                assert many(stacked, alpha) == [one(p, alpha) for p in single]
+
+    def test_mixed_sizes_come_back_in_input_order(self):
+        pmfs = [random_pmf(2 + s % 3, seed=s) for s in range(10)]
+        for many, one in ((vector_mmse_gerber_many, vector_mmse_gerber),
+                          (vector_upper_many, vector_upper)):
+            got = many(iter(pmfs), 0.11)
+            assert [r.inputs["n"] for r in got] == [p.n for p in pmfs]
+            assert got == [one(p, 0.11) for p in pmfs]
+            assert many([], 0.11) == []
+
+    @pytest.mark.parametrize("many", [vector_mmse_gerber_many, vector_upper_many])
+    def test_bad_arguments_raise_before_any_table_is_built(self, many, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the arguments must be checked before any table is built")
+
+        monkeypatch.setattr(dist, "_build_cost_tables", refuse)
+        good = random_pmf(3, seed=2)
+        with pytest.raises(DomainError, match="pmf must be an ExplicitPmf"):
+            many([good, [0.5, 0.5]], 0.11)
+        for alpha in (-0.1, 0.6, math.nan):
+            with pytest.raises(DomainError, match="alpha"):
+                many([good], alpha)
+        with pytest.raises(DomainError, match="iterable"):
+            many(None, 0.11)
+        with pytest.raises(DimensionError, match="cap 8"):
+            many([good, random_pmf(9, seed=0)], 0.11)
 
 
 class TestConditionalVector:

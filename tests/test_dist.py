@@ -2,6 +2,7 @@ import copy
 import itertools
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from bscbounds import (
     MAX_COORDS,
     apply_bsc,
     best_case_mmse_given_output,
+    best_case_mmse_given_output_many,
     conditional_vector_mmse_gerber,
     conditional_mmse,
     counterexample_pmf,
@@ -27,6 +29,7 @@ from bscbounds import (
     read_pmf,
     vector_mmse_gerber,
     worst_case_mmse,
+    worst_case_mmse_many,
     write_pmf,
 )
 
@@ -321,6 +324,18 @@ class TestSearchSetup:
             assert noisy.flags.writeable and noisy is not dist._cost_table(pmf, 0.11, kernel)
         assert set(pmf._memo) == set(kernels)
 
+    def test_stacked_lattices_are_read_only_and_their_cache_is_bounded(self):
+        for n in range(1, 9):
+            assert dist._stacked_lattice(n, 1) is dist._lattice(n)
+            for level in dist._stacked_lattice(n, 3):
+                for arr in level:
+                    self._assert_read_only(arr)
+        cache = dist._stacked_lattice
+        assert cache.cache_info().maxsize == dist._STACK_PLANS
+        for count in range(2, dist._STACK_PLANS + 10):
+            cache(2, count)
+        assert cache.cache_info().currsize <= dist._STACK_PLANS
+
 
 # The all-subset tables as they were built before _expand and _fold wrote
 # into one preallocated array: one concatenate or stack copy per axis, the
@@ -328,7 +343,8 @@ class TestSearchSetup:
 # columns walked over numpy scalars. The references build every index from
 # n alone, so they share no layout with dist's private plans. The current
 # cost tables must equal these exactly, NaN entries included; the entropy
-# table, summed per context, is held to the subset entropies' differences.
+# table, summed per context, is held to the subset entropies' differences,
+# and each member of a stacked build to a masked-log reference exactly.
 
 
 def _ref_expand(t, axes):
@@ -343,7 +359,22 @@ def _ref_fold(r, axes):
     return r
 
 
-def _ref_cost_table(pmf, alpha):
+def _ref_mmse_terms(a, b):
+    tot = a + b
+    return np.divide(a * b, tot, out=np.zeros_like(tot), where=tot > 0.0)
+
+
+def _ref_entropy_terms(a, b):
+    # -m log2(m / (a + b)) for each m > 0 of the pair, in the order a, b
+    tot = a + b
+    ctx = np.zeros_like(tot)
+    for m in (a, b):
+        r = np.divide(m, tot, out=np.zeros_like(tot), where=tot > 0.0)
+        ctx -= np.log2(r, out=np.zeros_like(r), where=r > 0.0) * m
+    return ctx
+
+
+def _ref_cost_table(pmf, alpha, terms=_ref_mmse_terms):
     # target-first layout: flat index (j-1, x_j, the other n-1 bits)
     n = pmf.n
     packed = np.arange(1 << (n - 1))
@@ -355,10 +386,7 @@ def _ref_cost_table(pmf, alpha):
         for s in range(n - 1):
             t = dist._channel_mix(t, s, alpha)
     t = _ref_expand(t.reshape((n, 2) + (2,) * (n - 1)), range(n, 1, -1))
-    a, b = t[:, 0], t[:, 1]
-    tot = a + b
-    ctx = np.divide(a * b, tot, out=np.zeros_like(tot), where=tot > 0.0)
-    folded = _ref_fold(ctx, range(1, n)).reshape(n, -1)
+    folded = _ref_fold(terms(t[:, 0], t[:, 1]), range(1, n)).reshape(n, -1)
     cost = np.full((1 << n, n), np.nan)
     cost[masks, bit] = folded
     return cost
@@ -460,6 +488,138 @@ class TestTablesMatchTheCopyingBuild:
         before = m.copy()
         assert np.array_equal(dist._fold(m, 3), _ref_fold(m, (0, 1, 2)))
         assert np.array_equal(m, before)
+
+
+def _record_stack_sizes(monkeypatch):
+    """Patch the stacked builder to append each stack's size to the list
+    returned."""
+    sizes = []
+    real = dist._build_cost_tables
+
+    def counted(weights, alpha, kernel):
+        sizes.append(math.prod(weights.shape[1:]))  # a lone pmf has no batch axis
+        return real(weights, alpha, kernel)
+
+    monkeypatch.setattr(dist, "_build_cost_tables", counted)
+    return sizes
+
+
+class TestStackedSearch:
+    """The `_many` searches run pmfs in lockstep stacks; each result must be
+    the single call's, bit for bit, with the single call's memo."""
+
+    @pytest.mark.parametrize("entries", [None, 1 << 24], ids=["cut", "uncut"])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_many_equals_the_single_calls(self, n, entries, monkeypatch):
+        # uncut, every n shares one stack; cut, n = 8 runs one pmf a stack
+        if entries:
+            monkeypatch.setattr(dist, "_STACK_ENTRIES", entries)
+        stacked, single = _table_pmfs(n), _table_pmfs(n)
+        assert worst_case_mmse_many(stacked) == [worst_case_mmse(p) for p in single]
+        for alpha in (0.0, 0.11, 0.5):
+            assert (best_case_mmse_given_output_many(stacked, alpha)
+                    == [best_case_mmse_given_output(p, alpha) for p in single])
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_each_stacked_table_equals_the_copying_build(self, n):
+        for kernel, terms in ((dist._mmse_kernel, _ref_mmse_terms),
+                              (dist._entropy_kernel, _ref_entropy_terms)):
+            for alpha in (0.0, 0.11, 0.5):
+                pmfs = _table_pmfs(n)
+                tables = dist._cost_tables(pmfs, alpha, kernel)
+                assert len(tables) == len(pmfs)
+                for pmf, got in zip(pmfs, tables):
+                    assert got.shape == (1 << n, n)
+                    want = _ref_cost_table(pmf, alpha, terms)
+                    assert np.array_equal(got, want, equal_nan=True)
+
+    def test_mixed_sizes_come_back_in_input_order(self):
+        make = [lambda s=s: random_pmf(2 + s % 3, seed=s) for s in range(11)]
+        make.append(lambda: markov_joint_pmf(3, 0.0))
+        stacked, single = [m() for m in make], [m() for m in make]
+        assert [p.n for p in stacked[:4]] == [2, 3, 4, 2]
+        assert worst_case_mmse_many(iter(stacked)) == [worst_case_mmse(p) for p in single]
+        assert (best_case_mmse_given_output_many(stacked, 0.11)
+                == [best_case_mmse_given_output(p, 0.11) for p in single])
+        assert worst_case_mmse_many([]) == []
+        assert best_case_mmse_given_output_many([], 0.11) == []
+
+    def test_bad_arguments_raise_before_any_table_is_built(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the arguments must be checked before any table is built")
+
+        monkeypatch.setattr(dist, "_build_cost_tables", refuse)
+        good = random_pmf(2, seed=1)
+        for bad in ([0.5, 0.5], None, np.full(4, 0.25)):
+            with pytest.raises(DomainError, match="pmf must be an ExplicitPmf"):
+                worst_case_mmse_many([good, bad])
+            with pytest.raises(DomainError, match="pmf must be an ExplicitPmf"):
+                best_case_mmse_given_output_many([good, bad], 0.11)
+        for pmfs in (None, 3, good):
+            with pytest.raises(DomainError, match="iterable"):
+                worst_case_mmse_many(pmfs)
+        for alpha in (-0.1, 0.6, math.nan, "x"):
+            with pytest.raises(DomainError):
+                best_case_mmse_given_output_many([good], alpha)
+        # the n = 2 member is first, so its stack would be built first
+        mixed = [good, random_pmf(9, seed=0)]
+        with pytest.raises(DimensionError, match="cap 8"):
+            worst_case_mmse_many(mixed)
+        with pytest.raises(DimensionError, match="cap 8"):
+            best_case_mmse_given_output_many(mixed, 0.11)
+
+    def test_memo_holds_what_the_single_call_leaves(self):
+        stacked = [random_pmf(3, seed=s) for s in range(4)] + [markov_joint_pmf(4, 0.2)]
+        single = [copy.copy(p) for p in stacked]  # the same weights, an empty memo
+        found = worst_case_mmse_many(stacked)
+        for pmf, alone, result in zip(stacked, single, found):
+            assert worst_case_mmse(alone) == result
+            assert set(pmf._memo) == set(alone._memo) == {dist._mmse_kernel, "worst"}
+            assert pmf._memo["worst"] == result
+            table = pmf._memo[dist._mmse_kernel]
+            assert not table.flags.writeable
+            assert np.array_equal(table, alone._memo[dist._mmse_kernel], equal_nan=True)
+            # later calls read the memo instead of searching again
+            assert dist._cost_table(pmf) is table
+            assert worst_case_mmse(pmf) is result
+
+    def test_kept_results_are_not_searched_again(self, monkeypatch):
+        pmfs = [random_pmf(3, seed=s) for s in range(3)]
+        first = worst_case_mmse(pmfs[1])
+        sizes = _record_stack_sizes(monkeypatch)
+        found = worst_case_mmse_many(pmfs)
+        assert found[1] is first
+        assert sizes == [2]
+
+
+class TestBoundedStacks:
+    """A same-n group is cut so that no stacked expanded table holds more
+    than _STACK_ENTRIES doubles."""
+
+    def test_stack_sizes(self, monkeypatch):
+        sizes = _record_stack_sizes(monkeypatch)
+        # one n = 8 expanded table is 2 * 8 * 3**7 = 34,992 doubles
+        worst_case_mmse_many([random_pmf(8, seed=s) for s in range(40)])
+        assert sizes == [1] * 40
+        # one n = 4 table is 2 * 4 * 3**3 = 216, so 303 fit under 2**16
+        sizes.clear()
+        best_case_mmse_given_output_many([random_pmf(4, seed=s) for s in range(400)], 0.11)
+        assert sizes == [303, 97]
+
+    def test_peak_memory_stays_below_an_uncut_stack(self):
+        pmfs = [random_pmf(8, seed=s) for s in range(64)]
+        dist._stacked_lattice(8, 1)  # the per-n plans are not counted
+        dist._cost_plan(8)
+        bound = 4 << 20
+        # an uncut stack's expanded table alone would hold 17.9 MB
+        assert 64 * 2 * 8 * 3 ** 7 * 8 > 4 * bound
+        tracemalloc.start()
+        try:
+            worst_case_mmse_many(pmfs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
 
 
 class TestBestCaseGivenOutput:

@@ -1,8 +1,8 @@
 """The package namespace: each public name exported once, no tuning knob
 left on the public functions, no private function that the package itself
 never uses, no private default that only the tests rely on, the paper's MMSE
-lemma written out in one place, and the Monte Carlo's per-step kernels called
-from one place each."""
+lemma written out in one place, the Monte Carlo's per-step kernels called
+from one place each, and one path through the order searches' plans."""
 
 import ast
 import inspect
@@ -128,3 +128,21 @@ def test_the_monte_carlo_step_kernels_have_one_caller_each():
                     if name in kernels:
                         found.append(f"{path.stem}.{getattr(node, 'name', None)}: {name}")
     assert sorted(found) == ["hmm._scan: _prefix_apply", "hmm.entropy_rate_mc_many: _entropy_terms"]
+
+
+def test_the_order_search_plans_have_one_reader_each():
+    # the stacked builder alone reads the cost-table plan, and the stacked
+    # dynamic program alone reaches the subset lattice, through its one
+    # offset helper; a second search path would need a second reader
+    plans = {"_cost_plan", "_lattice", "_stacked_lattice"}
+    found = []
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "bscbounds").glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner = getattr(node, "name", None)
+            for sub in ast.walk(node):
+                name = sub.id if isinstance(sub, ast.Name) else getattr(sub, "attr", None)
+                if isinstance(sub, (ast.Name, ast.Attribute)) and name in plans - {owner}:
+                    found.append(f"{path.stem}.{owner}: {name}")
+    assert sorted(found) == ["dist._best_orders: _stacked_lattice",
+                             "dist._build_cost_tables: _cost_plan",
+                             "dist._stacked_lattice: _lattice"]
