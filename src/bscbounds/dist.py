@@ -23,6 +23,7 @@ __all__ = [
     "EXHAUSTIVE_CAP",
     "ExplicitPmf",
     "entropy",
+    "entropy_many",
     "conditional_mmse",
     "noisy_conditional_mmse",
     "mmse_along_permutation",
@@ -31,6 +32,7 @@ __all__ = [
     "best_case_mmse_given_output",
     "best_case_mmse_given_output_many",
     "apply_bsc",
+    "apply_bsc_many",
     "markov_joint_pmf",
     "greedy_permutation",
     "counterexample_pmf",
@@ -55,9 +57,10 @@ _MIN_POSITIVE = float(np.nextafter(0.0, 1.0))
 # are renormalized
 _SUM_TOL = 1e-9
 
-# the order searches cut each group of same-n pmfs into stacks whose expanded
-# cost table holds at most this many doubles (512 KiB): one member at n = 8,
-# 303 at n = 4
+# the stacked forms cut each group of same-n pmfs into stacks of at most this
+# many doubles (512 KiB): of expanded cost tables in the order searches, one
+# member at n = 8 and 303 at n = 4; of weight tables in apply_bsc_many and
+# entropy_many, one member at n = 16 and 4,096 at n = 4
 _STACK_ENTRIES = 1 << 16
 
 # _stacked_lattice keeps the offset lattices of this many (n, stack size)
@@ -89,14 +92,7 @@ class ExplicitPmf:
         n = size.bit_length() - 1
         if n > MAX_COORDS:
             raise DimensionError(f"n={n} exceeds the {MAX_COORDS}-coordinate cap")
-        if not np.all(np.isfinite(arr)):
-            raise DomainError("weights must all be finite")
-        if np.any(arr < 0.0):
-            raise DomainError("weights must be nonnegative")
-        total = float(arr.sum())
-        if abs(total - 1.0) > _SUM_TOL:
-            raise DomainError(f"weights sum to {total!r}, further than {_SUM_TOL} from 1")
-        arr /= total
+        _normalize_rows(arr.reshape(1, size))
         self._store(arr)
 
     def _store(self, arr: np.ndarray) -> None:
@@ -118,12 +114,30 @@ class ExplicitPmf:
 
 
 def _restore_pmf(weights: np.ndarray) -> ExplicitPmf:
-    """Rebuild a pickled or copied ExplicitPmf. Its weights were checked and
-    normalized when it was built, so they are kept bit for bit: normalizing
-    them again could move them by a rounding."""
+    """Rebuild a pickled or copied ExplicitPmf, or wrap a row that
+    _mix_rows returned. Its weights were already checked and normalized, so
+    they are copied bit for bit: normalizing them again could move them by a
+    rounding."""
     pmf = object.__new__(ExplicitPmf)
     pmf._store(np.array(weights, dtype=float))
     return pmf
+
+
+def _normalize_rows(rows: np.ndarray) -> np.ndarray:
+    """ExplicitPmf's weight checks on a (B, 2**n) stack of weight tables, one
+    a row, the batch riding as the leading axis: the checks cover the whole
+    stack at once (every weight finite and nonnegative, each row's sum within
+    _SUM_TOL of 1), and then each row is divided, in place, by its own sum."""
+    if not np.isfinite(rows).all():
+        raise DomainError("weights must all be finite")
+    if (rows < 0.0).any():
+        raise DomainError("weights must be nonnegative")
+    totals = rows.sum(axis=1)
+    for total in totals.tolist():
+        if abs(total - 1.0) > _SUM_TOL:
+            raise DomainError(f"weights sum to {total!r}, further than {_SUM_TOL} from 1")
+    rows /= totals[:, None]
+    return rows
 
 
 def _check_pmf(name: str, pmf) -> ExplicitPmf:
@@ -164,11 +178,30 @@ def _channel_mix(m: np.ndarray, t: int, alpha: float, inner: int = 1) -> np.ndar
     return ((1.0 - alpha) * m3 + alpha * m3[:, ::-1, :]).reshape(-1)
 
 
+def _row_entropies(rows: np.ndarray) -> list[float]:
+    """The entropy of each row of a (B, 2**n) stack of weight tables, the
+    batch riding as the leading axis: one rows * log2(rows) and a sum per
+    row when no weight in the stack is 0, otherwise each row's sum over its
+    positive weights alone."""
+    if rows.all():
+        return (-(rows * np.log2(rows)).sum(axis=1)).tolist()
+    return [-float((pos * np.log2(pos)).sum()) for pos in (row[row > 0.0] for row in rows)]
+
+
 def entropy(pmf: ExplicitPmf) -> float:
     """Shannon entropy of the joint law, in bits."""
-    w = _check_pmf("pmf", pmf).weights
-    pos = w[w > 0.0]
-    return float(-(pos * np.log2(pos)).sum())
+    return _row_entropies(_check_pmf("pmf", pmf).weights[None])[0]
+
+
+def entropy_many(pmfs: Iterable[ExplicitPmf]) -> list[float]:
+    """entropy of each pmf, in input order and with the same results, the
+    pmfs of one n taken as stacks of rows."""
+    pmfs = _check_pmfs(pmfs)
+    out: list = [None] * len(pmfs)
+    for idx in _stacks(pmfs, _row_entries):
+        for i, h in zip(idx, _row_entropies(np.array([pmfs[i].weights for i in idx]))):
+            out[i] = h
+    return out
 
 
 def _conditional_mmse(pmf: ExplicitPmf, target: int, given: Sequence[int], alpha: float) -> float:
@@ -209,31 +242,42 @@ def noisy_conditional_mmse(
 def mmse_along_permutation(pmf: ExplicitPmf, order: Sequence[int]) -> float:
     """Sum of conditional bit variances taken in the given prediction order.
 
-    The one-order case of _mmse_along_orders, which validate runs on all n!
-    orders of a pmf at once. It shares no code with the subset search,
-    which validate checks against it.
+    The one-order case of _mmse_along_orders, itself the one-pmf case of
+    _mmse_along_orders_many, which validate runs on all n! orders of every
+    pmf of one n at once. It shares no code with the subset search, which
+    validate checks against it.
     """
     order = _check_permutation(_check_pmf("pmf", pmf), order)
     return float(_mmse_along_orders(pmf, [order])[0])
 
 
 def _mmse_along_orders(pmf: ExplicitPmf, orders: Sequence[Sequence[int]]) -> np.ndarray:
-    """mmse_along_permutation of every order in `orders` (each a permutation
-    of 1..n, not checked), in one pass over a stack of the weight table's
-    transposes, one per order.
+    """The one-pmf case of _mmse_along_orders_many."""
+    return _mmse_along_orders_many([pmf], orders)[0]
+
+
+def _mmse_along_orders_many(pmfs: Sequence[ExplicitPmf],
+                            orders: Sequence[Sequence[int]]) -> np.ndarray:
+    """mmse_along_permutation of every pmf (all of one n, not checked) along
+    every order in `orders` (each a permutation of 1..n, not checked), as a
+    (pmfs, orders) array, in one pass over the transposes of every (pmf,
+    order) pair, gathered as one transpose of the pmfs' stacked weight
+    tables per order.
 
     Each transpose puts the table's axes in prediction order, last
     coordinate first: splitting the last axis gives that coordinate's term,
     the sum of a b / (a + b) over its contexts, and summing it away leaves
     the marginal of the ones before it. A zero-mass context (a = b = 0)
     divides by the smallest positive double instead and so adds 0. Every
-    order's terms are then added in prediction order.
+    pair's terms are then added in prediction order.
     """
-    n = pmf.n
-    count = len(orders)
-    # axis n - j of the C-order table holds coordinate j
-    w = pmf.weights.reshape((2,) * n)
-    t = np.array([w.transpose([n - j for j in order]) for order in orders])
+    n = pmfs[0].n
+    count = len(pmfs) * len(orders)
+    # axis 0 of the stack holds the pmf, and axis n + 1 - j coordinate j; a
+    # lone pmf's table is its own stack, not a copy
+    stack = np.array([pmf.weights for pmf in pmfs]) if len(pmfs) > 1 else pmfs[0].weights
+    w = stack.reshape((-1,) + (2,) * n)
+    t = np.array([w.transpose([0] + [n + 1 - j for j in order]) for order in orders])
     terms = np.empty((n, count))
     for i in range(n - 1, -1, -1):
         a, b = t[..., 0], t[..., 1]
@@ -242,7 +286,7 @@ def _mmse_along_orders(pmf: ExplicitPmf, orders: Sequence[Sequence[int]]) -> np.
         ctx = a * b
         ctx /= np.maximum(t, _MIN_POSITIVE)
         np.add.reduce(ctx.reshape(count, -1), axis=1, out=terms[i])
-    return np.add.accumulate(terms, axis=0)[-1]
+    return np.add.accumulate(terms, axis=0)[-1].reshape(len(orders), len(pmfs)).T
 
 
 def _check_table_size(n: int) -> None:
@@ -517,21 +561,28 @@ def _best_order(n: int, step: np.ndarray, pick_max: bool) -> tuple[float, tuple[
     return _best_orders(n, [step], pick_max)[0]
 
 
-def _stacks(pmfs: Sequence[ExplicitPmf]) -> list[list[int]]:
+def _table_entries(n: int) -> int:
+    """The doubles of one member's expanded cost table, 2 n 3**(n-1), once n
+    is held to the cap."""
+    _check_table_size(n)
+    return 2 * n * 3 ** (n - 1)
+
+
+def _row_entries(n: int) -> int:
+    """The doubles of one member's weight table."""
+    return 1 << n
+
+
+def _stacks(pmfs: Sequence[ExplicitPmf], entries) -> list[list[int]]:
     """The indices of pmfs grouped by n, each group cut in input order into
-    stacks whose expanded cost table, 2 n 3**(n-1) doubles a member, holds at
-    most _STACK_ENTRIES doubles. Every n is held to the cap before any table
-    is built."""
+    stacks of at most _STACK_ENTRIES doubles, entries(n) a member. Every
+    group's entries(n) is taken before any stack is returned."""
     groups: dict[int, list[int]] = {}
     for i, pmf in enumerate(pmfs):
         groups.setdefault(pmf.n, []).append(i)
-    for n in groups:
-        _check_table_size(n)
-    stacks = []
-    for n, idx in groups.items():
-        per = max(1, _STACK_ENTRIES // (2 * n * 3 ** (n - 1)))
-        stacks += [idx[s:s + per] for s in range(0, len(idx), per)]
-    return stacks
+    per = {n: max(1, _STACK_ENTRIES // entries(n)) for n in groups}
+    return [idx[s:s + per[n]] for n, idx in groups.items()
+            for s in range(0, len(idx), per[n])]
 
 
 def _search(pmfs: Sequence[ExplicitPmf], alpha: float,
@@ -558,7 +609,7 @@ def worst_case_mmse_many(pmfs: Iterable[ExplicitPmf]) -> list[tuple[float, tuple
     by n. Refuses n above EXHAUSTIVE_CAP before any search."""
     pmfs = _check_pmfs(pmfs)
     todo = [pmf for pmf in pmfs if "worst" not in pmf._memo]
-    for idx in _stacks(todo):
+    for idx in _stacks(todo, _table_entries):
         stack = [todo[i] for i in idx]
         for pmf, found in zip(stack, _search(stack, 0.0, pick_max=True)):
             pmf._memo["worst"] = found
@@ -585,20 +636,42 @@ def best_case_mmse_given_output_many(
     alpha = check_range("alpha", alpha, 0.0, 0.5)
     pmfs = _check_pmfs(pmfs)
     out: list = [None] * len(pmfs)
-    for idx in _stacks(pmfs):
+    for idx in _stacks(pmfs, _table_entries):
         for i, found in zip(idx, _search([pmfs[i] for i in idx], alpha, pick_max=False)):
             out[i] = found
     return out
+
+
+def _mix_rows(rows: np.ndarray, alpha: float) -> np.ndarray:
+    """The output laws of a (B, 2**n) stack of weight tables, one a row, the
+    batch riding as the leading axis: _channel_mix bit by bit over the whole
+    stack (inner 1, as every row is 2**n long and so no block crosses a row),
+    then _normalize_rows, whose checks cover the whole stack."""
+    size = rows.shape[1]
+    w = rows.reshape(-1)
+    for t in range(size.bit_length() - 1):
+        w = _channel_mix(w, t, alpha)
+    return _normalize_rows(w.reshape(-1, size))
 
 
 def apply_bsc(pmf: ExplicitPmf, alpha: float) -> ExplicitPmf:
     """Law of the output when every coordinate passes through an independent
     symmetric channel with flip rate alpha."""
     alpha = check_range("alpha", alpha, 0.0, 0.5)
-    w = _check_pmf("pmf", pmf).weights
-    for t in range(pmf.n):
-        w = _channel_mix(w, t, alpha)
-    return ExplicitPmf(w)
+    return _restore_pmf(_mix_rows(_check_pmf("pmf", pmf).weights[None], alpha)[0])
+
+
+def apply_bsc_many(pmfs: Iterable[ExplicitPmf], alpha: float) -> list[ExplicitPmf]:
+    """apply_bsc of each pmf at one alpha, in input order and with the same
+    weights, the pmfs of one n mixed as stacks of rows. Every pmf and alpha
+    is checked before any mixing."""
+    alpha = check_range("alpha", alpha, 0.0, 0.5)
+    pmfs = _check_pmfs(pmfs)
+    out: list = [None] * len(pmfs)
+    for idx in _stacks(pmfs, _row_entries):
+        for i, row in zip(idx, _mix_rows(np.array([pmfs[i].weights for i in idx]), alpha)):
+            out[i] = _restore_pmf(row)
+    return out
 
 
 def markov_joint_pmf(n: int, q: float) -> ExplicitPmf:

@@ -60,10 +60,18 @@ def _product(margs) -> dist.ExplicitPmf:
     return dist.ExplicitPmf(w)
 
 
-def _along_every_order(pmf: dist.ExplicitPmf) -> tuple[list, np.ndarray]:
-    """The n! prediction orders of pmf, and its MMSE along each in one pass."""
-    orders = list(itertools.permutations(range(1, pmf.n + 1)))
-    return orders, dist._mmse_along_orders(pmf, orders)
+def _along_every_order(pmfs: list[dist.ExplicitPmf]) -> list[tuple[list, np.ndarray]]:
+    """For each pmf, in input order, its n! prediction orders and its MMSE
+    along each; the pmfs of one n are taken in one pass."""
+    groups: dict[int, list[int]] = {}
+    for k, pmf in enumerate(pmfs):
+        groups.setdefault(pmf.n, []).append(k)
+    out: list = [None] * len(pmfs)
+    for n, idx in groups.items():
+        orders = list(itertools.permutations(range(1, n + 1)))
+        for k, vals in zip(idx, dist._mmse_along_orders_many([pmfs[k] for k in idx], orders)):
+            out[k] = orders, vals
+    return out
 
 
 def _random_pmfs(rng: np.random.Generator, count: int, sizes=(2, 3, 4)):
@@ -113,11 +121,11 @@ def _dist_checks(seed: int, budget: int):
 
     lower, upper, dominate, cases = [], [], [], []
     pmfs = list(_random_pmfs(rng, max(budget // 5, 20)))
-    for k, (pmf, (worst_val, _)) in enumerate(zip(pmfs, dist.worst_case_mmse_many(pmfs))):
-        h = dist.entropy(pmf)
+    found = zip(pmfs, dist.entropy_many(pmfs), dist.worst_case_mmse_many(pmfs),
+                _along_every_order(pmfs))
+    for k, (pmf, h, (worst_val, _), (perms, m)) in enumerate(found):
         phat = scalar.inv_binary_entropy(h / pmf.n)
         floor = 4.0 * pmf.n * phat * (1.0 - phat)
-        perms, m = _along_every_order(pmf)
         lower.append(4.0 * m - floor + 1e-10)
         upper.append(h - 4.0 * m + 1e-10)
         dominate.append(worst_val - m + 1e-12)
@@ -130,24 +138,20 @@ def _dist_checks(seed: int, budget: int):
     yield "mmse-entropy-cap-any-order", np.concatenate(upper), tag
     yield "worst-case-dominates", np.concatenate(dominate), tag
 
-    spreads = []
-    for k in range(max(budget // 10, 10)):
-        n = 2 + k % 3
-        pmf = _product(rng.random(n))
-        _, vals = _along_every_order(pmf)
-        spreads.append(vals.max() - vals.min())
+    products = [_product(rng.random(2 + k % 3)) for k in range(max(budget // 10, 10))]
+    spreads = [vals.max() - vals.min() for _, vals in _along_every_order(products)]
     yield "product-order-invariant", 1e-12 - np.array(spreads), lambda k: f"product#{k}"
 
     errs = []
-    for pmf in _random_pmfs(rng, 20):
-        flat = dist.apply_bsc(pmf, 0.5).weights
+    for pmf in dist.apply_bsc_many(_random_pmfs(rng, 20), 0.5):
+        flat = pmf.weights
         errs.append(float(np.abs(flat - 1.0 / flat.size).max()))
     yield "half-noise-erases", 1e-12 - np.array(errs), lambda k: f"pmf#{k}"
 
     gaps = []
     pmfs = list(_random_pmfs(rng, 20))
-    for pmf, (best0, _) in zip(pmfs, dist.best_case_mmse_given_output_many(pmfs, 0.0)):
-        _, direct = _along_every_order(pmf)
+    for (best0, _), (_, direct) in zip(dist.best_case_mmse_given_output_many(pmfs, 0.0),
+                                       _along_every_order(pmfs)):
         gaps.append(abs(best0 - direct.min()))
     yield "noiseless-best-case", 1e-12 - np.array(gaps), lambda k: f"pmf#{k}"
 
@@ -156,8 +160,8 @@ def _dist_checks(seed: int, budget: int):
         target = 1 + int(rng.integers(pmf.n))
         others = [j for j in range(1, pmf.n + 1) if j != target]
         keep = [j for j in others if rng.random() < 0.6]
+        clean = dist.conditional_mmse(pmf, target, keep)
         for a in (0.11, 0.3):
-            clean = dist.conditional_mmse(pmf, target, keep)
             noisy = dist.noisy_conditional_mmse(pmf, target, keep, a)
             slacks.append(noisy - clean + 1e-12)
             tags.append(f"pmf#{k} alpha={a}")
@@ -173,10 +177,12 @@ def _bounds_checks(seed: int, budget: int):
     # per alpha, the bound values of every pmf; read back pmf by pmf
     lows = [[r.value for r in bounds.vector_mmse_gerber_many(pmfs, a)] for a in alphas]
     ups = [[r.value for r in bounds.vector_upper_many(pmfs, a)] for a in alphas]
+    hxs = dist.entropy_many(pmfs)
+    hys = [dist.entropy_many(dist.apply_bsc_many(pmfs, a)) for a in alphas]
     for k, pmf in enumerate(pmfs):
-        hx = dist.entropy(pmf) / pmf.n
+        hx = hxs[k] / pmf.n
         for j, a in enumerate(alphas):
-            hy = dist.entropy(dist.apply_bsc(pmf, a)) / pmf.n
+            hy = hys[j][k] / pmf.n
             low.append(hy - lows[j][k] + 1e-10)
             up.append(ups[j][k] - hy + 1e-10)
             mgl.append(hy - bounds.mgl_scalar(a, hx) + 1e-10)

@@ -14,12 +14,14 @@ from bscbounds import (
     ExplicitPmf,
     MAX_COORDS,
     apply_bsc,
+    apply_bsc_many,
     best_case_mmse_given_output,
     best_case_mmse_given_output_many,
     conditional_vector_mmse_gerber,
     conditional_mmse,
     counterexample_pmf,
     entropy,
+    entropy_many,
     greedy_permutation,
     markov_joint_pmf,
     mmse_along_permutation,
@@ -223,8 +225,11 @@ class TestMmseAlongPermutation:
             total += v
         return total
 
-    @pytest.mark.parametrize("n", range(1, 6))
-    def test_all_orders_in_one_pass_match_the_per_order_loop(self, n):
+    @staticmethod
+    def _order_pmfs(n):
+        """pmfs whose terms the one-pass form adds exactly as the per-order
+        loop does, and products with zero-mass contexts, where the loop's
+        masked sum may differ by a rounding."""
         rng = np.random.default_rng(n)
         full = [random_pmf(n, seed=s) for s in range(3)]
         full += [markov_joint_pmf(n, q) for q in (0.05, 0.3)]
@@ -234,6 +239,11 @@ class TestMmseAlongPermutation:
         sparse += [_product([0.0] * n), _product([1.0] * n)]
         if n == 2:
             full += [counterexample_pmf(eps) for eps in (1e-9, 0.1, 0.25, 0.5 - 1e-9)]
+        return full, sparse
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_all_orders_in_one_pass_match_the_per_order_loop(self, n):
+        full, sparse = self._order_pmfs(n)
         perms = _minor_perms(n)
         for pmfs, exact in ((full, True), (sparse, False)):
             for pmf in pmfs:
@@ -245,6 +255,18 @@ class TestMmseAlongPermutation:
                 else:
                     assert np.max(np.abs(got - want)) <= 1e-15
                 assert [mmse_along_permutation(pmf, perm) for perm in perms] == got.tolist()
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_every_pmf_in_one_pass_matches_each_pmf_alone(self, n):
+        full, sparse = self._order_pmfs(n)
+        perms = _minor_perms(n)
+        for orders in (perms, perms[::-2]):
+            got = dist._mmse_along_orders_many(full + sparse, orders)
+            assert got.shape == (len(full) + len(sparse), len(orders))
+            for pmf, row in zip(full + sparse, got):
+                assert np.array_equal(row, dist._mmse_along_orders(pmf, orders))
+            want = np.array([[self._one_order(pmf, perm) for perm in orders] for pmf in full])
+            assert np.array_equal(got[:len(full)], want)
 
     @pytest.mark.parametrize("n", range(6, 9))
     def test_one_order_matches_the_per_order_loop_bit_for_bit(self, n):
@@ -737,6 +759,146 @@ class TestApplyBsc:
         pmf = random_pmf(4, seed=13)
         hs = [entropy(apply_bsc(pmf, a)) for a in (0.0, 0.05, 0.2, 0.5)]
         assert all(b >= a - 1e-12 for a, b in zip(hs, hs[1:]))
+
+
+def _ref_apply_bsc(pmf, alpha):
+    """The per-pmf mix the stacked rows replaced: every coordinate mixed in
+    turn, the result checked and renormalized by ExplicitPmf."""
+    w = pmf.weights
+    for t in range(pmf.n):
+        m3 = w.reshape(-1, 2, 1 << t)
+        w = ((1.0 - alpha) * m3 + alpha * m3[:, ::-1, :]).reshape(-1)
+    return ExplicitPmf(w)
+
+
+def _ref_entropy(pmf):
+    """The masked entropy the row helper replaced."""
+    pos = pmf.weights[pmf.weights > 0.0]
+    return float(-(pos * np.log2(pos)).sum())
+
+
+def _row_pmfs(n):
+    """Random and Markov pmfs, with and without zero weights, and point
+    masses at both ends of the table."""
+    pmfs = [random_pmf(n, seed=n)] + [markov_joint_pmf(n, q) for q in (0.0, 0.1, 0.5)]
+    pmfs += [ExplicitPmf(np.eye(1, 1 << n, k).ravel()) for k in (0, (1 << n) - 1)]
+    if n == 2:
+        pmfs += [counterexample_pmf(eps) for eps in (1e-9, 0.1, 0.25)]
+    return pmfs
+
+
+def _record_rows(monkeypatch, name):
+    """Patch the row helper `name` to append each stack's row count to the
+    list returned."""
+    sizes = []
+    real = getattr(dist, name)
+
+    def counted(rows, *args):
+        sizes.append(rows.shape[0])
+        return real(rows, *args)
+
+    monkeypatch.setattr(dist, name, counted)
+    return sizes
+
+
+class TestStackedRows:
+    """apply_bsc_many and entropy_many run pmfs as stacks of rows; each
+    result must be the single call's, bit for bit."""
+
+    @pytest.mark.parametrize("n", range(1, MAX_COORDS + 1))
+    def test_many_equals_the_single_calls(self, n):
+        # the point masses and the frozen chain have zero weights, so their
+        # stack takes the masked route
+        pmfs = _row_pmfs(n)
+        hs = [entropy(p) for p in pmfs]
+        assert hs == [_ref_entropy(p) for p in pmfs]
+        assert entropy_many(pmfs) == hs
+        # no zero weight: one product and one sum per row for the stack
+        positive = [p for p in pmfs if p.weights.all()]
+        assert positive and entropy_many(positive) == [_ref_entropy(p) for p in positive]
+        for alpha in (0.0, 1e-300, 0.05, 0.11, 0.3, 0.5):
+            outs = apply_bsc_many(pmfs, alpha)
+            assert len(outs) == len(pmfs)
+            for pmf, out in zip(pmfs, outs):
+                single = apply_bsc(pmf, alpha)
+                assert out.n == single.n == n
+                assert not out.weights.flags.writeable
+                assert np.array_equal(out.weights, single.weights)
+                assert np.array_equal(out.weights, _ref_apply_bsc(pmf, alpha).weights)
+            hs = [entropy(out) for out in outs]
+            assert entropy_many(outs) == hs == [_ref_entropy(out) for out in outs]
+
+    def test_mixed_sizes_come_back_in_input_order(self):
+        pmfs = [random_pmf(2 + s % 3, seed=s) for s in range(11)] + [markov_joint_pmf(3, 0.0)]
+        assert [p.n for p in pmfs[:4]] == [2, 3, 4, 2]
+        outs = apply_bsc_many(iter(pmfs), 0.11)
+        for pmf, out in zip(pmfs, outs, strict=True):
+            assert np.array_equal(out.weights, apply_bsc(pmf, 0.11).weights)
+        assert entropy_many(iter(pmfs)) == [entropy(p) for p in pmfs]
+        assert apply_bsc_many([], 0.11) == []
+        assert entropy_many([]) == []
+
+    def test_bad_arguments_raise_before_any_mixing(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the arguments must be checked before any mixing")
+
+        monkeypatch.setattr(dist, "_channel_mix", refuse)
+        monkeypatch.setattr(dist, "_row_entropies", refuse)
+        good = random_pmf(2, seed=1)
+        for bad in ([0.5, 0.5], None, np.full(4, 0.25)):
+            with pytest.raises(DomainError, match="pmf must be an ExplicitPmf"):
+                apply_bsc_many([good, bad], 0.11)
+            with pytest.raises(DomainError, match="pmf must be an ExplicitPmf"):
+                entropy_many([good, bad])
+        for pmfs in (None, 3, good):
+            with pytest.raises(DomainError, match="iterable"):
+                apply_bsc_many(pmfs, 0.11)
+            with pytest.raises(DomainError, match="iterable"):
+                entropy_many(pmfs)
+        for alpha in (-0.1, 0.6, math.nan, "x"):
+            with pytest.raises(DomainError):
+                apply_bsc_many([good], alpha)
+
+    def test_stack_checks_keep_the_pmf_messages(self):
+        good = np.full(4, 0.25)
+        for row, match in ((math.inf, "finite"), (-0.25, "nonnegative"),
+                           (0.5, "weights sum to 1.25")):
+            rows = np.array([good, good])
+            rows[1, 0] = row
+            with pytest.raises(DomainError, match=match):
+                dist._normalize_rows(rows)
+            with pytest.raises(DomainError, match=match):
+                ExplicitPmf(rows[1])
+
+    def test_stack_sizes(self, monkeypatch):
+        mixed = _record_rows(monkeypatch, "_mix_rows")
+        summed = _record_rows(monkeypatch, "_row_entropies")
+        # one n = 16 table is 2**16 doubles, the whole stack budget
+        big = [random_pmf(16, seed=1)] * 40
+        apply_bsc_many(big, 0.11)
+        entropy_many(big)
+        assert mixed == summed == [1] * 40
+        mixed.clear()
+        summed.clear()
+        small = [random_pmf(4, seed=1)] * 5000
+        apply_bsc_many(small, 0.11)
+        entropy_many(small)
+        assert mixed == summed == [4096, 904]
+
+    def test_peak_memory_stays_below_an_uncut_stack(self):
+        pmfs = [random_pmf(16, seed=s) for s in range(64)]
+        bound = 4 << 20
+        # uncut, the stack, its mixed copy and a mixing temporary held 96 MiB
+        # beyond the outputs, 32 MiB each
+        assert 3 * 64 * (8 << 16) == 24 * bound
+        tracemalloc.start()
+        try:
+            outs = apply_bsc_many(pmfs, 0.11)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(outs) == 64 and held >= 64 * 8 << 16
+        assert peak - held < bound
 
 
 class TestMarkovJointPmf:

@@ -2,7 +2,10 @@
 left on the public functions, no private function that the package itself
 never uses, no private default that only the tests rely on, the paper's MMSE
 lemma written out in one place, the Monte Carlo's per-step kernels called
-from one place each, and one path through the order searches' plans."""
+from one place each, one path through the order searches' plans, one
+channel mix behind the noisy tables, the conditional MMSE and the stacked
+output laws, and no per-pmf loop left in the single channel, entropy and
+one-order MMSE calls."""
 
 import ast
 import inspect
@@ -146,3 +149,27 @@ def test_the_order_search_plans_have_one_reader_each():
     assert sorted(found) == ["dist._best_orders: _stacked_lattice",
                              "dist._build_cost_tables: _cost_plan",
                              "dist._stacked_lattice: _lattice"]
+
+
+def test_the_channel_mix_has_three_callers():
+    # the cost-table builder, the conditional MMSE and the row mixer that
+    # every output law goes through; a per-pmf channel would be a fourth
+    found = []
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "bscbounds").glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Call):
+                    name = getattr(sub.func, "id", getattr(sub.func, "attr", None))
+                    if name == "_channel_mix":
+                        found.append(f"{path.stem}.{getattr(node, 'name', None)}")
+    assert sorted(found) == ["dist._build_cost_tables", "dist._conditional_mmse", "dist._mix_rows"]
+
+
+@pytest.mark.parametrize("name", ["apply_bsc", "entropy", "mmse_along_permutation"])
+def test_the_single_calls_loop_over_nothing_of_their_own(name):
+    # each is the one-member case of a stacked helper, which holds the loop
+    path = Path(__file__).resolve().parents[1] / "src" / "bscbounds" / "dist.py"
+    [fn] = [node for node in ast.parse(path.read_text(encoding="utf-8")).body
+            if isinstance(node, ast.FunctionDef) and node.name == name]
+    assert [ast.unparse(sub) for sub in ast.walk(fn)
+            if isinstance(sub, (ast.For, ast.comprehension, ast.While))] == []
