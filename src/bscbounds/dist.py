@@ -57,15 +57,13 @@ _MIN_POSITIVE = float(np.nextafter(0.0, 1.0))
 # are renormalized
 _SUM_TOL = 1e-9
 
-# the stacked forms cut each group of same-n pmfs into stacks of at most this
-# many doubles (512 KiB): of expanded cost tables in the order searches, one
+# _by_stacks cuts each group of same-n pmfs into stacks of at most this many
+# doubles (512 KiB): of expanded cost tables in the order searches, one
 # member at n = 8 and 303 at n = 4; of weight tables in apply_bsc_many and
-# entropy_many, one member at n = 16 and 4,096 at n = 4
+# entropy_many, one member at n = 16 and 4,096 at n = 4; of the any-order
+# oracle's per-order sums in validate, n! 2**n doubles a member, 170 at
+# n = 4 and 17 at n = 5
 _STACK_ENTRIES = 1 << 16
-
-# _stacked_lattice keeps the offset lattices of this many (n, stack size)
-# pairs; callers choose the stack sizes, so the cache needs a bound
-_STACK_PLANS = 16
 
 
 class ExplicitPmf:
@@ -196,12 +194,8 @@ def entropy(pmf: ExplicitPmf) -> float:
 def entropy_many(pmfs: Iterable[ExplicitPmf]) -> list[float]:
     """entropy of each pmf, in input order and with the same results, the
     pmfs of one n taken as stacks of rows."""
-    pmfs = _check_pmfs(pmfs)
-    out: list = [None] * len(pmfs)
-    for idx in _stacks(pmfs, _row_entries):
-        for i, h in zip(idx, _row_entropies(np.array([pmfs[i].weights for i in idx]))):
-            out[i] = h
-    return out
+    return _by_stacks(_check_pmfs(pmfs), _row_entries,
+                      lambda stack: _row_entropies(np.array([p.weights for p in stack])))
 
 
 def _conditional_mmse(pmf: ExplicitPmf, target: int, given: Sequence[int], alpha: float) -> float:
@@ -484,27 +478,6 @@ def _lattice(n: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
     return tuple(levels)
 
 
-@functools.lru_cache(maxsize=_STACK_PLANS)
-def _stacked_lattice(n: int, count: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
-    """_lattice(n) over `count` disjoint copies of the subsets, read-only:
-    copy b's masks offset by b 2**n and its step indices by b 2**n n, so
-    they address a stack of `count` (2**n, n) step tables. At count 1 it is
-    _lattice(n) itself."""
-    lattice = _lattice(n)
-    if count == 1:
-        return lattice
-    off = np.arange(count)[:, None, None] << n
-    levels = []
-    for sub, pred, idx in lattice:
-        k = pred.shape[1]
-        level = ((off[:, 0] + sub).reshape(-1), (off + pred).reshape(-1, k),
-                 (off * n + idx).reshape(-1, k))
-        for arr in level:
-            arr.setflags(write=False)
-        levels.append(level)
-    return tuple(levels)
-
-
 def _best_orders(n: int, steps: Sequence[np.ndarray],
                  pick_max: bool) -> list[tuple[float, tuple[int, ...]]]:
     """Optimal additive prediction order of each (2**n, n) step table, by one
@@ -519,24 +492,29 @@ def _best_orders(n: int, steps: Sequence[np.ndarray],
     orders, since rounded addition is monotone. The returned order is the
     lexicographically first one whose every prefix is optimal for its set.
     The tables' subsets are disjoint copies in one lattice, so each result
-    is the one its table would get alone.
+    is the one its table would get alone: copy b's masks are offset by
+    b 2**n and its step indices by b 2**n n. A lone table reads _lattice(n)
+    as it is; a stack's offset lattice is built per call.
     """
     count, size = len(steps), 1 << n
-    lattice = _stacked_lattice(n, count)
-    flat = np.concatenate(steps, axis=None) if count > 1 else steps[0].reshape(-1)
+    lattice = _lattice(n)
+    if count > 1:
+        off = np.arange(count)[:, None, None] << n
+        lattice = [(off[:, 0] + sub, off + pred, off * n + idx) for sub, pred, idx in lattice]
+    flat = np.concatenate(steps, axis=None)
     best = np.zeros(count * size)
     tight = []
     for sub, pred, idx in lattice:
         cand = best.take(pred)
         cand += flat.take(idx)
-        best[sub] = top = cand.max(axis=1) if pick_max else cand.min(axis=1)
-        tight.append(cand == top[:, None])
+        best[sub] = top = cand.max(axis=-1) if pick_max else cand.min(axis=-1)
+        tight.append(cand == top[..., None])
 
     # reach[S]: a chain of tight edges leads from S to its copy's full set
     reach = np.zeros(count * size, dtype=bool)
     reach[size - 1::size] = True
     for (sub, pred, _), edge in zip(reversed(lattice), reversed(tight)):
-        reach[pred[edge & reach[sub][:, None]]] = True
+        reach[pred[edge & reach[sub][..., None]]] = True
 
     # the walk reads Python floats, which add exactly as float64 scalars do;
     # copy b's masks carry b in their bits from n up
@@ -573,16 +551,22 @@ def _row_entries(n: int) -> int:
     return 1 << n
 
 
-def _stacks(pmfs: Sequence[ExplicitPmf], entries) -> list[list[int]]:
-    """The indices of pmfs grouped by n, each group cut in input order into
-    stacks of at most _STACK_ENTRIES doubles, entries(n) a member. Every
-    group's entries(n) is taken before any stack is returned."""
+def _by_stacks(pmfs: Sequence[ExplicitPmf], entries, run) -> list:
+    """run(stack) over the pmfs grouped by n, each group cut in input order
+    into stacks of at most _STACK_ENTRIES doubles, entries(n) a member; run
+    returns one result per member, and the results come back in input order.
+    Every group's entries(n) is taken before any stack is run."""
     groups: dict[int, list[int]] = {}
     for i, pmf in enumerate(pmfs):
         groups.setdefault(pmf.n, []).append(i)
     per = {n: max(1, _STACK_ENTRIES // entries(n)) for n in groups}
-    return [idx[s:s + per[n]] for n, idx in groups.items()
-            for s in range(0, len(idx), per[n])]
+    out: list = [None] * len(pmfs)
+    for n, idx in groups.items():
+        for s in range(0, len(idx), per[n]):
+            cut = idx[s:s + per[n]]
+            for i, found in zip(cut, run([pmfs[i] for i in cut])):
+                out[i] = found
+    return out
 
 
 def _search(pmfs: Sequence[ExplicitPmf], alpha: float,
@@ -609,10 +593,9 @@ def worst_case_mmse_many(pmfs: Iterable[ExplicitPmf]) -> list[tuple[float, tuple
     by n. Refuses n above EXHAUSTIVE_CAP before any search."""
     pmfs = _check_pmfs(pmfs)
     todo = [pmf for pmf in pmfs if "worst" not in pmf._memo]
-    for idx in _stacks(todo, _table_entries):
-        stack = [todo[i] for i in idx]
-        for pmf, found in zip(stack, _search(stack, 0.0, pick_max=True)):
-            pmf._memo["worst"] = found
+    searched = _by_stacks(todo, _table_entries, lambda stack: _search(stack, 0.0, pick_max=True))
+    for pmf, found in zip(todo, searched):
+        pmf._memo["worst"] = found
     return [pmf._memo["worst"] for pmf in pmfs]
 
 
@@ -634,12 +617,8 @@ def best_case_mmse_given_output_many(
     and with the same results, searched in lockstep, grouped by n. Refuses n
     above EXHAUSTIVE_CAP before any search."""
     alpha = check_range("alpha", alpha, 0.0, 0.5)
-    pmfs = _check_pmfs(pmfs)
-    out: list = [None] * len(pmfs)
-    for idx in _stacks(pmfs, _table_entries):
-        for i, found in zip(idx, _search([pmfs[i] for i in idx], alpha, pick_max=False)):
-            out[i] = found
-    return out
+    return _by_stacks(_check_pmfs(pmfs), _table_entries,
+                      lambda stack: _search(stack, alpha, pick_max=False))
 
 
 def _mix_rows(rows: np.ndarray, alpha: float) -> np.ndarray:
@@ -666,12 +645,8 @@ def apply_bsc_many(pmfs: Iterable[ExplicitPmf], alpha: float) -> list[ExplicitPm
     weights, the pmfs of one n mixed as stacks of rows. Every pmf and alpha
     is checked before any mixing."""
     alpha = check_range("alpha", alpha, 0.0, 0.5)
-    pmfs = _check_pmfs(pmfs)
-    out: list = [None] * len(pmfs)
-    for idx in _stacks(pmfs, _row_entries):
-        for i, row in zip(idx, _mix_rows(np.array([pmfs[i].weights for i in idx]), alpha)):
-            out[i] = _restore_pmf(row)
-    return out
+    return _by_stacks(_check_pmfs(pmfs), _row_entries, lambda stack: [
+        _restore_pmf(row) for row in _mix_rows(np.array([p.weights for p in stack]), alpha)])
 
 
 def markov_joint_pmf(n: int, q: float) -> ExplicitPmf:
@@ -723,7 +698,7 @@ def counterexample_pmf(eps: float) -> ExplicitPmf:
 def random_pmf(n: int, seed: int) -> ExplicitPmf:
     """Deterministic random pmf: 2**n uniform draws, normalized."""
     n = check_int("n", n, 1, MAX_COORDS, DimensionError)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_int("seed", seed, 0))
     w = rng.random(1 << n)
     return ExplicitPmf(w / w.sum())
 

@@ -62,16 +62,13 @@ def _product(margs) -> dist.ExplicitPmf:
 
 def _along_every_order(pmfs: list[dist.ExplicitPmf]) -> list[tuple[list, np.ndarray]]:
     """For each pmf, in input order, its n! prediction orders and its MMSE
-    along each; the pmfs of one n are taken in one pass."""
-    groups: dict[int, list[int]] = {}
-    for k, pmf in enumerate(pmfs):
-        groups.setdefault(pmf.n, []).append(k)
-    out: list = [None] * len(pmfs)
-    for n, idx in groups.items():
-        orders = list(itertools.permutations(range(1, n + 1)))
-        for k, vals in zip(idx, dist._mmse_along_orders_many([pmfs[k] for k in idx], orders)):
-            out[k] = orders, vals
-    return out
+    along each; the pmfs of one n are taken in stacks of n! 2**n doubles a
+    member."""
+    def run(stack):
+        orders = list(itertools.permutations(range(1, stack[0].n + 1)))
+        return [(orders, vals) for vals in dist._mmse_along_orders_many(stack, orders)]
+
+    return dist._by_stacks(pmfs, lambda n: math.factorial(n) << n, run)
 
 
 def _random_pmfs(rng: np.random.Generator, count: int, sizes=(2, 3, 4)):

@@ -316,16 +316,23 @@ class TestMemoryNoise:
             assert best >= memory_noise_term(x, z, perm) - 1e-12
 
     def test_bounds_actual_output_entropy(self):
-        # Y = X xor Z with independent chains: compare against exact H(Y)
-        qx, qz, n = 0.3, 0.15, 3
-        x = markov_joint_pmf(n, qx)
-        z = markov_joint_pmf(n, qz)
-        wy = np.zeros(1 << n)
-        for i, wx in enumerate(x.weights):
-            for j, wz in enumerate(z.weights):
-                wy[i ^ j] += wx * wz
-        hy = entropy(ExplicitPmf(wy))
-        assert vector_memory_noise(x, z).value <= hy + 1e-12
+        # Y = X xor Z with independent symmetric chains is the chain with
+        # flip rate q*r, its increments being i.i.d. Bern(q) xor Bern(r), so
+        # H(Y) = 1 + (n - 1) h(q*r) exactly; the direct XOR sum checks that
+        # closed form at small n. The smallest slack, 8.75e-7, is at
+        # (n, q, r) = (2, 0.02, 0.45)
+        for n in range(2, 9):
+            for qx, qz in itertools.product((0.02, 0.1, 0.3), (0.01, 0.05, 0.2, 0.45)):
+                x = markov_joint_pmf(n, qx)
+                z = markov_joint_pmf(n, qz)
+                hy = 1.0 + (n - 1) * binary_entropy(binary_convolve(qx, qz))
+                if n <= 4:
+                    wy = np.zeros(1 << n)
+                    for i, wx in enumerate(x.weights):
+                        for j, wz in enumerate(z.weights):
+                            wy[i ^ j] += wx * wz
+                    assert entropy(ExplicitPmf(wy)) == pytest.approx(hy, rel=0, abs=1e-12)
+                assert vector_memory_noise(x, z).value <= hy + 1e-12
 
     def test_dimension_mismatch(self):
         with pytest.raises(DomainError):

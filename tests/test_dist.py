@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bscbounds import dist
+from bscbounds import dist, validate
 from bscbounds import (
     DimensionError,
     DomainError,
@@ -346,18 +346,6 @@ class TestSearchSetup:
             assert noisy.flags.writeable and noisy is not dist._cost_table(pmf, 0.11, kernel)
         assert set(pmf._memo) == set(kernels)
 
-    def test_stacked_lattices_are_read_only_and_their_cache_is_bounded(self):
-        for n in range(1, 9):
-            assert dist._stacked_lattice(n, 1) is dist._lattice(n)
-            for level in dist._stacked_lattice(n, 3):
-                for arr in level:
-                    self._assert_read_only(arr)
-        cache = dist._stacked_lattice
-        assert cache.cache_info().maxsize == dist._STACK_PLANS
-        for count in range(2, dist._STACK_PLANS + 10):
-            cache(2, count)
-        assert cache.cache_info().currsize <= dist._STACK_PLANS
-
 
 # The all-subset tables as they were built before _expand and _fold wrote
 # into one preallocated array: one concatenate or stack copy per axis, the
@@ -630,7 +618,7 @@ class TestBoundedStacks:
 
     def test_peak_memory_stays_below_an_uncut_stack(self):
         pmfs = [random_pmf(8, seed=s) for s in range(64)]
-        dist._stacked_lattice(8, 1)  # the per-n plans are not counted
+        dist._lattice(8)  # the per-n plans are not counted
         dist._cost_plan(8)
         bound = 4 << 20
         # an uncut stack's expanded table alone would hold 17.9 MB
@@ -642,6 +630,27 @@ class TestBoundedStacks:
         finally:
             tracemalloc.stop()
         assert peak < bound
+
+    def test_the_any_order_oracle_is_cut_into_stacks(self):
+        # a member holds n! 2**n doubles, so 17 n = 5 pmfs make a stack
+        pmfs = [random_pmf(5, seed=s) for s in range(200)]
+        orders = _minor_perms(5)
+        validate._along_every_order(pmfs[:1])  # warm the imports and plans
+        tracemalloc.start()
+        try:
+            found = validate._along_every_order(pmfs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one uncut pass would hold 200 * 120 * 32 doubles, 5.9 MiB, per copy
+        assert peak < 4 << 20
+        for pmf, (perms, vals) in zip(pmfs, found):
+            assert perms == orders
+            assert np.array_equal(vals, dist._mmse_along_orders(pmf, orders))
+        mixed = [random_pmf(2 + s % 4, seed=s) for s in range(40)]
+        for pmf, (perms, vals) in zip(mixed, validate._along_every_order(mixed)):
+            assert perms == _minor_perms(pmf.n)
+            assert np.array_equal(vals, dist._mmse_along_orders(pmf, perms))
 
 
 class TestBestCaseGivenOutput:
@@ -999,6 +1008,7 @@ class TestRandomPmf:
         c = random_pmf(3, seed=43)
         assert np.array_equal(a.weights, b.weights)
         assert not np.array_equal(a.weights, c.weights)
+        assert np.array_equal(random_pmf(3, np.int64(42)).weights, a.weights)
 
     def test_strictly_positive(self):
         assert float(random_pmf(4, seed=1).weights.min()) > 0.0

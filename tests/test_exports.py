@@ -4,7 +4,8 @@ never uses, no private default that only the tests rely on, the paper's MMSE
 lemma written out in one place, the Monte Carlo's per-step kernels called
 from one place each, one path through the order searches' plans, one
 channel mix behind the noisy tables, the conditional MMSE and the stacked
-output laws, and no per-pmf loop left in the single channel, entropy and
+output laws, one stacking loop that groups pmfs by n for every same-n
+batch, and no per-pmf loop left in the single channel, entropy and
 one-order MMSE calls."""
 
 import ast
@@ -135,9 +136,9 @@ def test_the_monte_carlo_step_kernels_have_one_caller_each():
 
 def test_the_order_search_plans_have_one_reader_each():
     # the stacked builder alone reads the cost-table plan, and the stacked
-    # dynamic program alone reaches the subset lattice, through its one
-    # offset helper; a second search path would need a second reader
-    plans = {"_cost_plan", "_lattice", "_stacked_lattice"}
+    # dynamic program alone reads the subset lattice; a second search path
+    # would need a second reader
+    plans = {"_cost_plan", "_lattice"}
     found = []
     for path in sorted((Path(__file__).resolve().parents[1] / "src" / "bscbounds").glob("*.py")):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
@@ -146,9 +147,38 @@ def test_the_order_search_plans_have_one_reader_each():
                 name = sub.id if isinstance(sub, ast.Name) else getattr(sub, "attr", None)
                 if isinstance(sub, (ast.Name, ast.Attribute)) and name in plans - {owner}:
                     found.append(f"{path.stem}.{owner}: {name}")
-    assert sorted(found) == ["dist._best_orders: _stacked_lattice",
-                             "dist._build_cost_tables: _cost_plan",
-                             "dist._stacked_lattice: _lattice"]
+    assert sorted(found) == ["dist._best_orders: _lattice",
+                             "dist._build_cost_tables: _cost_plan"]
+
+
+def _keys_on_n(node):
+    """Whether a setdefault call or a subscript takes something's `.n` as
+    its key."""
+    if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "setdefault":
+        key = node.args[0] if node.args else None
+    else:
+        key = node.slice if isinstance(node, ast.Subscript) else None
+    return isinstance(key, ast.Attribute) and key.attr == "n"
+
+
+def test_one_stacking_loop_groups_pmfs_by_n():
+    # the channel outputs, the entropies, both order searches and the
+    # any-order oracle cut their same-n stacks through _by_stacks; another
+    # grouping by n would be a second copy of its loop
+    grouping, callers = [], []
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "bscbounds").glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner = f"{path.stem}.{getattr(node, 'name', None)}"
+            for sub in ast.walk(node):
+                if _keys_on_n(sub):
+                    grouping.append(owner)
+                if isinstance(sub, ast.Call) and getattr(
+                        sub.func, "id", getattr(sub.func, "attr", None)) == "_by_stacks":
+                    callers.append(owner)
+    assert grouping == ["dist._by_stacks"]
+    assert sorted(callers) == ["dist.apply_bsc_many", "dist.best_case_mmse_given_output_many",
+                               "dist.entropy_many", "dist.worst_case_mmse_many",
+                               "validate._along_every_order"]
 
 
 def test_the_channel_mix_has_three_callers():

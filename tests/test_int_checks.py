@@ -51,6 +51,7 @@ INPUTS = {
                           1, 4, DomainError),
     "markov_joint_pmf n": ("n", lambda v: markov_joint_pmf(v, 0.2), 1, 16, DimensionError),
     "random_pmf n": ("n", lambda v: random_pmf(v, 0), 1, 16, DimensionError),
+    "random_pmf seed": ("seed", lambda v: random_pmf(2, v), 0, None, DomainError),
     "disagreement_prob k": ("k", lambda v: disagreement_prob(v, 0.2), 0, None, DomainError),
     "mmse_two_sided gap": ("gap", lambda v: mmse_two_sided(v, 0.2), 1, None, DomainError),
     "dyadic_permutation n": ("n", dyadic_permutation, 1, None, DomainError),
