@@ -13,14 +13,14 @@ quantity the ordered sum actually bounds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .dist import (
     ExplicitPmf,
     _along_order,
-    _best_order,
+    _best_orders,
     _check_permutation,
     _check_pmf,
     _check_pmfs,
@@ -111,10 +111,7 @@ def scalar_upper(alpha: float, mmse: float) -> float:
     """Matching upper bound h(1/2 + (1 - 2 alpha)/2 * sqrt(1 - 4 * mmse))."""
     alpha = check_range("alpha", alpha, 0.0, 0.5)
     mmse = _check_level("mmse", mmse)
-    arg = 1.0 - 4.0 * mmse
-    # rounding guard: mmse within 1e-12 of 1/4 may push the radicand negative
-    arg = min(max(arg, 0.0), 1.0)
-    return _h(0.5 + (0.5 - alpha) * math.sqrt(arg))
+    return _h(0.5 + (0.5 - alpha) * math.sqrt(1.0 - 4.0 * mmse))
 
 
 def _order_result(name: str, bound, alpha: float, pmf: ExplicitPmf, found) -> BoundResult:
@@ -178,13 +175,9 @@ def conditional_vector_mmse_gerber(family, alpha: float) -> BoundResult:
         raise DomainError("mixture weights must form a probability vector")
 
     step = sum(wt * _cost_table(pmf) for wt, pmf in members)
-    best, best_order = _best_order(n, step, pick_max=True)
-    return BoundResult(
-        "conditional-mmse-gerber",
-        scalar_mmse_gerber(alpha, best / n),
-        {"alpha": alpha, "n": n, "mmse": best, "order": best_order},
-        variant="shared",
-    )
+    found = _best_orders(n, [step], pick_max=True)[0]
+    return replace(_order_result("conditional-mmse-gerber", scalar_mmse_gerber, alpha,
+                                 members[0][1], found), variant="shared")
 
 
 def noise_profile(pmf_z: ExplicitPmf, order) -> list[float]:
@@ -234,7 +227,7 @@ def vector_memory_noise(pmf_x: ExplicitPmf, pmf_z: ExplicitPmf) -> BoundResult:
     bits over all n symbols, not a per-symbol rate.
     """
     _same_dimension(pmf_x, pmf_z)
-    best, best_order = _best_order(pmf_x.n, _memory_noise_steps(pmf_x, pmf_z), pick_max=True)
+    best, best_order = _best_orders(pmf_x.n, [_memory_noise_steps(pmf_x, pmf_z)], pick_max=True)[0]
     hz = entropy(pmf_z)
     return BoundResult(
         "memory-noise",

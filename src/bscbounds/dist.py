@@ -236,18 +236,12 @@ def noisy_conditional_mmse(
 def mmse_along_permutation(pmf: ExplicitPmf, order: Sequence[int]) -> float:
     """Sum of conditional bit variances taken in the given prediction order.
 
-    The one-order case of _mmse_along_orders, itself the one-pmf case of
-    _mmse_along_orders_many, which validate runs on all n! orders of every
-    pmf of one n at once. It shares no code with the subset search, which
-    validate checks against it.
+    The one-pmf, one-order case of _mmse_along_orders_many, which validate
+    runs on all n! orders of every pmf of one n at once. It shares no code
+    with the subset search, which validate checks against it.
     """
     order = _check_permutation(_check_pmf("pmf", pmf), order)
-    return float(_mmse_along_orders(pmf, [order])[0])
-
-
-def _mmse_along_orders(pmf: ExplicitPmf, orders: Sequence[Sequence[int]]) -> np.ndarray:
-    """The one-pmf case of _mmse_along_orders_many."""
-    return _mmse_along_orders_many([pmf], orders)[0]
+    return float(_mmse_along_orders_many([pmf], [order])[0, 0])
 
 
 def _mmse_along_orders_many(pmfs: Sequence[ExplicitPmf],
@@ -532,11 +526,6 @@ def _best_orders(n: int, steps: Sequence[np.ndarray],
             mask |= 1 << j
         found.append((best[mask], tuple(order)))
     return found
-
-
-def _best_order(n: int, step: np.ndarray, pick_max: bool) -> tuple[float, tuple[int, ...]]:
-    """The one-table case of _best_orders."""
-    return _best_orders(n, [step], pick_max)[0]
 
 
 def _table_entries(n: int) -> int:

@@ -115,8 +115,10 @@ _MC_ROWS = 8
 # it takes its draws from. It is made on the first Monte Carlo call, not at
 # import, and made again in a process whose pid differs: a fork-started child
 # inherits the queue but not its thread, and would wait for ever on a draw
-# put on it. One per process, not per call, so that no call pays for
-# starting a thread.
+# put on it. One per process, not per scan: a bit-identical prototype that
+# started a thread per _scan made a tiny _scan about 115 us slower and
+# fig3-sweep's wall_s and unit_p50_s 2-3% higher (2 vCPUs, Python 3.11.7,
+# numpy 2.4.6).
 _DRAWER: tuple | None = None
 _DRAWER_LOCK = threading.Lock()
 
@@ -549,10 +551,8 @@ def stationary_odds(params: MarkovHmmParams) -> tuple[float, ...]:
 def minimizing_odds(params: MarkovHmmParams) -> float:
     """Admissible odds value minimizing the conditioned MMSE: the best of the
     interior turning points and the cap itself."""
-    cap = odds_cap(params)
-    candidates = list(stationary_odds(params))
-    candidates.append(cap)
-    return min(candidates, key=lambda s: mmse_given_odds(s, params))
+    return min((*stationary_odds(params), odds_cap(params)),
+               key=lambda s: mmse_given_odds(s, params))
 
 
 def belief_bound(params: MarkovHmmParams, variant: str = "factor4") -> BoundResult:
@@ -933,9 +933,10 @@ def entropy_rate_mc_many(params_seq, samples: int, burnin: int, seeds) -> list[M
     Each row keeps its own R and S draws, so row i's estimate is what
     entropy_rate_mc(params_seq[i], samples, burnin, seeds[i]) returns, up to
     the rounding of its summation order. Each seed makes its own generator,
-    so a Generator passed for two rows would interleave their draws. Rows
-    with a rate at or below _TINY_RATE read (h of the larger rate, 0.0), and
-    rows with q or alpha exactly 1/2 (1.0, 0.0), without simulating.
+    so a Generator passed for two rows would interleave their draws. A seed
+    numpy refuses raises DomainError, naming its index, before any row draws.
+    Rows with a rate at or below _TINY_RATE read (h of the larger rate, 0.0),
+    and rows with q or alpha exactly 1/2 (1.0, 0.0), without simulating.
 
     The others run in lockstep groups of at most _MC_ROWS, each one _scan in
     chunks of at most _MC_CHUNK steps over the group's rows, so memory is
@@ -972,7 +973,7 @@ def entropy_rate_mc_many(params_seq, samples: int, burnin: int, seeds) -> list[M
     burnin = check_int("burnin", burnin, 0)
     out: list[McEstimate | None] = []
     live = []
-    for params, seed in zip(params_seq, seeds):
+    for i, (params, seed) in enumerate(zip(params_seq, seeds)):
         _check_params(params)
         if min(params.q, params.alpha) <= _TINY_RATE:
             out.append(McEstimate(_h(max(params.q, params.alpha)), 0.0))
@@ -980,7 +981,11 @@ def entropy_rate_mc_many(params_seq, samples: int, burnin: int, seeds) -> list[M
             # the output is i.i.d. fair bits
             out.append(McEstimate(1.0, 0.0))
         else:
-            live.append((len(out), params, seed))
+            try:
+                rng = np.random.default_rng(seed)
+            except (TypeError, ValueError) as exc:
+                raise DomainError(f"seeds[{i}] is not a seed numpy accepts: {exc}") from exc
+            live.append((i, params, rng))
             out.append(None)
     total = burnin + samples
     groups = -(-len(live) // _MC_ROWS)
@@ -989,7 +994,7 @@ def entropy_rate_mc_many(params_seq, samples: int, burnin: int, seeds) -> list[M
         rows = len(group)
         q = np.array([params.q for _, params, _ in group])
         alpha = np.array([params.alpha for _, params, _ in group])
-        rngs = [np.random.default_rng(seed) for _, _, seed in group]
+        rngs = [rng for _, _, rng in group]
         shift, s1, s2 = None, np.zeros(rows), np.zeros(rows)
         for num, den, cut in _scan(q, alpha, _conv(alpha, q), total, rngs, burnin):
             hv = _entropy_terms(num, den)[:, cut]

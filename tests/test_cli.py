@@ -415,6 +415,18 @@ class TestFigure:
         assert (code, msg) == (3, "")
         assert err == f"file error: {message}: '{out}'\n"
 
+    def test_out_under_a_regular_file_exits_3_before_any_row(self, capsys, monkeypatch,
+                                                             tmp_path):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the path must be checked before any row")
+
+        monkeypatch.setattr(cli, "_mgl_curve", refuse)
+        (tmp_path / "file").write_text("")
+        out = str(tmp_path / "file" / "x.csv")
+        code, msg, err = run_cli(capsys, "figure", "fig1a", "--out", out)
+        assert (code, msg) == (3, "")
+        assert err == f"file error: [Errno 20] Not a directory: '{out}'\n"
+
 
 # the (alpha, q) points at which validate's hmm suite runs the Monte Carlo
 HMM_GRID = [(a, q) for a in (0.05, 0.11, 0.25) for q in (0.01, 0.05, 0.1, 0.2, 0.3, 0.45)]

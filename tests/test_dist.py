@@ -53,6 +53,9 @@ class TestExplicitPmf:
         assert ExplicitPmf([0.125] * 8).n == 3
         assert ExplicitPmf([0.5, 0.5]).n == 1
 
+    def test_repr_names_only_n(self):
+        assert repr(ExplicitPmf([0.5, 0.5])) == "ExplicitPmf(n=1)"
+
     def test_renormalizes_within_tolerance(self):
         w = np.full(4, 0.25)
         w[0] += 3e-10
@@ -247,7 +250,7 @@ class TestMmseAlongPermutation:
         perms = _minor_perms(n)
         for pmfs, exact in ((full, True), (sparse, False)):
             for pmf in pmfs:
-                got = dist._mmse_along_orders(pmf, perms)
+                got = dist._mmse_along_orders_many([pmf], perms)[0]
                 want = np.array([self._one_order(pmf, perm) for perm in perms])
                 assert got.shape == (len(perms),)
                 if exact:
@@ -264,7 +267,7 @@ class TestMmseAlongPermutation:
             got = dist._mmse_along_orders_many(full + sparse, orders)
             assert got.shape == (len(full) + len(sparse), len(orders))
             for pmf, row in zip(full + sparse, got):
-                assert np.array_equal(row, dist._mmse_along_orders(pmf, orders))
+                assert np.array_equal(row, dist._mmse_along_orders_many([pmf], orders)[0])
             want = np.array([[self._one_order(pmf, perm) for perm in orders] for pmf in full])
             assert np.array_equal(got[:len(full)], want)
 
@@ -470,7 +473,7 @@ class TestTablesMatchTheCopyingBuild:
                 got = dist._cost_table(pmf, alpha)
                 assert np.array_equal(got, want, equal_nan=True)
                 for pick_max in (True, False):
-                    value, order = dist._best_order(n, got, pick_max)
+                    value, order = dist._best_orders(n, [got], pick_max)[0]
                     assert type(value) is float
                     assert (value, order) == _ref_best_order(n, want, pick_max)
 
@@ -646,11 +649,11 @@ class TestBoundedStacks:
         assert peak < 4 << 20
         for pmf, (perms, vals) in zip(pmfs, found):
             assert perms == orders
-            assert np.array_equal(vals, dist._mmse_along_orders(pmf, orders))
+            assert np.array_equal(vals, dist._mmse_along_orders_many([pmf], orders)[0])
         mixed = [random_pmf(2 + s % 4, seed=s) for s in range(40)]
         for pmf, (perms, vals) in zip(mixed, validate._along_every_order(mixed)):
             assert perms == _minor_perms(pmf.n)
-            assert np.array_equal(vals, dist._mmse_along_orders(pmf, perms))
+            assert np.array_equal(vals, dist._mmse_along_orders_many([pmf], perms)[0])
 
 
 class TestBestCaseGivenOutput:
@@ -1040,6 +1043,13 @@ class TestPmfFiles:
             read_pmf(bad)
         bad.write_text("")
         with pytest.raises(DomainError):
+            read_pmf(bad)
+
+    @pytest.mark.parametrize("n", [0, 17])
+    def test_coordinate_count_outside_the_cap(self, tmp_path, n):
+        bad = tmp_path / "bad.pmf"
+        bad.write_text(f"{n}\n0.5 0.5\n")
+        with pytest.raises(DomainError, match=f"coordinate count {n} outside 1..16"):
             read_pmf(bad)
 
     def test_missing_file_raises_oserror(self, tmp_path):

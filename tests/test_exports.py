@@ -5,8 +5,9 @@ lemma written out in one place, the Monte Carlo's per-step kernels called
 from one place each, one path through the order searches' plans, one
 channel mix behind the noisy tables, the conditional MMSE and the stacked
 output laws, one stacking loop that groups pmfs by n for every same-n
-batch, and no per-pmf loop left in the single channel, entropy and
-one-order MMSE calls."""
+batch, no per-pmf loop left in the single channel, entropy and one-order
+MMSE calls, and one path from the order search and the any-order oracle to
+their callers, with one builder of the searched bounds' results."""
 
 import ast
 import inspect
@@ -15,6 +16,22 @@ from pathlib import Path
 import pytest
 
 import bscbounds
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "bscbounds"
+
+
+def _top_level():
+    """(module stem, node) for every top-level node of every module in src/."""
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            yield path.stem, node
+
+
+def _called(sub):
+    """The name a Call node calls, or None for any other node."""
+    if isinstance(sub, ast.Call):
+        return getattr(sub.func, "id", getattr(sub.func, "attr", None))
+    return None
 
 
 def test_every_export_is_listed_once_and_resolves():
@@ -37,16 +54,15 @@ def test_every_private_function_is_used_in_the_package():
     # neither a docstring's mention nor a test's call keeps a function alive
     users = {}
     private = []
-    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "bscbounds").glob("*.py")):
-        for node in ast.parse(path.read_text(encoding="utf-8")).body:
-            owner = (path.stem, getattr(node, "name", None))
-            if isinstance(node, ast.FunctionDef) and node.name.startswith("_"):
-                private.append(owner)
-            for sub in ast.walk(node):
-                if isinstance(sub, ast.Name):
-                    users.setdefault(sub.id, set()).add(owner)
-                elif isinstance(sub, ast.Attribute):
-                    users.setdefault(sub.attr, set()).add(owner)
+    for module, node in _top_level():
+        owner = (module, getattr(node, "name", None))
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_"):
+            private.append(owner)
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                users.setdefault(sub.id, set()).add(owner)
+            elif isinstance(sub, ast.Attribute):
+                users.setdefault(sub.attr, set()).add(owner)
     assert private
     assert [f"{m}.{f}" for m, f in private if not users.get(f, set()) - {(m, f)}] == []
 
@@ -66,14 +82,12 @@ def test_every_private_default_is_left_out_by_a_package_call():
     # a default that only the tests rely on keeps a second way of calling a
     # private function alive for them alone
     private, calls = [], {}
-    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "bscbounds").glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        private += [(path.stem, node) for node in tree.body
-                    if isinstance(node, ast.FunctionDef) and node.name.startswith("_")]
-        for sub in ast.walk(tree):
+    for module, node in _top_level():
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_"):
+            private.append((module, node))
+        for sub in ast.walk(node):
             if isinstance(sub, ast.Call):
-                name = getattr(sub.func, "id", getattr(sub.func, "attr", None))
-                calls.setdefault(name, []).append(sub)
+                calls.setdefault(_called(sub), []).append(sub)
     found = []
     for module, fn in private:
         args = fn.args
@@ -109,13 +123,9 @@ def _is_lemma(node):
 def test_the_mmse_lemma_is_written_out_only_in_lift():
     # validate keeps its own copy as an oracle; propagate_llr's q + (1 - q) e
     # has the lemma's shape but is a Markov step's odds, not the lemma
-    found = []
-    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "bscbounds").glob("*.py")):
-        if path.stem == "validate":
-            continue
-        for node in ast.parse(path.read_text(encoding="utf-8")).body:
-            found += [f"{path.stem}.{getattr(node, 'name', None)}: {ast.unparse(sub)}"
-                      for sub in ast.walk(node) if _is_lemma(sub)]
+    found = [f"{module}.{getattr(node, 'name', None)}: {ast.unparse(sub)}"
+             for module, node in _top_level() if module != "validate"
+             for sub in ast.walk(node) if _is_lemma(sub)]
     assert found == ["bounds._lift: h + (1.0 - h) * x", "hmm.propagate_llr: q + (1.0 - q) * e"]
 
 
@@ -123,14 +133,9 @@ def test_the_monte_carlo_step_kernels_have_one_caller_each():
     # pass C2 runs on every kept piece inside _scan, and only
     # entropy_rate_mc_many turns its weights into entropy terms
     kernels = {"_prefix_apply", "_entropy_terms"}
-    found = []
-    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "bscbounds").glob("*.py")):
-        for node in ast.parse(path.read_text(encoding="utf-8")).body:
-            for sub in ast.walk(node):
-                if isinstance(sub, ast.Call):
-                    name = getattr(sub.func, "id", getattr(sub.func, "attr", None))
-                    if name in kernels:
-                        found.append(f"{path.stem}.{getattr(node, 'name', None)}: {name}")
+    found = [f"{module}.{getattr(node, 'name', None)}: {_called(sub)}"
+             for module, node in _top_level() for sub in ast.walk(node)
+             if _called(sub) in kernels]
     assert sorted(found) == ["hmm._scan: _prefix_apply", "hmm.entropy_rate_mc_many: _entropy_terms"]
 
 
@@ -140,13 +145,12 @@ def test_the_order_search_plans_have_one_reader_each():
     # would need a second reader
     plans = {"_cost_plan", "_lattice"}
     found = []
-    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "bscbounds").glob("*.py")):
-        for node in ast.parse(path.read_text(encoding="utf-8")).body:
-            owner = getattr(node, "name", None)
-            for sub in ast.walk(node):
-                name = sub.id if isinstance(sub, ast.Name) else getattr(sub, "attr", None)
-                if isinstance(sub, (ast.Name, ast.Attribute)) and name in plans - {owner}:
-                    found.append(f"{path.stem}.{owner}: {name}")
+    for module, node in _top_level():
+        owner = getattr(node, "name", None)
+        for sub in ast.walk(node):
+            name = sub.id if isinstance(sub, ast.Name) else getattr(sub, "attr", None)
+            if isinstance(sub, (ast.Name, ast.Attribute)) and name in plans - {owner}:
+                found.append(f"{module}.{owner}: {name}")
     assert sorted(found) == ["dist._best_orders: _lattice",
                              "dist._build_cost_tables: _cost_plan"]
 
@@ -166,15 +170,13 @@ def test_one_stacking_loop_groups_pmfs_by_n():
     # any-order oracle cut their same-n stacks through _by_stacks; another
     # grouping by n would be a second copy of its loop
     grouping, callers = [], []
-    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "bscbounds").glob("*.py")):
-        for node in ast.parse(path.read_text(encoding="utf-8")).body:
-            owner = f"{path.stem}.{getattr(node, 'name', None)}"
-            for sub in ast.walk(node):
-                if _keys_on_n(sub):
-                    grouping.append(owner)
-                if isinstance(sub, ast.Call) and getattr(
-                        sub.func, "id", getattr(sub.func, "attr", None)) == "_by_stacks":
-                    callers.append(owner)
+    for module, node in _top_level():
+        owner = f"{module}.{getattr(node, 'name', None)}"
+        for sub in ast.walk(node):
+            if _keys_on_n(sub):
+                grouping.append(owner)
+            if _called(sub) == "_by_stacks":
+                callers.append(owner)
     assert grouping == ["dist._by_stacks"]
     assert sorted(callers) == ["dist.apply_bsc_many", "dist.best_case_mmse_given_output_many",
                                "dist.entropy_many", "dist.worst_case_mmse_many",
@@ -184,22 +186,34 @@ def test_one_stacking_loop_groups_pmfs_by_n():
 def test_the_channel_mix_has_three_callers():
     # the cost-table builder, the conditional MMSE and the row mixer that
     # every output law goes through; a per-pmf channel would be a fourth
-    found = []
-    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "bscbounds").glob("*.py")):
-        for node in ast.parse(path.read_text(encoding="utf-8")).body:
-            for sub in ast.walk(node):
-                if isinstance(sub, ast.Call):
-                    name = getattr(sub.func, "id", getattr(sub.func, "attr", None))
-                    if name == "_channel_mix":
-                        found.append(f"{path.stem}.{getattr(node, 'name', None)}")
+    found = [f"{module}.{getattr(node, 'name', None)}" for module, node in _top_level()
+             for sub in ast.walk(node) if _called(sub) == "_channel_mix"]
     assert sorted(found) == ["dist._build_cost_tables", "dist._conditional_mmse", "dist._mix_rows"]
+
+
+def test_the_order_search_reaches_each_bound_by_one_path():
+    # a one-member wrapper around the stacked search or the any-order oracle
+    # would be a second path to it, and a bound that builds its own
+    # BoundResult from a search a second result builder
+    watched = {"_best_orders", "_mmse_along_orders_many", "_order_result"}
+    found = {name: [] for name in watched}
+    for module, node in _top_level():
+        for sub in ast.walk(node):
+            if _called(sub) in watched:
+                found[_called(sub)].append(f"{module}.{getattr(node, 'name', None)}")
+    assert {name: sorted(owners) for name, owners in found.items()} == {
+        "_best_orders": ["bounds.conditional_vector_mmse_gerber", "bounds.vector_memory_noise",
+                         "dist._search"],
+        "_mmse_along_orders_many": ["dist.mmse_along_permutation", "validate._along_every_order"],
+        "_order_result": ["bounds.conditional_vector_mmse_gerber",
+                          "bounds.vector_mmse_gerber_many", "bounds.vector_upper_many"],
+    }
 
 
 @pytest.mark.parametrize("name", ["apply_bsc", "entropy", "mmse_along_permutation"])
 def test_the_single_calls_loop_over_nothing_of_their_own(name):
     # each is the one-member case of a stacked helper, which holds the loop
-    path = Path(__file__).resolve().parents[1] / "src" / "bscbounds" / "dist.py"
-    [fn] = [node for node in ast.parse(path.read_text(encoding="utf-8")).body
-            if isinstance(node, ast.FunctionDef) and node.name == name]
+    [fn] = [node for module, node in _top_level()
+            if module == "dist" and isinstance(node, ast.FunctionDef) and node.name == name]
     assert [ast.unparse(sub) for sub in ast.walk(fn)
             if isinstance(sub, (ast.For, ast.comprehension, ast.While))] == []

@@ -628,6 +628,23 @@ def test_batched_rows_need_one_seed_each():
     assert entropy_rate_mc_many([], 100, 0, []) == []
 
 
+def test_every_seed_is_checked_before_any_row_draws():
+    # 10 rows run as two lockstep groups of 5; the last row's seed is one
+    # numpy refuses, and no row of the first group may draw before it is
+    # found
+    params = [MarkovHmmParams(0.1, 0.11)] * 10
+    with pytest.raises(DomainError, match=r"seeds\[9\]"):
+        entropy_rate_mc_many(params, 20_000, 0, [*range(9), -1])
+    rngs = [CountingGenerator(np.random.PCG64(i)) for i in range(9)]
+    with pytest.raises(DomainError, match=r"seeds\[9\]"):
+        entropy_rate_mc_many(params, 20_000, 0, [*rngs, -1])
+    assert [g.calls for g in rngs] == [0] * 9
+    with pytest.raises(DomainError, match=r"seeds\[0\]"):
+        entropy_rate_mc_many(params[:1], 100, 0, [1.5])
+    # a row that is not simulated makes no generator, so its seed is not read
+    assert entropy_rate_mc_many([MarkovHmmParams(0.5, 0.11)], 100, 0, [-1]) == [(1.0, 0.0)]
+
+
 def test_half_rate_rows_are_not_simulated(monkeypatch):
     simulated = []
     real = hmm._scan

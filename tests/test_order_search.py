@@ -25,7 +25,7 @@ from bscbounds import (
     worst_case_mmse,
 )
 from bscbounds import dist
-from bscbounds.dist import _best_order, _cost_table
+from bscbounds.dist import _best_orders, _cost_table
 
 ALPHAS = (0.0, 0.11, 0.3)
 SIZES = range(1, 8)
@@ -131,7 +131,7 @@ def test_dynamic_program_equals_enumeration(n):
         for alpha in ALPHAS:
             step = _cost_table(pmf, alpha)
             for pick_max in (True, False):
-                value, order = _best_order(n, step, pick_max)
+                value, order = _best_orders(n, [step], pick_max)[0]
                 brute, _ = _enumerate_orders(n, step, pick_max)
                 assert value == brute
                 assert _path_sum(step, order) == value
