@@ -183,7 +183,8 @@ def _row_entropies(rows: np.ndarray) -> list[float]:
     positive weights alone."""
     if rows.all():
         return (-(rows * np.log2(rows)).sum(axis=1)).tolist()
-    return [-float((pos * np.log2(pos)).sum()) for pos in (row[row > 0.0] for row in rows)]
+    # 0.0 - x is -x bit for bit, but +0.0 where a point mass sums to 0.0
+    return [0.0 - float((pos * np.log2(pos)).sum()) for pos in (row[row > 0.0] for row in rows)]
 
 
 def entropy(pmf: ExplicitPmf) -> float:
@@ -430,10 +431,10 @@ def _cost_tables(pmfs: Sequence[ExplicitPmf], alpha: float, kernel) -> list[np.n
     return [p._memo[kernel] for p in pmfs]
 
 
-def _cost_table(pmf: ExplicitPmf, alpha: float = 0.0, kernel=_mmse_kernel) -> np.ndarray:
-    """The (2**n, n) cost table of one pmf: the one-member case of
-    _cost_tables."""
-    return _cost_tables([pmf], alpha, kernel)[0]
+def _cost_table(pmf: ExplicitPmf, kernel=_mmse_kernel) -> np.ndarray:
+    """The clean (2**n, n) cost table of one pmf: the one-member, alpha = 0
+    case of _cost_tables."""
+    return _cost_tables([pmf], 0.0, kernel)[0]
 
 
 def _along_order(table: np.ndarray, order: Sequence[int]) -> list[float]:

@@ -1014,42 +1014,42 @@ def entropy_rate_mc_many(params_seq, samples: int, burnin: int, seeds) -> list[M
 def exact_conditional_entropy(params: MarkovHmmParams, n: int) -> float:
     """Exact H(Y_n | Y_1..Y_{n-1}) by a forward pass over all output prefixes.
 
-    Two arrays carry the joint weight of each prefix with the current source
-    bit; each extension doubles them, so n is capped at 20. They are
-    allocated at their final size and extended in place, and the last step
-    reuses the same buffers, so the pass works in about five arrays of
-    2^(n-1) doubles (20 MiB at n = 20). n = 1 returns the marginal output
-    entropy, exactly 1 for this symmetric source.
+    Two (2, 2^(n-1)) arrays carry the joint weight of each prefix with the
+    current source bit, before and after the Markov step; each extension
+    doubles the used part, so n is capped at 20. They are allocated at their
+    final size and extended in place, and the entropy terms reuse their
+    spent rows, so the pass works in four arrays of 2^(n-1) doubles, a
+    traced peak of 1.19 MiB at n = 16 and 17.5 MiB at n = 20 (prefixes of
+    zero mass, as at q = alpha = 0, cost two compacted copies of the
+    others). n = 1 returns the marginal output entropy, exactly 1 for this
+    symmetric source.
     """
     n = check_int("n", n, 1, _MAX_WINDOW, DimensionError)
     q, alpha = _check_params(params)
     if n == 1:
         return 1.0
     size = 1 << (n - 1)
-    # a0/a1: joint weight of (observed prefix, current source bit = 0 or 1),
-    # newest output bit in the highest index position; s0/s1 the same after
-    # the next Markov step
-    a0, a1, s0, s1 = (np.empty(size) for _ in range(4))
-    a0[:2] = 0.5 * (1.0 - alpha), 0.5 * alpha
-    a1[:2] = 0.5 * alpha, 0.5 * (1.0 - alpha)
-    for k in range(1, n - 1):
+    # emit[x, y] = P(Y = y | X = x); a[x]: joint weight of (observed prefix,
+    # current source bit x), newest output bit in the highest index
+    # position; s[x] the same after the next Markov step
+    emit = np.array([[1.0 - alpha, alpha], [alpha, 1.0 - alpha]])
+    a, s = np.empty((2, size)), np.empty((2, size))
+    a[:, :2] = 0.5 * emit
+    for k in range(1, n):
         m = 1 << k
-        x0, x1, u0, u1 = a0[:m], a1[:m], s0[:m], s1[:m]
-        # s0 = a0 (1 - q) + a1 q and s1 = a0 q + a1 (1 - q), a1's free half
-        # holding a product
-        np.add(np.multiply(x0, 1.0 - q, out=u0), np.multiply(x1, q, out=u1), out=u0)
-        np.add(np.multiply(x0, q, out=u1), np.multiply(x1, 1.0 - q, out=a1[m:2 * m]), out=u1)
-        # a0 = [s0 (1 - alpha), s0 alpha], a1 = [s1 alpha, s1 (1 - alpha)]
-        np.multiply(u0, 1.0 - alpha, out=x0)
-        np.multiply(u0, alpha, out=a0[m:2 * m])
-        np.multiply(u1, alpha, out=x1)
-        np.multiply(u1, 1.0 - alpha, out=a1[m:2 * m])
-    # the last step: the prefix weight a0 + a1 and the next output's weight
-    # s0 alpha + s1 (1 - alpha)
-    np.add(np.multiply(a0, 1.0 - q, out=s0), np.multiply(a1, q, out=s1), out=s0)
-    np.multiply(a0, q, out=s1)
-    prefix = np.add(a0, a1, out=a0)
-    s1 += np.multiply(a1, 1.0 - q, out=a1)
+        x, u = a[:, :m], s[:, :m]
+        # s[0] = x[0] (1 - q) + x[1] q and s[1] = x[0] q + x[1] (1 - q);
+        # x[0] becomes the prefix weight and x[1] is spent on a product
+        np.add(np.multiply(x[0], 1.0 - q, out=u[0]), np.multiply(x[1], q, out=u[1]), out=u[0])
+        np.multiply(x[0], q, out=u[1])
+        np.add(x[0], x[1], out=x[0])
+        u[1] += np.multiply(x[1], 1.0 - q, out=x[1])
+        if m < size:
+            # a[x] = [s[x] emit[x, 0], s[x] emit[x, 1]]; the reshape is a
+            # view, so the product lands in a
+            np.multiply(u[:, None, :], emit[:, :, None], out=a[:, :2 * m].reshape(2, 2, m))
+    # the next output's weight s[0] alpha + s[1] (1 - alpha)
+    prefix, (s0, s1) = a[0], s
     s0 *= alpha
     next_one = np.add(s0, np.multiply(s1, 1.0 - alpha, out=s1), out=s0)
     mask = prefix > 0.0
@@ -1059,7 +1059,7 @@ def exact_conditional_entropy(params: MarkovHmmParams, n: int) -> float:
         # zero-mass prefixes drop out, also from the sum's pairwise grouping
         weight = prefix[mask]
         cond = next_one[mask] / weight
-    terms = _entropy_vec(cond, out=s1[:cond.size])
+    terms = _entropy_vec(cond, s1[:cond.size], a[1, :cond.size])
     terms *= weight
     # the prefix weights sum to 1 only up to rounding, which can lift the
     # result past 1 near alpha = 1/2

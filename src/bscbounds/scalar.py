@@ -40,12 +40,11 @@ def _h(p: float) -> float:
     return -(p * math.log2(p) + (1.0 - p) * math.log1p(-p) / _LN2)
 
 
-def _entropy_vec(p: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _entropy_vec(p: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     # vectorized binary_entropy with the same endpoint convention: h goes to
-    # `out`, a float array of p's shape other than p, and p serves as
-    # scratch, so that one float array of p's size is all it allocates
+    # `out`, and p and `scratch` are overwritten, all three float arrays of
+    # one shape and distinct, so that it allocates no float array
     inner = (p > 0.0) & (p < 1.0)
-    scratch = np.empty_like(p)
     # -(p log2(p) + (1 - p) log1p(-p) / ln 2) inside (0, 1), 0 elsewhere
     np.log2(p, out=out, where=inner)
     np.multiply(p, out, out=out, where=inner)

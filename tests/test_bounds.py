@@ -283,6 +283,8 @@ class TestMemoryNoise:
     def test_profile_of_deterministic_noise_is_zero(self):
         pmf = ExplicitPmf([1.0, 0.0, 0.0, 0.0])
         assert noise_profile(pmf, (2, 1)) == [0.0, 0.0]
+        hz = vector_memory_noise(markov_joint_pmf(2, 0.2), pmf).inputs["noise_entropy"]
+        assert math.copysign(1.0, hz) == 1.0
 
     def test_fair_source_fair_noise_saturates(self):
         x = ExplicitPmf([0.125] * 8)

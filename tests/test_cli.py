@@ -726,6 +726,17 @@ class TestPmfMmse:
         assert (code, err) == (0, "")
         assert out == want
 
+    @pytest.mark.parametrize("alpha", ["0", "0.11"])
+    def test_point_mass_prints_zero_entropy(self, capsys, tmp_path, alpha):
+        path = tmp_path / "point.pmf"
+        write_pmf(dist.ExplicitPmf([0.0, 0.0, 1.0, 0.0]), str(path))
+        code, out, err = run_cli(capsys, "pmf-mmse", str(path), "--alpha", alpha)
+        assert (code, err) == (0, "")
+        got = dict(line.split(" = ") for line in out.strip().splitlines())
+        assert (got["entropy"], got["entropy_per_symbol"]) == ("0", "0")
+        if alpha == "0":
+            assert got["exact_output_entropy_per_symbol"] == "0"
+
     def test_missing_file_exits_3(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "pmf-mmse", str(tmp_path / "absent.pmf"))
         assert code == 3

@@ -137,6 +137,12 @@ class TestEntropy:
         assert entropy(ExplicitPmf([0.25] * 4)) == pytest.approx(2.0, abs=1e-12)
         assert entropy(ExplicitPmf([1.0, 0.0, 0.0, 0.0])) == 0.0
 
+    def test_point_mass_entropy_is_positive_zero(self):
+        # a -0.0 printed as "-0" in pmf-mmse's entropy lines
+        point = ExplicitPmf([1.0, 0.0, 0.0, 0.0])
+        got = [entropy(point), *entropy_many([point, ExplicitPmf([0.0, 1.0]), point])]
+        assert [math.copysign(1.0, v) for v in got] == [1.0] * 4
+
     def test_product_of_biased_bits(self):
         pmf = _product([0.11, 0.11])
         assert entropy(pmf) == pytest.approx(0.9998319163290559, abs=1e-12)
@@ -345,8 +351,8 @@ class TestSearchSetup:
             table = dist._cost_table(pmf, kernel=kernel)
             assert pmf._memo[kernel] is table
             self._assert_read_only(table)
-            noisy = dist._cost_table(pmf, 0.11, kernel)
-            assert noisy.flags.writeable and noisy is not dist._cost_table(pmf, 0.11, kernel)
+            noisy = dist._cost_tables([pmf], 0.11, kernel)[0]
+            assert noisy.flags.writeable and noisy is not dist._cost_tables([pmf], 0.11, kernel)[0]
         assert set(pmf._memo) == set(kernels)
 
 
@@ -470,7 +476,7 @@ class TestTablesMatchTheCopyingBuild:
         for pmf in _table_pmfs(n):
             for alpha in (0.0, 0.11, 0.5):
                 want = _ref_cost_table(pmf, alpha)
-                got = dist._cost_table(pmf, alpha)
+                got = dist._cost_tables([pmf], alpha, dist._mmse_kernel)[0]
                 assert np.array_equal(got, want, equal_nan=True)
                 for pick_max in (True, False):
                     value, order = dist._best_orders(n, [got], pick_max)[0]

@@ -1,13 +1,14 @@
 """The package namespace: each public name exported once, no tuning knob
 left on the public functions, no private function that the package itself
-never uses, no private default that only the tests rely on, the paper's MMSE
-lemma written out in one place, the Monte Carlo's per-step kernels called
-from one place each, one path through the order searches' plans, one
-channel mix behind the noisy tables, the conditional MMSE and the stacked
-output laws, one stacking loop that groups pmfs by n for every same-n
-batch, no per-pmf loop left in the single channel, entropy and one-order
-MMSE calls, and one path from the order search and the any-order oracle to
-their callers, with one builder of the searched bounds' results."""
+never uses, no private default that only the tests rely on, no defaulted
+private parameter that only the tests set, the paper's MMSE lemma written
+out in one place, the Monte Carlo's per-step kernels called from one place
+each, one path through the order searches' plans, one channel mix behind
+the noisy tables, the conditional MMSE and the stacked output laws, one
+stacking loop that groups pmfs by n for every same-n batch, no per-pmf loop
+left in the single channel, entropy and one-order MMSE calls, and one path
+from the order search and the any-order oracle to their callers, with one
+builder of the searched bounds' results."""
 
 import ast
 import inspect
@@ -78,9 +79,10 @@ def _leaves_out(call, index, name):
                              and not any(isinstance(a, ast.Starred) for a in call.args))
 
 
-def test_every_private_default_is_left_out_by_a_package_call():
-    # a default that only the tests rely on keeps a second way of calling a
-    # private function alive for them alone
+def _private_defaults():
+    """(label, left) for each defaulted parameter of each private top-level
+    function in src/: left holds, for each src/ call of the function,
+    whether that call leaves the parameter to its default."""
     private, calls = [], {}
     for module, node in _top_level():
         if isinstance(node, ast.FunctionDef) and node.name.startswith("_"):
@@ -88,7 +90,7 @@ def test_every_private_default_is_left_out_by_a_package_call():
         for sub in ast.walk(node):
             if isinstance(sub, ast.Call):
                 calls.setdefault(_called(sub), []).append(sub)
-    found = []
+    out = []
     for module, fn in private:
         args = fn.args
         positional = args.posonlyargs + args.args
@@ -96,10 +98,24 @@ def test_every_private_default_is_left_out_by_a_package_call():
         defaulted = [(i, arg.arg) for i, arg in enumerate(positional) if i >= first]
         defaulted += [(None, arg.arg) for arg, default in zip(args.kwonlyargs, args.kw_defaults)
                       if default is not None]
-        found += [f"{module}.{fn.name}({name})" for index, name in defaulted
-                  if not any(_leaves_out(call, index, name) for call in calls.get(fn.name, []))]
-    assert private
-    assert found == []
+        out += [(f"{module}.{fn.name}({name})",
+                 [_leaves_out(call, index, name) for call in calls.get(fn.name, [])])
+                for index, name in defaulted]
+    assert out
+    return out
+
+
+def test_every_private_default_is_left_out_by_a_package_call():
+    # a default that only the tests rely on keeps a second way of calling a
+    # private function alive for them alone
+    assert [label for label, left in _private_defaults() if not any(left)] == []
+
+
+def test_every_private_default_is_set_by_a_package_call():
+    # a parameter that only the tests set is a knob kept for them alone;
+    # the package's calls would need no parameter there
+    assert [label for label, left in _private_defaults() if all(left)] == []
+
 
 def _factors(node):
     """The factors of a product, reading through the numerator of a quotient."""

@@ -877,10 +877,13 @@ def test_window_equals_the_concatenating_pass(q):
         assert got == concatenating_windows(q, alpha, 20), alpha
 
 
-@pytest.mark.parametrize("n, mib", [(16, 1.5), (20, 24)])
+@pytest.mark.parametrize("n, mib", [(16, 1.5), (20, 24), (16, 1.3), (20, 19)])
 def test_window_peak_memory(n, mib):
     # the concatenating pass peaked at about 7 times its final arrays:
-    # 3.56 MiB at n = 16 and 57.0 MiB at n = 20
+    # 3.56 MiB at n = 16 and 57.0 MiB at n = 20; a fifth array of 2^(n-1)
+    # doubles beside the two-row state peaked at 1.35 and 21.5 MiB (the
+    # 1.5 and 24 MiB pins), the state alone at 1.19 and 17.5 MiB (the 1.3
+    # and 19 MiB pins)
     params = MarkovHmmParams(0.1, 0.11)
     tracemalloc.start()
     try:

@@ -25,7 +25,7 @@ from bscbounds import (
     worst_case_mmse,
 )
 from bscbounds import dist
-from bscbounds.dist import _best_orders, _cost_table
+from bscbounds.dist import _best_orders, _cost_tables, _mmse_kernel
 
 ALPHAS = (0.0, 0.11, 0.3)
 SIZES = range(1, 8)
@@ -117,7 +117,7 @@ def _path_sum(step, order):
 def test_cost_table_matches_one_query_functions(n):
     for pmf in _corpus(n):
         for alpha in ALPHAS:
-            got = _cost_table(pmf, alpha)
+            got = _cost_tables([pmf], alpha, _mmse_kernel)[0]
             want = _oracle_cost(pmf, alpha)
             assert np.array_equal(np.isnan(got), np.isnan(want))
             ok = ~np.isnan(want)
@@ -129,7 +129,7 @@ def test_cost_table_matches_one_query_functions(n):
 def test_dynamic_program_equals_enumeration(n):
     for pmf in _corpus(n):
         for alpha in ALPHAS:
-            step = _cost_table(pmf, alpha)
+            step = _cost_tables([pmf], alpha, _mmse_kernel)[0]
             for pick_max in (True, False):
                 value, order = _best_orders(n, [step], pick_max)[0]
                 brute, _ = _enumerate_orders(n, step, pick_max)
