@@ -678,3 +678,16 @@ def test_peak_memory_of_a_fig3_sweep_call():
     finally:
         tracemalloc.stop()
     assert peak <= 3 * 2**20
+
+
+def test_a_fig3_sweep_call_keeps_its_bits():
+    # the call above: its 19 simulated rows run as groups of 6, 6 and 7, and
+    # rows 5, 11 and 18 end them, so each group's last row is pinned
+    params = [MarkovHmmParams(q, 0.11) for q in FIG3_QS]
+    got = entropy_rate_mc_many(params, 60_000, 10_000, [(7, i) for i in range(len(params))])
+    assert {i: (got[i].estimate.hex(), got[i].stderr.hex()) for i in (5, 11, 18)} == {
+        5: ("0x1.b1fa06ee166d2p-1", "0x1.371977b143e7bp-12"),
+        11: ("0x1.e94a60db06672p-1", "0x1.d3c4422560b4ep-15"),
+        18: ("0x1.ffa875c16af47p-1", "0x1.ca838c2a42295p-24"),
+    }
+    assert got[19] == (1.0, 0.0)
