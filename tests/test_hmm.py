@@ -843,11 +843,11 @@ WINDOW_RATES = (0.0, 5e-324, 1e-300, 1e-30, 1e-9, 0.0025, 0.05, 0.11, 0.3, 0.499
 
 
 def concatenating_windows(q, alpha, top):
-    """exact_conditional_entropy for n = 1 .. top in one forward pass that
-    doubles its arrays with np.concatenate at every step, as the window was
-    computed before it ran in fixed buffers; kept as the oracle."""
-    a0 = np.array([0.5 * (1.0 - alpha), 0.5 * alpha])
-    a1 = np.array([0.5 * alpha, 0.5 * (1.0 - alpha)])
+    """exact_conditional_entropy for n = 1 .. top in one forward pass over
+    the folded prefixes (y_1 = 0, weighted twice) that doubles its arrays
+    with np.concatenate at every step, as the window was computed before it
+    ran in fixed buffers; kept as the oracle."""
+    a0, a1 = np.array([1.0 - alpha]), np.array([alpha])
     out = [1.0]
     for n in range(2, top + 1):
         if n > 2:
@@ -858,9 +858,9 @@ def concatenating_windows(q, alpha, top):
         s0 = a0 * (1.0 - q) + a1 * q
         s1 = a0 * q + a1 * (1.0 - q)
         prefix = a0 + a1
-        next_one = s0 * alpha + s1 * (1.0 - alpha)
+        low = np.minimum(s0, s1) * (1.0 - alpha) + np.maximum(s0, s1) * alpha
         mask = prefix > 0.0
-        cond = next_one[mask] / prefix[mask]
+        cond = low[mask] / prefix[mask]
         h = np.zeros_like(cond)
         inner = (cond > 0.0) & (cond < 1.0)
         p = cond[inner]
@@ -877,13 +877,47 @@ def test_window_equals_the_concatenating_pass(q):
         assert got == concatenating_windows(q, alpha, 20), alpha
 
 
-@pytest.mark.parametrize("n, mib", [(16, 1.5), (20, 24), (16, 1.3), (20, 19)])
+def mp_window(q, alpha, n):
+    # H(Y_n | Y^(n-1)) at 60 digits by a forward pass over all 2^(n-1)
+    # prefixes, unfolded, each next-output weight formed directly
+    with mpmath.workdps(60):
+        q, a = mpmath.mpf(q), mpmath.mpf(alpha)
+        emit = ((1 - a, a), (a, 1 - a))
+        states = [(emit[0][y] / 2, emit[1][y] / 2) for y in (0, 1)]
+        total = mpmath.mpf(0)
+        for k in range(2, n + 1):
+            stepped = [(w0 * (1 - q) + w1 * q, w0 * q + w1 * (1 - q), w0 + w1)
+                       for w0, w1 in states]
+            if k == n:
+                for s0, s1, prefix in stepped:
+                    for y in (0, 1):
+                        w = s0 * emit[0][y] + s1 * emit[1][y]
+                        total -= w * mpmath.log(w / prefix, 2)
+            states = [(s0 * emit[0][y], s1 * emit[1][y])
+                      for s0, s1, _ in stepped for y in (0, 1)]
+        return total
+
+
+@pytest.mark.parametrize("r", [1e-3, 1e-8, 1e-12, 1e-14, 1e-17, 1e-20])
+def test_window_keeps_relative_precision_at_small_rates(r):
+    # half the mass has a next-output conditional c near 1 here, so h must
+    # not be taken through 1 - c: that keeps only rounding, and none below
+    # about r = 1e-16
+    for n in (2, 3, 5, 8):
+        want = mp_window(r, r, n)
+        got = exact_conditional_entropy(MarkovHmmParams(r, r), n)
+        assert abs(got - want) <= 2e-15 * want, n
+
+
+@pytest.mark.parametrize("n, mib", [(16, 1.5), (20, 24), (16, 1.3), (20, 19),
+                                    (16, 0.75), (20, 9)])
 def test_window_peak_memory(n, mib):
     # the concatenating pass peaked at about 7 times its final arrays:
     # 3.56 MiB at n = 16 and 57.0 MiB at n = 20; a fifth array of 2^(n-1)
     # doubles beside the two-row state peaked at 1.35 and 21.5 MiB (the
     # 1.5 and 24 MiB pins), the state alone at 1.19 and 17.5 MiB (the 1.3
-    # and 19 MiB pins)
+    # and 19 MiB pins), and the state on the folded prefixes at 0.69 and
+    # 8.5 MiB (the 0.75 and 9 MiB pins)
     params = MarkovHmmParams(0.1, 0.11)
     tracemalloc.start()
     try:
