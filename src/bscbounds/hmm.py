@@ -14,9 +14,10 @@ map propagate_llr.
 
 from __future__ import annotations
 
+import _thread
+import atexit
 import math
 import os
-import threading
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -94,33 +95,37 @@ _MAX_POWER = 1 << 1023
 # rows ran fig3's 21 rows alike, and one group of 21 about 11% slower. A
 # group's rows draw their uniforms, R from their generators and S from their
 # _s_stream copies, one after another into one pair of draw buffers of at
-# most _MC_PIECE doubles, and compare them straight into the flags, so every
-# row of a group of 4 or more draws a chunk's R and S in one call each. The
-# flags go into two pairs of (rows, width) buffers: a helper thread draws
-# chunk c + 1 into one while the calling thread scans chunk c from the
-# other, as the draws release the GIL and took about a quarter of
-# fig3-sweep's time. So a run's memory does not grow with its steps or
-# rows; README's fig3 section gives the traced peaks. Buffers of 8,192
-# doubles made each row of fig3's 6- and 7-row groups (chunks of 10,000 and
-# 8,752 steps a row) draw in two calls, 112 where a 7-row group of
-# 70,000-step rows now makes 56, with in-process times alike (one AMD EPYC
-# core, medians of 31 calls over 8 alternating runs: fig3's 20 rows took
-# 15.5-17.1 ms with those buffers and 14.6-16.4 ms with these).
+# most _MC_PIECE doubles, and compare them straight into one pair of
+# (rows, width) flag buffers, so every row of a group of 4 or more draws a
+# chunk's R and S in one call each. Buffers of 8,192 doubles made each row
+# of fig3's 6- and 7-row groups (chunks of 10,000 and 8,752 steps a row)
+# draw in two calls, 112 where a 7-row group of 70,000-step rows now makes
+# 56, with in-process times alike (one AMD EPYC core, medians of 31 calls
+# over 8 alternating runs: fig3's 20 rows took 15.5-17.1 ms with those
+# buffers and 14.6-16.4 ms with these).
+#
+# The draws, sigma and the packing run on the calling thread (_draws), and
+# the scan on one worker process (_worker), fed each chunk's packed flags,
+# under 8 KiB, through a pipe, so the caller draws chunk c + 1 while the
+# worker scans chunk c. A helper thread that drew while the calling thread
+# scanned gained nothing, as each time it took the GIL it slowed the scan: a
+# thread drawing the helper's blocks of 8,752 doubles made the scan of a
+# fig3 call's three groups 24% slower (medians of 20, 41.4 against
+# 51.4 ms), and blocks of 131,072 doubles or more did not. With the worker,
+# fig3-sweep's median unit_p50_s fell by 26% (10 of 10 alternating bench
+# pairs). Both on 2 Intel Xeon vCPUs, Python 3.11.7, numpy 2.4.6.
+# A run's memory does not grow with its steps or rows, in either process;
+# README's fig3 section gives the traced peaks.
 _MC_CHUNK = 1 << 16
 _MC_PIECE = 1 << 14
 _MC_BLOCK = 64
 _MC_ROWS = 8
 
-# (pid, jobs) of the helper thread that _scan draws on, with jobs the queue
-# it takes its draws from. It is made on the first Monte Carlo call, not at
-# import, and made again in a process whose pid differs: a fork-started child
-# inherits the queue but not its thread, and would wait for ever on a draw
-# put on it. One per process, not per scan: a bit-identical prototype that
-# started a thread per _scan made a tiny _scan about 115 us slower and
-# fig3-sweep's wall_s and unit_p50_s 2-3% higher (2 vCPUs, Python 3.11.7,
-# numpy 2.4.6).
-_DRAWER: tuple | None = None
-_DRAWER_LOCK = threading.Lock()
+# (owner pid, worker pid, request fd, reply fd) of the worker process that
+# folds the Monte Carlo's groups, forked on the first simulated group and
+# again in a process whose pid differs, and the lock its callers share.
+_WORKER: tuple | None = None
+_WORKER_LOCK = _thread.allocate_lock()
 
 
 @dataclass(frozen=True)
@@ -672,75 +677,42 @@ def _row_tables(q: np.ndarray, alpha: np.ndarray,
     return byte_maps, table.reshape(4, rows * 256, 8)
 
 
-def _drawer():
-    """This process's helper thread for _scan's draws, made on first use, as
-    its job queue and a new queue for one caller's results. The helper is a
-    daemon thread that takes (function, args, done) jobs from the job queue
-    in turn and puts (result, None) on done, or (None, error) if the function
-    raised, and goes on to the next job either way."""
-    # imported here, so that only a process that runs the Monte Carlo pays
-    # for it
-    from queue import SimpleQueue
-
-    def serve(jobs):
-        while True:
-            function, args, done = jobs.get()
-            try:
-                done.put((function(*args), None))
-            except BaseException as error:
-                done.put((None, error))
-            # let go of the job's buffers while waiting for the next
-            del function, args, done
-
-    global _DRAWER
-    with _DRAWER_LOCK:
-        if _DRAWER is None or _DRAWER[0] != os.getpid():
-            jobs = SimpleQueue()
-            threading.Thread(target=serve, args=(jobs,), name="bscbounds-draws",
-                             daemon=True).start()
-            _DRAWER = (os.getpid(), jobs)
-        return _DRAWER[1], SimpleQueue()
+def _chunk_width(rows: int, total: int) -> int:
+    """Steps a row of a lockstep group of `rows` rows runs in each chunk of a
+    run of `total` steps: a multiple of 8, the chunks holding at most
+    _MC_CHUNK steps over all rows, split evenly."""
+    chunks = -(-total // max(8, _MC_CHUNK // rows // 8 * 8))
+    return -(-total // (8 * chunks)) * 8
 
 
-def _scan(q: np.ndarray, alpha: np.ndarray, m: float | np.ndarray, total: int, rngs: list,
-          skip: int):
-    """Run the belief recursion of every row from W_0 = 0 for `total` steps,
-    the rows in lockstep, and yield steps skip + 1 .. total in pieces of at
-    most max(8, _MC_PIECE // rows) steps a row, each as (num, den, cut):
-    pass C2 (_prefix_apply) on the prefix tables of _row_tables(q, alpha, m)
-    over the piece's whole flag bytes, shape (rows, bytes, 8), and the slice
-    of the piece's own steps in those bytes' steps.
+def _draws(q: np.ndarray, alpha: np.ndarray, total: int, rngs: list):
+    """Yield the packed step flags of every chunk of a lockstep group's run
+    of `total` steps, shape (rows, bytes) in uint8, for _scan: the half of
+    the Monte Carlo that calls the rows' generators.
 
     Since f is odd, V_i = sigma_i W_i, with sigma_i = S_1 ... S_i, obeys
     V_i = sigma_i R_i ln(eta) + f(V_{i-1}), one of two fixed steps, flagged
-    where sigma_i R_i = -1. Chunks hold at most _MC_CHUNK steps over all
-    rows, split evenly. The flags are drawn one chunk ahead on a helper
-    thread (_drawer), into the other of two pairs of flag buffers, while
-    this thread scans the chunk before; the helper is the only user of the
-    rows' generators until the scan ends. Chunk by chunk, row r draws R from
-    rngs[r] and S from its _s_stream, taken at the row's first draw, in
-    blocks of at most _MC_PIECE into one pair of buffers that all rows
-    share; rngs[r] is left where the S draws end once the last chunk is
-    drawn. sigma's signs are the running logical xor of the S flags, taken
-    in place on their bool buffer, and a step's flag is its R flag xor
-    sigma's. The flags are packed 8 to a byte, the last byte padded with
-    steps that are never read, and the odds before every byte come from
-    _byte_odds. The odds and the sign of sigma are carried across chunks
-    from the chunk's last step.
+    where sigma_i R_i = -1. Chunk by chunk, row r draws R from rngs[r] and S
+    from its _s_stream, taken at the row's first draw, in blocks of at most
+    _MC_PIECE into one pair of buffers that all rows share, and compares them
+    into one pair of (rows, width) flag buffers. sigma's signs are the
+    running logical xor of the S flags, taken in place on their bool buffer
+    and carried across chunks by the sign of the chunk's last step, and a
+    step's flag is its R flag xor sigma's. The flags are packed 8 to a byte,
+    bit j of a byte step j, the last byte padded with zeros. Once the last
+    chunk is taken, rngs[r] is left where the S draws end.
     """
     rows = len(rngs)
-    piece = max(8, _MC_PIECE // rows)
-    chunks = -(-total // max(8, _MC_CHUNK // rows // 8 * 8))
-    width = -(-total // (8 * chunks)) * 8
+    width = _chunk_width(rows, total)
     # one pair of draw buffers for the group: its rows draw one after another
     block = min(width, _MC_PIECE)
     r_u, s_u = np.empty(block), np.empty(block)
+    r_neg, s_neg = np.empty((rows, width), dtype=bool), np.empty((rows, width), dtype=bool)
     s_rngs = []
     # Python floats: comparing with a numpy scalar costs several times more
     r_lims, s_lims = alpha.tolist(), q.tolist()
-
-    def draw(start, r_neg, s_neg):
-        # the flags of the chunk at `start`, on the helper thread
+    odd = np.zeros(rows, dtype=bool)
+    for start in range(0, total, width):
         n = min(width, total - start)
         for k, (rng, r_row, s_row) in enumerate(zip(rngs, r_neg, s_neg)):
             if not start:
@@ -750,56 +722,219 @@ def _scan(q: np.ndarray, alpha: np.ndarray, m: float | np.ndarray, total: int, r
             s_rng, r_lim, s_lim = s_rngs[k], r_lims[k], s_lims[k]
             for lo in range(0, n, block):
                 hi = min(lo + block, n)
-                r_block = rng.random(out=r_u[:hi - lo])
-                s_block = s_rng.random(out=s_u[:hi - lo])
-                np.less(r_block, r_lim, out=r_row[lo:hi])
-                np.less(s_block, s_lim, out=s_row[lo:hi])
-        return r_neg, s_neg
-
-    flag_bufs = [(np.empty((rows, width), dtype=bool), np.empty((rows, width), dtype=bool))
-                 for _ in range(2)]
-    jobs, done = _drawer()
-    jobs.put((draw, (0, *flag_bufs[0]), done))
-    pending = True
-    try:
-        # built while the first chunk is drawn
-        byte_maps, steps = _row_tables(q, alpha, m)
-        offsets = np.arange(0, 256 * rows, 256)[:, None]
-        x = np.ones(rows)
-        odd = np.zeros(rows, dtype=bool)
-        for c, start in enumerate(range(0, total, width)):
-            drawn, error = done.get()
-            pending = False
-            if error is not None:
-                raise error
-            r_neg, s_neg = drawn
-            if start + width < total:
-                jobs.put((draw, (start + width, *flag_bufs[(c + 1) % 2]), done))
-                pending = True
-            n = min(width, total - start)
-            # sigma flips with every S flag: it is their running xor, carried
-            # across chunks by its last step's sign. logical_xor on the bools
-            # took 1.0 ns a step on a (7, 8752) chunk, bitwise_xor on their
-            # uint8 view 2.5 ns (2 Intel Xeon vCPUs, numpy 2.4.6)
-            sigma = s_neg[:, :n]
-            sigma[:, 0] ^= odd
-            np.logical_xor.accumulate(sigma, axis=1, out=sigma)
-            odd = sigma[:, -1].copy()
-            flags = np.bitwise_xor(r_neg[:, :n], s_neg[:, :n], out=r_neg[:, :n])
-            index = np.packbits(flags, axis=1, bitorder="little") + offsets
-            odds, x = _byte_odds(byte_maps, index, x)
-            for lo in range(max(0, skip - start), n, piece):
-                hi = min(lo + piece, n)
-                first, end = lo // 8, -(-hi // 8)
-                num, den = _prefix_apply(steps, index[:, first:end], odds[:, first:end])
-                yield num, den, slice(lo - 8 * first, hi - 8 * first)
-    finally:
-        # a scan that ends early, by an error or a close, still waits for the
-        # helper to let go of the generators
-        if pending:
-            done.get()
+                np.less(rng.random(out=r_u[:hi - lo]), r_lim, out=r_row[lo:hi])
+                np.less(s_rng.random(out=s_u[:hi - lo]), s_lim, out=s_row[lo:hi])
+        # logical_xor on the bools took 1.0 ns a step on a (7, 8752) chunk,
+        # bitwise_xor on their uint8 view 2.5 ns (2 Intel Xeon vCPUs, numpy
+        # 2.4.6)
+        sigma = s_neg[:, :n]
+        sigma[:, 0] ^= odd
+        np.logical_xor.accumulate(sigma, axis=1, out=sigma)
+        odd = sigma[:, -1].copy()
+        flags = np.bitwise_xor(r_neg[:, :n], sigma, out=r_neg[:, :n])
+        yield np.packbits(flags, axis=1, bitorder="little")
     for rng, s_rng in zip(rngs, s_rngs):
         rng.bit_generator.state = s_rng.bit_generator.state
+
+
+def _scan(q: np.ndarray, alpha: np.ndarray, m: float | np.ndarray, packed, total: int,
+          skip: int):
+    """Run the belief recursion of every row of a lockstep group from
+    W_0 = 0 for `total` steps, on the packed flags of _draws, an iterable of
+    one (rows, bytes) array a chunk, and yield steps skip + 1 .. total in
+    pieces of at most max(8, _MC_PIECE // rows) steps a row, each as
+    (num, den, cut): pass C2 (_prefix_apply) on the prefix tables of
+    _row_tables(q, alpha, m) over the piece's whole flag bytes, shape
+    (rows, bytes, 8), and the slice of the piece's own steps in those bytes'
+    steps. The odds before every byte come from _byte_odds, and the odds are
+    carried across chunks from the chunk's last step. This half calls no
+    generator, so it can run in another process than the draws.
+    """
+    rows = q.size
+    piece = max(8, _MC_PIECE // rows)
+    width = _chunk_width(rows, total)
+    byte_maps, steps = _row_tables(q, alpha, m)
+    offsets = np.arange(0, 256 * rows, 256)[:, None]
+    x = np.ones(rows)
+    # enumerate, not a zip with the chunk starts, so that _draws runs to its
+    # end and leaves the generators where their draws end
+    for c, chunk in enumerate(packed):
+        start = c * width
+        n = min(width, total - start)
+        index = chunk + offsets
+        odds, x = _byte_odds(byte_maps, index, x)
+        for lo in range(max(0, skip - start), n, piece):
+            hi = min(lo + piece, n)
+            first, end = lo // 8, -(-hi // 8)
+            num, den = _prefix_apply(steps, index[:, first:end], odds[:, first:end])
+            yield num, den, slice(lo - 8 * first, hi - 8 * first)
+
+
+def _fold(q: np.ndarray, alpha: np.ndarray, packed, total: int,
+          burnin: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """entropy_rate_mc_many's running sums (shift, s1, s2) of one lockstep
+    group, from _scan on the packed flags `packed` at m = alpha * q: the
+    function the worker process runs, and the caller where there is none."""
+    shift, s1, s2 = None, np.zeros(q.size), np.zeros(q.size)
+    for num, den, cut in _scan(q, alpha, _conv(alpha, q), packed, total, burnin):
+        hv = _entropy_terms(num, den)[:, cut]
+        if shift is None:
+            shift = np.add.reduce(hv, axis=1) / hv.shape[1]
+        hv -= shift[:, None]
+        s1 += np.add.reduce(hv, axis=1)
+        s2 += np.einsum("ij,ij->i", hv, hv)
+    return shift, s1, s2
+
+
+def _send(fd: int, data: np.ndarray) -> None:
+    """Write the bytes of the contiguous array `data` to the pipe fd."""
+    view = memoryview(data).cast("B")
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _recv(fd: int, out: np.ndarray) -> None:
+    """Fill the contiguous array `out` from the pipe fd, or raise EOFError."""
+    view = memoryview(out).cast("B")
+    while view:
+        got = os.readv(fd, [view])
+        if not got:
+            raise EOFError("the Monte Carlo worker's pipe ended")
+        view = view[got:]
+
+
+def _serve(requests: int, replies: int) -> None:
+    """The worker's loop: for each group sent on `requests`, (rows, total,
+    burnin) in int64, q and alpha in float64 and then the packed flags of
+    every chunk, write _fold's (shift, s1, s2) to `replies`, until EOFError."""
+    header = np.empty(3, dtype=np.int64)
+    while True:
+        _recv(requests, header)
+        rows, total, burnin = header.tolist()
+        rates = np.empty((2, rows))
+        _recv(requests, rates)
+        packed = _received(requests, rows, total)
+        _send(replies, np.stack(_fold(*rates, packed, total, burnin)))
+
+
+def _received(fd: int, rows: int, total: int):
+    """Yield the packed flags of every chunk of a group's run of `total`
+    steps, as _draws yields them, read from the pipe fd into one buffer."""
+    width = _chunk_width(rows, total)
+    buf = np.empty(rows * width // 8, dtype=np.uint8)
+    for start in range(0, total, width):
+        chunk = buf[:rows * -(-min(width, total - start) // 8)].reshape(rows, -1)
+        _recv(fd, chunk)
+        yield chunk
+
+
+def _worker() -> tuple[int, int, int, int]:
+    """_WORKER, forked on first use, with the package loaded, to run _serve.
+    It ignores SIGINT, which its parent handles, and once its request pipe
+    ends it leaves by os._exit, which flushes no inherited stdio buffer."""
+    global _WORKER
+    if _WORKER is None or _WORKER[0] != os.getpid():
+        requests, to_worker = os.pipe()
+        from_worker, replies = os.pipe()
+        try:
+            with warnings.catch_warnings():
+                # Python 3.12+ warns that forking a process with threads may
+                # deadlock; the worker takes no lock another thread holds
+                warnings.simplefilter("ignore", DeprecationWarning)
+                pid = os.fork()
+        except BaseException:
+            for fd in (requests, to_worker, from_worker, replies):
+                os.close(fd)
+            raise
+        if not pid:
+            status = 1
+            try:
+                import signal
+
+                signal.signal(signal.SIGINT, signal.SIG_IGN)
+                os.close(to_worker)
+                os.close(from_worker)
+                _serve(requests, replies)
+            except EOFError:
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(requests)
+        os.close(replies)
+        _WORKER = (os.getpid(), pid, to_worker, from_worker)
+    return _WORKER
+
+
+def _drop_worker() -> None:
+    """Close the pipes to this process's worker, which then ends, and reap it."""
+    global _WORKER
+    if _WORKER is None:
+        return
+    _, pid, to_worker, from_worker = _WORKER
+    _WORKER = None
+    os.close(to_worker)
+    os.close(from_worker)
+    try:
+        os.waitpid(pid, 0)
+    except ChildProcessError:
+        # reaped already, by a caller's wait for any child
+        pass
+
+
+def _forget_worker() -> None:
+    """In a forked child: close the parent's worker pipes, which would keep
+    that worker alive, and take a fresh lock, which no other thread holds."""
+    global _WORKER, _WORKER_LOCK
+    if _WORKER is not None:
+        os.close(_WORKER[2])
+        os.close(_WORKER[3])
+    _WORKER = None
+    _WORKER_LOCK = _thread.allocate_lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_worker)
+# a process that exits reaps its worker itself, not leaving it to whichever
+# process adopts it
+atexit.register(_drop_worker)
+
+
+def _forks() -> bool:
+    """Whether the Monte Carlo folds its groups in a worker process: where
+    os.fork exists and this process may run on more than one CPU."""
+    if not hasattr(os, "fork"):
+        return False
+    try:
+        return len(os.sched_getaffinity(0)) > 1
+    except AttributeError:
+        return (os.cpu_count() or 1) > 1
+
+
+def _fold_groups(groups: list, total: int, burnin: int) -> list:
+    """_fold's (shift, s1, s2) of every (q, alpha, rngs) of `groups`, in
+    order: here without a worker, else by sending the worker each group's
+    header and chunks as _draws makes them and reading a group's sums once
+    the next is sent. Callers take turns on _WORKER_LOCK, and any error
+    drops the worker, so the next call forks a fresh one."""
+    if not (groups and _forks()):
+        return [_fold(q, alpha, _draws(q, alpha, total, rngs), total, burnin)
+                for q, alpha, rngs in groups]
+    sums = [np.empty((3, q.size)) for q, _, _ in groups]
+    with _WORKER_LOCK:
+        try:
+            _, _, to_worker, from_worker = _worker()
+            for k, (q, alpha, rngs) in enumerate(groups):
+                _send(to_worker, np.array([q.size, total, burnin], dtype=np.int64))
+                _send(to_worker, np.stack((q, alpha)))
+                for chunk in _draws(q, alpha, total, rngs):
+                    _send(to_worker, chunk)
+                if k:
+                    _recv(from_worker, sums[k - 1])
+            _recv(from_worker, sums[-1])
+        except BaseException:
+            _drop_worker()
+            raise
+    return sums
 
 
 def _byte_odds(byte_maps: np.ndarray, index: np.ndarray,
@@ -836,28 +971,34 @@ def _byte_odds(byte_maps: np.ndarray, index: np.ndarray,
     levels = [level]
     while level.shape[-1] > 1:
         later, earlier = level[..., 1::2], level[..., ::2]
-        level = later[:, :1] * earlier[:1] + later[:, 1:] * earlier[1:]
+        level = later[:, :1] * earlier[:1]
+        level += later[:, 1:] * earlier[1:]
         level /= level.max(axis=(0, 1))
         levels.append(level)
 
     # pass B: round r turns the map of blocks k-2^r+1..k into that of blocks
-    # k-2^(r+1)+1..k
+    # k-2^(r+1)+1..k, in place on the top level, which pass C1 does not read
     prefix = level[..., 0]
     shift = 1
     while shift < blocks:
         later, earlier = prefix[..., shift:], prefix[..., :-shift]
         joined = later[:, :1] * earlier[:1] + later[:, 1:] * earlier[1:]
         joined /= joined.max(axis=(0, 1))
-        prefix = np.concatenate((prefix[..., :shift], joined), axis=-1)
+        prefix[..., shift:] = joined
         shift *= 2
-    x0 = x[:, None]
-    num, den = prefix[:, 0, :, :-1] * x0 + prefix[:, 1, :, :-1]
-    odds = np.hstack((x0, num / den))[..., None]
+    # odds[..., j] is the odds before byte j of each block
+    odds = np.empty((rows, blocks, size))
+    odds[:, 0, 0] = x
+    num, den = prefix[:, 0, :, :-1] * x[:, None] + prefix[:, 1, :, :-1]
+    np.divide(num, den, out=odds[:, 1:, 0])
 
-    # pass C1
+    # pass C1: a level's parts span `span` bytes, the odds before its left
+    # halves sit every 2 span bytes, and those before its right halves
+    # between them
     for level in reversed(levels[:-1]):
-        num, den = level[:, 0, ..., ::2] * odds + level[:, 1, ..., ::2]
-        odds = np.stack((odds, num / den), axis=-1).reshape(rows, blocks, -1)
+        span = size // level.shape[-1]
+        num, den = level[:, 0, ..., ::2] * odds[..., ::2 * span] + level[:, 1, ..., ::2]
+        np.divide(num, den, out=odds[..., span::2 * span])
     last = size - 1 - pad
     num, den = levels[0][:, 0, :, -1, last] * odds[:, -1, last] + levels[0][:, 1, :, -1, last]
     return odds.reshape(rows, -1)[:, :nbytes], num / den
@@ -903,7 +1044,8 @@ def _odds_path(q: float, alpha: float, total: int, rng: np.random.Generator):
     """Yield the odds x = e^V of V_i = sigma_i W_i for steps 1 .. total of
     one row, in _scan's pieces, from pass C2 on the prefix tables of
     _row_tables(..., 0), the odds' numerator and denominator."""
-    for num, den, cut in _scan(np.array([q]), np.array([alpha]), 0.0, total, [rng], 0):
+    q, alpha = np.array([q]), np.array([alpha])
+    for num, den, cut in _scan(q, alpha, 0.0, _draws(q, alpha, total, [rng]), total, 0):
         num /= den
         yield num.reshape(-1)[cut]
 
@@ -945,16 +1087,17 @@ def entropy_rate_mc_many(params_seq, samples: int, burnin: int, seeds) -> list[M
     Rows with a rate at or below _TINY_RATE read (h of the larger rate, 0.0),
     and rows with q or alpha exactly 1/2 (1.0, 0.0), without simulating.
 
-    The others run in lockstep groups of at most _MC_ROWS, each one _scan in
-    chunks of at most _MC_CHUNK steps over the group's rows, so memory is
-    bounded whatever the number of rows and steps. Each chunk's R and S
-    uniforms are drawn one chunk ahead on a helper thread, one per process,
-    while the chunk before is scanned, so a run uses a second core where
-    there is one. They go into one pair of buffers of at most _MC_PIECE
-    doubles (S from _s_stream, a copy of the generator moved past all R
-    draws, which keeps entropy_rate_mc's stream) and are compared into the
-    free one of two pairs of flag buffers, in the order one thread would
-    draw them. Since f is odd, V_i = S_1 ... S_i W_i takes one of two fixed
+    The others run in lockstep groups of at most _MC_ROWS, each in chunks of
+    at most _MC_CHUNK steps over the group's rows, so memory is bounded
+    whatever the number of rows and steps. This thread draws each chunk's R
+    and S uniforms into one pair of buffers of at most _MC_PIECE doubles (S
+    from _s_stream, a copy of the generator moved past all R draws, which
+    keeps entropy_rate_mc's stream) and packs their flags (_draws). Where
+    the process may use a second CPU and can fork, one worker process, made
+    on the first simulated group, scans the packed chunks as they come
+    through a pipe and sends back each group's running sums (_fold_groups),
+    so a run uses a second core; elsewhere the same _fold runs here, with
+    the same numbers. Since f is odd, V_i = S_1 ... S_i W_i takes one of two fixed
     steps, and h is even in W, so only the odds x = e^V are needed. In odds
     each step is a Moebius map with a nonnegative 2x2 matrix, and a flag
     byte of 8 steps one of 256 fixed maps: one table per (q, alpha) holds them and their prefixes
@@ -995,24 +1138,15 @@ def entropy_rate_mc_many(params_seq, samples: int, burnin: int, seeds) -> list[M
             live.append((i, params, rng))
             out.append(None)
     total = burnin + samples
-    groups = -(-len(live) // _MC_ROWS)
-    for k in range(groups):
-        group = live[k * len(live) // groups:(k + 1) * len(live) // groups]
-        rows = len(group)
-        q = np.array([params.q for _, params, _ in group])
-        alpha = np.array([params.alpha for _, params, _ in group])
-        rngs = [rng for _, _, rng in group]
-        shift, s1, s2 = None, np.zeros(rows), np.zeros(rows)
-        for num, den, cut in _scan(q, alpha, _conv(alpha, q), total, rngs, burnin):
-            hv = _entropy_terms(num, den)[:, cut]
-            if shift is None:
-                shift = np.add.reduce(hv, axis=1) / hv.shape[1]
-            hv -= shift[:, None]
-            s1 += np.add.reduce(hv, axis=1)
-            s2 += np.einsum("ij,ij->i", hv, hv)
+    count = -(-len(live) // _MC_ROWS)
+    groups = [live[k * len(live) // count:(k + 1) * len(live) // count] for k in range(count)]
+    jobs = [(np.array([p.q for _, p, _ in group]), np.array([p.alpha for _, p, _ in group]),
+             [rng for _, _, rng in group]) for group in groups]
+    for group, (shift, s1, s2) in zip(groups, _fold_groups(jobs, total, burnin)):
         # rounding can leave s2 a hair below s1^2 / N when every term is equal
         sq_dev = np.maximum(s2 - s1 * s1 / samples, 0.0)
-        se = np.sqrt(sq_dev / (samples - 1)) / math.sqrt(samples) if samples > 1 else np.zeros(rows)
+        se = (np.sqrt(sq_dev / (samples - 1)) / math.sqrt(samples) if samples > 1
+              else np.zeros(len(group)))
         for (i, _, _), est, err in zip(group, (-(shift + s1 / samples)).tolist(), se.tolist()):
             out[i] = McEstimate(est, err)
     return out

@@ -3,12 +3,13 @@ left on the public functions, no private function that the package itself
 never uses, no private default that only the tests rely on, no defaulted
 private parameter that only the tests set, the paper's MMSE lemma written
 out in one place, the Monte Carlo's per-step kernels called from one place
-each, one path through the order searches' plans, one channel mix behind
-the noisy tables, the conditional MMSE and the stacked output laws, one
-stacking loop that groups pmfs by n for every same-n batch, no per-pmf loop
-left in the single channel, entropy and one-order MMSE calls, and one path
-from the order search and the any-order oracle to their callers, with one
-builder of the searched bounds' results."""
+each, one fork and no thread pool behind the Monte Carlo, one path through
+the order searches' plans, one channel mix behind the noisy tables, the
+conditional MMSE and the stacked output laws, one stacking loop that groups
+pmfs by n for every same-n batch, no per-pmf loop left in the single
+channel, entropy and one-order MMSE calls, and one path from the order
+search and the any-order oracle to their callers, with one builder of the
+searched bounds' results."""
 
 import ast
 import inspect
@@ -146,13 +147,35 @@ def test_the_mmse_lemma_is_written_out_only_in_lift():
 
 
 def test_the_monte_carlo_step_kernels_have_one_caller_each():
-    # pass C2 runs on every kept piece inside _scan, and only
-    # entropy_rate_mc_many turns its weights into entropy terms
+    # pass C2 runs on every kept piece inside _scan, and only _fold, which
+    # the worker process and the in-process path share, turns its weights
+    # into entropy terms
     kernels = {"_prefix_apply", "_entropy_terms"}
     found = [f"{module}.{getattr(node, 'name', None)}: {_called(sub)}"
              for module, node in _top_level() for sub in ast.walk(node)
              if _called(sub) in kernels]
-    assert sorted(found) == ["hmm._scan: _prefix_apply", "hmm.entropy_rate_mc_many: _entropy_terms"]
+    assert sorted(found) == ["hmm._fold: _entropy_terms", "hmm._scan: _prefix_apply"]
+
+
+def test_one_function_forks_and_no_module_imports_a_thread_pool():
+    # the Monte Carlo's worker process is forked by os.fork in the one
+    # function that starts it; neither a thread nor multiprocessing, whose
+    # imports cost start-up time and memory, is needed for it
+    forks = [f"{module}.{getattr(node, 'name', None)}" for module, node in _top_level()
+             for sub in ast.walk(node) if _called(sub) == "fork"]
+    assert forks == ["hmm._worker"]
+    imported = []
+    for module, node in _top_level():
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Import):
+                names = [alias.name for alias in sub.names]
+            elif isinstance(sub, ast.ImportFrom):
+                names = [sub.module or ""]
+            else:
+                continue
+            imported += [f"{module}: {name}" for name in names
+                         if name.split(".")[0] in {"threading", "multiprocessing", "concurrent"}]
+    assert imported == []
 
 
 def test_the_order_search_plans_have_one_reader_each():

@@ -337,18 +337,13 @@ def test_a_generator_shared_by_two_groups_keeps_its_draw_order():
     g = CountingGenerator(np.random.PCG64(11))
     params = [MarkovHmmParams(q, 0.11) for q in FIG3_QS[:9]]
     got = entropy_rate_mc_many(params, 20_000, 1_005, [g] * 9)
-    drew_on = set(g.threads)
+    # every draw ran on the calling thread
+    assert set(g.threads) == {threading.get_ident()}
     assert [e.estimate.hex() for e in got] + [g.random().hex()] == [
         "0x1.3fb1a3c787f1cp-1", "0x1.62c28c86354d4p-1", "0x1.7d2e1d4baaac5p-1",
         "0x1.923d3177c68bfp-1", "0x1.a2ea614b82105p-1", "0x1.b186be239847dp-1",
         "0x1.be98bfe10b25dp-1", "0x1.c9a44040928b1p-1", "0x1.d2dc448273fb2p-1",
         "0x1.eb27ab9c1d86cp-2"]
-    # every draw ran on one helper thread, not the caller's, and the next
-    # call draws on the same one
-    h = CountingGenerator(np.random.PCG64(12))
-    entropy_rate_mc(params[0], 1_000, burnin=0, seed=h)
-    assert len(drew_on) == 1 and set(h.threads) == drew_on
-    assert threading.get_ident() not in drew_on
 
 
 def test_a_failed_draw_raises_in_the_caller_and_spares_the_helper():
@@ -362,7 +357,7 @@ def test_a_failed_draw_raises_in_the_caller_and_spares_the_helper():
         g.fail_at = 6
         with pytest.raises(DrawFailed):
             entropy_rate_mc(params, 2 * CHUNK, burnin=CHUNK, seed=g)
-        assert g.calls == 6 and threading.get_ident() not in g.threads
+        assert g.calls == 6 and set(g.threads) == {threading.get_ident()}
         assert entropy_rate_mc(params, 2 * CHUNK, burnin=CHUNK, seed=3) == want
     assert threading.active_count() == threads
 
@@ -378,8 +373,9 @@ class SlowGenerator(CountingGenerator):
 
 def test_closing_a_scan_waits_for_the_draw_in_flight():
     # a row's chunk of CHUNK steps draws in 4 blocks: the first piece comes
-    # once chunk 0's 4 calls are done and chunk 1's are put on the helper,
-    # which here take 0.05 s each, so the close finds them still running
+    # once chunk 0's 4 calls are done, and the path draws a chunk only when
+    # it scans it, so once closed it draws no more, the later calls taking
+    # 0.05 s each or not
     params = MarkovHmmParams(0.1, 0.11)
     want = entropy_rate_mc(params, 2 * CHUNK, burnin=CHUNK, seed=3)
     threads = threading.active_count()
@@ -388,16 +384,17 @@ def test_closing_a_scan_waits_for_the_draw_in_flight():
     next(path)
     assert g.calls < 8
     path.close()
-    # the close returned once chunk 1 was drawn, and chunk 2 was never asked for
-    assert g.calls == 8
+    # chunk 1 was never asked for
+    assert g.calls == 4
     time.sleep(0.1)
-    assert g.calls == 8 and threading.active_count() == threads
+    assert g.calls == 4 and threading.active_count() == threads
     assert entropy_rate_mc(params, 2 * CHUNK, burnin=CHUNK, seed=3) == want
 
 
 def test_callers_on_several_threads_share_the_helper():
-    # four callers, more than the cores here, submit their chunks to the one
-    # helper in turn; each must still read its own draws into its own buffers
+    # four callers, more than the cores here, take turns on the one worker
+    # process's lock; each must still read its own draws into its own buffers
+    # and get its own sums back
     params = [MarkovHmmParams(q, 0.11) for q in FIG3_QS[:3]]
 
     def run(k):
@@ -423,31 +420,179 @@ def test_callers_on_several_threads_share_the_helper():
     assert got == want
 
 
-def test_no_thread_starts_before_the_first_monte_carlo_call():
-    # the helper needs neither concurrent.futures nor, through it, logging,
-    # whose imports took about 2.8 ms of a fresh process's first call
-    code = ("import sys, threading, bscbounds.cli\n"
-            "from bscbounds.hmm import MarkovHmmParams, entropy_rate_mc\n"
-            "print(threading.active_count())\n"
-            "entropy_rate_mc(MarkovHmmParams(0.1, 0.11), 100, burnin=0)\n"
-            "print(threading.active_count())\n"
-            "print(*(m in sys.modules for m in ('concurrent.futures', 'logging')))\n")
-    # the child imports the package under test, not an installed copy
+def _python(code):
+    """Run `code` in a fresh Python that imports the package under test, not
+    an installed copy."""
     env = {**os.environ, "PYTHONPATH": str(Path(hmm.__file__).resolve().parents[1])}
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=env, check=True, timeout=60)
-    assert out.stdout.split() == ["1", "2", "False", "False"]
+    return subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True, env=env)
+
+
+def _output(code):
+    """The stdout of `code` run to its end in a fresh Python, which has to
+    succeed and write nothing to stderr; it returns once every holder of
+    those pipes, the Monte Carlo worker included, has closed them."""
+    child = _python(code)
+    out, err = child.communicate(timeout=60)
+    assert (child.returncode, err) == (0, "")
+    return out
+
+
+def _gone(pid, within=2.0):
+    """Whether process pid ends within `within` seconds: it no longer exists,
+    or it is a zombie that its new parent has not reaped yet."""
+    deadline = time.monotonic() + within
+    while True:
+        try:
+            os.kill(pid, 0)
+            with open(f"/proc/{pid}/stat") as stat:
+                if stat.read().rsplit(")", 1)[1].split()[0] == "Z":
+                    return True
+        except ProcessLookupError:
+            return True
+        except FileNotFoundError:
+            # no /proc here; os.kill found the process
+            pass
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.01)
+
+
+needs_worker = pytest.mark.skipif(not hmm._forks(), reason="no worker process here")
+
+START = ("from bscbounds import hmm\n"
+         "hmm.entropy_rate_mc(hmm.MarkovHmmParams(0.1, 0.11), 100, burnin=0)\n")
+
+
+def test_no_thread_starts_before_the_first_monte_carlo_call():
+    # the Monte Carlo starts no thread, and its worker process is forked by
+    # os.fork: neither a thread pool nor multiprocessing is imported for it,
+    # nor logging or socket through them (concurrent.futures and logging
+    # took about 2.8 ms of a fresh process's first call)
+    code = ("import os, sys, threading, bscbounds.cli\n"
+            "from bscbounds import hmm\n"
+            "def children():\n"
+            "    try:\n"
+            "        return os.waitpid(-1, os.WNOHANG) == (0, 0)\n"
+            "    except ChildProcessError:\n"
+            "        return False\n"
+            "print(threading.active_count(), children(), hmm._WORKER)\n"
+            "before = set(sys.modules)\n"
+            "hmm.entropy_rate_mc(hmm.MarkovHmmParams(0.1, 0.11), 100, burnin=0)\n"
+            "print(threading.active_count(), children() == hmm._forks())\n"
+            "watched = {'threading', 'multiprocessing', 'concurrent', 'logging', 'socket'}\n"
+            "print(sorted(m for m in set(sys.modules) - before if m.split('.')[0] in watched))\n")
+    assert _output(code).splitlines() == ["1 False None", "1 True", "[]"]
+
+
+@needs_worker
+@pytest.mark.parametrize("end", ["exit", "kill"])
+def test_the_worker_ends_with_its_parent(end):
+    # the worker reads the end of its request pipe once its parent is gone,
+    # by a normal exit or by a SIGKILL that runs no clean-up
+    child = _python(START + "print(hmm._WORKER[1], flush=True)\n"
+                    + ("import time\ntime.sleep(60)\n" if end == "kill" else ""))
+    try:
+        pid = int(child.stdout.readline())
+        if end == "kill":
+            child.kill()
+        child.wait(60)
+    finally:
+        child.kill()
+        child.stdout.close()
+        child.stderr.close()
+    assert child.returncode == (-9 if end == "kill" else 0)
+    assert _gone(pid)
+
+
+@needs_worker
+def test_the_worker_exits_on_the_end_of_its_pipe():
+    code = START + ("import os\n"
+                    "_, pid, to_worker, _ = hmm._WORKER\n"
+                    "os.close(to_worker)\n"
+                    "hmm._WORKER = None\n"
+                    "print(os.waitpid(pid, 0)[1])\n")
+    assert _output(code) == "0\n"
+
+
+@needs_worker
+def test_a_forked_child_that_never_simulates_lets_the_worker_end():
+    # the child closes its copy of the worker's request pipe at the fork, so
+    # the worker ends when its parent closes its own while the child lives
+    code = START + ("import multiprocessing, os, time\n"
+                    "_, pid, to_worker, _ = hmm._WORKER\n"
+                    "child = multiprocessing.get_context('fork').Process(target=time.sleep,"
+                    " args=(60,))\n"
+                    "child.start()\n"
+                    "os.close(to_worker)\n"
+                    "hmm._WORKER = None\n"
+                    "ended, deadline = False, time.monotonic() + 2\n"
+                    "while not ended and time.monotonic() < deadline:\n"
+                    "    ended = os.waitpid(pid, os.WNOHANG)[0] == pid\n"
+                    "    time.sleep(0.01)\n"
+                    "print(child.is_alive(), ended)\n"
+                    "child.kill()\n")
+    assert _output(code) == "True True\n"
+
+
+@needs_worker
+def test_buffered_stdout_is_not_written_twice():
+    # stdout to a pipe is block-buffered: the worker inherits the unflushed
+    # line at the fork, and os._exit ends it without flushing it again
+    assert _output("print('before')\n" + START) == "before\n"
+
+
+@needs_worker
+def test_a_failed_draw_drops_and_reaps_the_worker():
+    params = MarkovHmmParams(0.1, 0.11)
+    want = entropy_rate_mc(params, 2 * CHUNK, burnin=CHUNK, seed=3)
+    pid = hmm._WORKER[1]
+    g = CountingGenerator(np.random.PCG64(3))
+    g.fail_at = 6
+    with pytest.raises(DrawFailed):
+        entropy_rate_mc(params, 2 * CHUNK, burnin=CHUNK, seed=g)
+    assert hmm._WORKER is None
+    with pytest.raises(ChildProcessError):
+        os.waitpid(pid, os.WNOHANG)
+    assert entropy_rate_mc(params, 2 * CHUNK, burnin=CHUNK, seed=3) == want
+    assert hmm._WORKER[1] != pid
+
+
+# fig3-sweep's call and validate's grid at --budget 500: (params, samples,
+# burnin, seeds)
+WORKER_GRIDS = {
+    "fig3": ([MarkovHmmParams(q, 0.11) for q in FIG3_QS], 60_000, 10_000,
+             [(7, i) for i in range(len(FIG3_QS))]),
+    "validate": ([MarkovHmmParams(q, a) for a in (0.05, 0.11, 0.25)
+                  for q in (0.01, 0.05, 0.1, 0.2, 0.3, 0.45)], 200_000, 20_000,
+                 [(0, int(a * 1000), int(q * 1000)) for a in (0.05, 0.11, 0.25)
+                  for q in (0.01, 0.05, 0.1, 0.2, 0.3, 0.45)]),
+}
+
+
+@needs_worker
+@pytest.mark.parametrize("grid", WORKER_GRIDS)
+def test_the_worker_folds_as_this_process_does(monkeypatch, grid):
+    params, samples, burnin, seeds = WORKER_GRIDS[grid]
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    got = entropy_rate_mc_many(params, samples, burnin, rngs)
+    monkeypatch.setattr(hmm, "_forks", lambda: False)
+    here = [np.random.default_rng(seed) for seed in seeds]
+    assert entropy_rate_mc_many(params, samples, burnin, here) == got
+    # the draws ran here either way, and left the generators alike
+    assert [g.random() for g in rngs] == [g.random() for g in here]
 
 
 def _estimate_in_child(conn):
-    conn.send(entropy_rate_mc(MarkovHmmParams(0.1, 0.11), 20_000, burnin=1_000, seed=5))
+    got = entropy_rate_mc(MarkovHmmParams(0.1, 0.11), 20_000, burnin=1_000, seed=5)
+    conn.send((got, hmm._WORKER and hmm._WORKER[1]))
 
 
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                     reason="no fork start method here")
 def test_a_forked_child_draws_on_a_helper_of_its_own():
-    # the child inherits the parent's helper but not its thread: a draw
-    # submitted to that helper would never run
+    # the child inherits the parent's worker pipes, which it closes, and
+    # forks a worker of its own on its first call
     want = entropy_rate_mc(MarkovHmmParams(0.1, 0.11), 20_000, burnin=1_000, seed=5)
     ctx = multiprocessing.get_context("fork")
     recv, send = ctx.Pipe(duplex=False)
@@ -459,7 +604,7 @@ def test_a_forked_child_draws_on_a_helper_of_its_own():
         child.start()
     try:
         assert recv.poll(20), "the forked child's Monte Carlo call did not return"
-        got = recv.recv()
+        got, worker = recv.recv()
     finally:
         child.join(10)
         if child.is_alive():
@@ -467,6 +612,9 @@ def test_a_forked_child_draws_on_a_helper_of_its_own():
             child.join()
     assert not child.is_alive() and child.exitcode == 0
     assert (got.estimate.hex(), got.stderr.hex()) == (want.estimate.hex(), want.stderr.hex())
+    assert worker != (hmm._WORKER and hmm._WORKER[1])
+    if hmm._forks():
+        assert worker is not None
 
 
 def test_generator_seed_is_advanced_as_before():
@@ -489,11 +637,21 @@ def _traced_peak(run):
         tracemalloc.stop()
 
 
-def test_single_row_draws_into_fixed_buffers():
+def test_single_row_draws_into_fixed_buffers(monkeypatch):
     # a single row's chunk is 65,536 steps: fresh R and S arrays for it came
-    # to 1 MiB a chunk, against two 128 KiB buffers reused for every chunk
+    # to 1 MiB a chunk, against two 128 KiB buffers reused for every chunk.
+    # Folded in this process, both halves of the run are traced
+    monkeypatch.setattr(hmm, "_forks", lambda: False)
     params = MarkovHmmParams(0.1, 0.11)
     assert _traced_peak(lambda: entropy_rate_mc(params, 1_000_000, burnin=0)) <= 2 * 2**20
+
+
+@needs_worker
+def test_the_callers_half_draws_into_fixed_buffers():
+    # with a worker, this process holds the draw buffers, two of 128 KiB,
+    # and the flag buffers, two of 64 KiB, and one packed chunk at a time
+    params = MarkovHmmParams(0.1, 0.11)
+    assert _traced_peak(lambda: entropy_rate_mc(params, 1_000_000, burnin=0)) <= 0.5 * 2**20
 
 
 def test_odds_path_draws_into_fixed_buffers():
@@ -597,7 +755,8 @@ def test_first_kept_piece_of_one_step_before_a_chunk_boundary(monkeypatch, rows,
     # 2 * half steps run as two chunks of half steps (one row's chunks hold up
     # to CHUNK steps, a 7-row group's 9,360), so a burn-in of half - 1 keeps
     # one step of the first chunk: the shift of the running sums is that
-    # single term, not a piece mean
+    # single term, not a piece mean. The groups are folded in this process,
+    # where the patched _scan is seen, not in the worker
     cuts = []
     real = hmm._scan
 
@@ -606,6 +765,7 @@ def test_first_kept_piece_of_one_step_before_a_chunk_boundary(monkeypatch, rows,
             cuts.append(piece[2])
             yield piece
 
+    monkeypatch.setattr(hmm, "_forks", lambda: False)
     monkeypatch.setattr(hmm, "_scan", recorded)
     params = [MarkovHmmParams(q, a) for q, a in rows]
     seeds = [(6, i) for i in range(len(rows))]
@@ -646,14 +806,15 @@ def test_every_seed_is_checked_before_any_row_draws():
 
 
 def test_half_rate_rows_are_not_simulated(monkeypatch):
+    # the draws run in this process, with or without a worker
     simulated = []
-    real = hmm._scan
+    real = hmm._draws
 
     def counted(q, alpha, *rest):
         simulated.extend(zip(q.tolist(), alpha.tolist()))
         return real(q, alpha, *rest)
 
-    monkeypatch.setattr(hmm, "_scan", counted)
+    monkeypatch.setattr(hmm, "_draws", counted)
     rows = [(0.5, 0.11), (0.1, 0.5), (0.5, 0.5), (0.1, 0.11), (0.5 - 1e-9, 0.11)]
     params = [MarkovHmmParams(q, a) for q, a in rows]
     rng = np.random.default_rng(4)
@@ -667,9 +828,11 @@ def test_half_rate_rows_are_not_simulated(monkeypatch):
     assert rng.bit_generator.state == state
 
 
-def test_peak_memory_of_a_fig3_sweep_call():
+def test_peak_memory_of_a_fig3_sweep_call(monkeypatch):
     # 20 rows of 70,000 steps, as one fig3-sweep invocation runs; the last,
-    # q = 1/2, is not simulated
+    # q = 1/2, is not simulated. Folded in this process, both halves of the
+    # run are traced
+    monkeypatch.setattr(hmm, "_forks", lambda: False)
     params = [MarkovHmmParams(q, 0.11) for q in FIG3_QS]
     tracemalloc.start()
     try:
