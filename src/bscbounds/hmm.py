@@ -121,9 +121,9 @@ _MC_PIECE = 1 << 14
 _MC_BLOCK = 64
 _MC_ROWS = 8
 
-# (owner pid, worker pid, request fd, reply fd) of the worker process that
-# folds the Monte Carlo's groups, forked on the first simulated group and
-# again in a process whose pid differs, and the lock its callers share.
+# (worker pid, request fd, reply fd) of the worker process that folds the
+# Monte Carlo's groups, forked on the first simulated group and forgotten in
+# every forked child (_forget_worker), and the lock its callers share.
 _WORKER: tuple | None = None
 _WORKER_LOCK = _thread.allocate_lock()
 
@@ -677,12 +677,14 @@ def _row_tables(q: np.ndarray, alpha: np.ndarray,
     return byte_maps, table.reshape(4, rows * 256, 8)
 
 
-def _chunk_width(rows: int, total: int) -> int:
-    """Steps a row of a lockstep group of `rows` rows runs in each chunk of a
-    run of `total` steps: a multiple of 8, the chunks holding at most
-    _MC_CHUNK steps over all rows, split evenly."""
+def _chunks(rows: int, total: int) -> list[tuple[int, int]]:
+    """(start, steps) of every chunk of a lockstep group of `rows` rows on a
+    run of `total` steps, the steps a row's: the chunks hold at most
+    _MC_CHUNK steps over all rows, split evenly, each but the last a
+    multiple of 8 steps a row, so the first is the widest."""
     chunks = -(-total // max(8, _MC_CHUNK // rows // 8 * 8))
-    return -(-total // (8 * chunks)) * 8
+    width = -(-total // (8 * chunks)) * 8
+    return [(start, min(width, total - start)) for start in range(0, total, width)]
 
 
 def _draws(q: np.ndarray, alpha: np.ndarray, total: int, rngs: list):
@@ -703,7 +705,8 @@ def _draws(q: np.ndarray, alpha: np.ndarray, total: int, rngs: list):
     chunk is taken, rngs[r] is left where the S draws end.
     """
     rows = len(rngs)
-    width = _chunk_width(rows, total)
+    plan = _chunks(rows, total)
+    width = plan[0][1]
     # one pair of draw buffers for the group: its rows draw one after another
     block = min(width, _MC_PIECE)
     r_u, s_u = np.empty(block), np.empty(block)
@@ -712,8 +715,7 @@ def _draws(q: np.ndarray, alpha: np.ndarray, total: int, rngs: list):
     # Python floats: comparing with a numpy scalar costs several times more
     r_lims, s_lims = alpha.tolist(), q.tolist()
     odd = np.zeros(rows, dtype=bool)
-    for start in range(0, total, width):
-        n = min(width, total - start)
+    for start, n in plan:
         for k, (rng, r_row, s_row) in enumerate(zip(rngs, r_neg, s_neg)):
             if not start:
                 # taken after the rows before it drew their first chunk, so a
@@ -752,15 +754,12 @@ def _scan(q: np.ndarray, alpha: np.ndarray, m: float | np.ndarray, packed, total
     """
     rows = q.size
     piece = max(8, _MC_PIECE // rows)
-    width = _chunk_width(rows, total)
     byte_maps, steps = _row_tables(q, alpha, m)
     offsets = np.arange(0, 256 * rows, 256)[:, None]
     x = np.ones(rows)
-    # enumerate, not a zip with the chunk starts, so that _draws runs to its
-    # end and leaves the generators where their draws end
-    for c, chunk in enumerate(packed):
-        start = c * width
-        n = min(width, total - start)
+    # packed first in the zip, so that _draws runs to its end and leaves the
+    # generators where their draws end
+    for chunk, (start, n) in zip(packed, _chunks(rows, total)):
         index = chunk + offsets
         odds, x = _byte_odds(byte_maps, index, x)
         for lo in range(max(0, skip - start), n, piece):
@@ -793,47 +792,44 @@ def _send(fd: int, data: np.ndarray) -> None:
         view = view[os.write(fd, view):]
 
 
-def _recv(fd: int, out: np.ndarray) -> None:
-    """Fill the contiguous array `out` from the pipe fd, or raise EOFError."""
+def _recv(fd: int, out: np.ndarray) -> np.ndarray:
+    """Fill the contiguous array `out` from the pipe fd and return it, or
+    raise EOFError."""
     view = memoryview(out).cast("B")
     while view:
         got = os.readv(fd, [view])
         if not got:
             raise EOFError("the Monte Carlo worker's pipe ended")
         view = view[got:]
+    return out
 
 
 def _serve(requests: int, replies: int) -> None:
     """The worker's loop: for each group sent on `requests`, (rows, total,
     burnin) in int64, q and alpha in float64 and then the packed flags of
-    every chunk, write _fold's (shift, s1, s2) to `replies`, until EOFError."""
+    every chunk, write _fold's (shift, s1, s2) to `replies`, until EOFError.
+    Each chunk is read, as _draws yields it, into one buffer a group."""
     header = np.empty(3, dtype=np.int64)
     while True:
-        _recv(requests, header)
-        rows, total, burnin = header.tolist()
-        rates = np.empty((2, rows))
-        _recv(requests, rates)
-        packed = _received(requests, rows, total)
+        rows, total, burnin = _recv(requests, header).tolist()
+        rates = _recv(requests, np.empty((2, rows)))
+        plan = _chunks(rows, total)
+        buf = np.empty(rows * -(-plan[0][1] // 8), dtype=np.uint8)
+        packed = (_recv(requests, buf[:rows * -(-n // 8)].reshape(rows, -1)) for _, n in plan)
         _send(replies, np.stack(_fold(*rates, packed, total, burnin)))
 
 
-def _received(fd: int, rows: int, total: int):
-    """Yield the packed flags of every chunk of a group's run of `total`
-    steps, as _draws yields them, read from the pipe fd into one buffer."""
-    width = _chunk_width(rows, total)
-    buf = np.empty(rows * width // 8, dtype=np.uint8)
-    for start in range(0, total, width):
-        chunk = buf[:rows * -(-min(width, total - start) // 8)].reshape(rows, -1)
-        _recv(fd, chunk)
-        yield chunk
-
-
-def _worker() -> tuple[int, int, int, int]:
-    """_WORKER, forked on first use, with the package loaded, to run _serve.
-    It ignores SIGINT, which its parent handles, and once its request pipe
-    ends it leaves by os._exit, which flushes no inherited stdio buffer."""
+def _worker() -> tuple[int, int, int] | None:
+    """_WORKER, forked on first use, with the package loaded, to run _serve,
+    or None where the fork is refused (EAGAIN, EPERM): no draw has run yet,
+    so the caller folds in-process with the same numbers. The worker closes
+    its parent's descriptors but its two pipe ends, so that a pipe or socket
+    its parent closes later ends, and stdio, so that a fatal error still
+    reaches its parent's stderr. It ignores SIGINT, which its parent
+    handles, and once its request pipe ends it leaves by os._exit, which
+    flushes no inherited stdio buffer."""
     global _WORKER
-    if _WORKER is None or _WORKER[0] != os.getpid():
+    if _WORKER is None:
         requests, to_worker = os.pipe()
         from_worker, replies = os.pipe()
         try:
@@ -842,9 +838,11 @@ def _worker() -> tuple[int, int, int, int]:
                 # deadlock; the worker takes no lock another thread holds
                 warnings.simplefilter("ignore", DeprecationWarning)
                 pid = os.fork()
-        except BaseException:
+        except BaseException as exc:
             for fd in (requests, to_worker, from_worker, replies):
                 os.close(fd)
+            if isinstance(exc, OSError):
+                return None
             raise
         if not pid:
             status = 1
@@ -852,8 +850,11 @@ def _worker() -> tuple[int, int, int, int]:
                 import signal
 
                 signal.signal(signal.SIGINT, signal.SIG_IGN)
-                os.close(to_worker)
-                os.close(from_worker)
+                low = 3
+                for fd in sorted((requests, replies)):
+                    os.closerange(low, fd)
+                    low = max(low, fd + 1)
+                os.closerange(low, os.sysconf("SC_OPEN_MAX"))
                 _serve(requests, replies)
             except EOFError:
                 status = 0
@@ -861,7 +862,7 @@ def _worker() -> tuple[int, int, int, int]:
                 os._exit(status)
         os.close(requests)
         os.close(replies)
-        _WORKER = (os.getpid(), pid, to_worker, from_worker)
+        _WORKER = (pid, to_worker, from_worker)
     return _WORKER
 
 
@@ -870,7 +871,7 @@ def _drop_worker() -> None:
     global _WORKER
     if _WORKER is None:
         return
-    _, pid, to_worker, from_worker = _WORKER
+    pid, to_worker, from_worker = _WORKER
     _WORKER = None
     os.close(to_worker)
     os.close(from_worker)
@@ -883,15 +884,18 @@ def _drop_worker() -> None:
 
 def _forget_worker() -> None:
     """In a forked child: close the parent's worker pipes, which would keep
-    that worker alive, and take a fresh lock, which no other thread holds."""
+    that worker alive, and take a fresh lock, which no other thread holds.
+    So a child forks a worker of its own on its first simulated group."""
     global _WORKER, _WORKER_LOCK
     if _WORKER is not None:
+        os.close(_WORKER[1])
         os.close(_WORKER[2])
-        os.close(_WORKER[3])
     _WORKER = None
     _WORKER_LOCK = _thread.allocate_lock()
 
 
+# register_at_fork exists wherever os.fork does, so every child forked by
+# os.fork forgets its parent's worker
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_worker)
 # a process that exits reaps its worker itself, not leaving it to whichever
@@ -901,7 +905,11 @@ atexit.register(_drop_worker)
 
 def _forks() -> bool:
     """Whether the Monte Carlo folds its groups in a worker process: where
-    os.fork exists and this process may run on more than one CPU."""
+    os.fork exists and this process may run on more than one CPU. On one CPU
+    a worker has no core of its own to gain: pinned to one CPU, fig3-sweep's
+    unit_p50_s read 0.0502 s with a worker against 0.0464 s in-process (+8%;
+    6-8 fresh processes each), and the median of its 8 calls in fresh
+    processes 0.0495 against 0.0508 s (14 each), within noise; 2 vCPUs."""
     if not hasattr(os, "fork"):
         return False
     try:
@@ -912,29 +920,31 @@ def _forks() -> bool:
 
 def _fold_groups(groups: list, total: int, burnin: int) -> list:
     """_fold's (shift, s1, s2) of every (q, alpha, rngs) of `groups`, in
-    order: here without a worker, else by sending the worker each group's
-    header and chunks as _draws makes them and reading a group's sums once
-    the next is sent. Callers take turns on _WORKER_LOCK, and any error
-    drops the worker, so the next call forks a fresh one."""
-    if not (groups and _forks()):
-        return [_fold(q, alpha, _draws(q, alpha, total, rngs), total, burnin)
-                for q, alpha, rngs in groups]
-    sums = [np.empty((3, q.size)) for q, _, _ in groups]
+    order: by the worker where there is one, sending it each group's header
+    and chunks as _draws makes them and reading a group's sums once the next
+    is sent, and here otherwise, without a worker or where the fork is
+    refused. Callers take turns on _WORKER_LOCK, and any error drops the
+    worker, so the next call forks a fresh one."""
     with _WORKER_LOCK:
-        try:
-            _, _, to_worker, from_worker = _worker()
-            for k, (q, alpha, rngs) in enumerate(groups):
-                _send(to_worker, np.array([q.size, total, burnin], dtype=np.int64))
-                _send(to_worker, np.stack((q, alpha)))
-                for chunk in _draws(q, alpha, total, rngs):
-                    _send(to_worker, chunk)
-                if k:
-                    _recv(from_worker, sums[k - 1])
-            _recv(from_worker, sums[-1])
-        except BaseException:
-            _drop_worker()
-            raise
-    return sums
+        worker = _worker() if groups and _forks() else None
+        if worker is not None:
+            _, to_worker, from_worker = worker
+            sums = [np.empty((3, q.size)) for q, _, _ in groups]
+            try:
+                for k, (q, alpha, rngs) in enumerate(groups):
+                    _send(to_worker, np.array([q.size, total, burnin], dtype=np.int64))
+                    _send(to_worker, np.stack((q, alpha)))
+                    for chunk in _draws(q, alpha, total, rngs):
+                        _send(to_worker, chunk)
+                    if k:
+                        _recv(from_worker, sums[k - 1])
+                _recv(from_worker, sums[-1])
+            except BaseException:
+                _drop_worker()
+                raise
+            return sums
+    return [_fold(q, alpha, _draws(q, alpha, total, rngs), total, burnin)
+            for q, alpha, rngs in groups]
 
 
 def _byte_odds(byte_maps: np.ndarray, index: np.ndarray,

@@ -3,13 +3,13 @@ left on the public functions, no private function that the package itself
 never uses, no private default that only the tests rely on, no defaulted
 private parameter that only the tests set, the paper's MMSE lemma written
 out in one place, the Monte Carlo's per-step kernels called from one place
-each, one fork and no thread pool behind the Monte Carlo, one path through
-the order searches' plans, one channel mix behind the noisy tables, the
-conditional MMSE and the stacked output laws, one stacking loop that groups
-pmfs by n for every same-n batch, no per-pmf loop left in the single
-channel, entropy and one-order MMSE calls, and one path from the order
-search and the any-order oracle to their callers, with one builder of the
-searched bounds' results."""
+each, one fork and no thread pool behind the Monte Carlo, one reader of its
+chunk plan and no pid read in hmm, one path through the order searches'
+plans, one channel mix behind the noisy tables, the conditional MMSE and the
+stacked output laws, one stacking loop that groups pmfs by n for every
+same-n batch, no per-pmf loop left in the single channel, entropy and
+one-order MMSE calls, and one path from the order search and the any-order
+oracle to their callers, with one builder of the searched bounds' results."""
 
 import ast
 import inspect
@@ -176,6 +176,25 @@ def test_one_function_forks_and_no_module_imports_a_thread_pool():
             imported += [f"{module}: {name}" for name in names
                          if name.split(".")[0] in {"threading", "multiprocessing", "concurrent"}]
     assert imported == []
+
+
+def test_the_monte_carlo_chunk_plan_has_one_reader():
+    # _chunks alone turns _MC_CHUNK into each chunk's start and steps, for
+    # the draws, the scan and the worker's reads alike; a second reader
+    # would be a second copy of the plan on one side of the pipe
+    found = [f"{module}.{getattr(node, 'name', None)}" for module, node in _top_level()
+             for sub in ast.walk(node)
+             if (getattr(sub, "id", None) == "_MC_CHUNK" and isinstance(sub.ctx, ast.Load))
+             or getattr(sub, "attr", None) == "_MC_CHUNK"]
+    assert found == ["hmm._chunks"]
+
+
+def test_hmm_reads_no_pid():
+    # every forked child forgets its parent's worker at the fork
+    # (_forget_worker), so no owner pid tells the two apart
+    found = [getattr(node, "name", None) for module, node in _top_level() if module == "hmm"
+             for sub in ast.walk(node) if _called(sub) == "getpid"]
+    assert found == []
 
 
 def test_the_order_search_plans_have_one_reader_each():

@@ -346,13 +346,17 @@ def test_a_generator_shared_by_two_groups_keeps_its_draw_order():
         "0x1.eb27ab9c1d86cp-2"]
 
 
-def test_a_failed_draw_raises_in_the_caller_and_spares_the_helper():
+def test_a_failed_draw_raises_in_the_caller_and_spoils_no_later_call():
+    # every draw runs on the calling thread, so a failed one raises there,
+    # starts no thread, and the next call, which forks a fresh worker where
+    # the failure dropped one, reads as before
     params = MarkovHmmParams(0.1, 0.11)
     want = entropy_rate_mc(params, 2 * CHUNK, burnin=CHUNK, seed=3)
     threads = threading.active_count()
     for _ in range(20):
         # a row's chunk of CHUNK steps draws in 4 blocks, so call 6 is the
-        # second block of the second chunk, drawn while the first is scanned
+        # second block of the second chunk, drawn after the first went to
+        # the worker's scan, or was folded here where there is no worker
         g = CountingGenerator(np.random.PCG64(3))
         g.fail_at = 6
         with pytest.raises(DrawFailed):
@@ -363,7 +367,9 @@ def test_a_failed_draw_raises_in_the_caller_and_spares_the_helper():
 
 
 class SlowGenerator(CountingGenerator):
-    """A CountingGenerator whose calls after the fourth take 0.05 s longer."""
+    """A CountingGenerator whose calls after the fourth, those of a second
+    chunk, take 0.05 s longer, so that a draw still running once its caller
+    stopped asking would show in the count a moment later."""
 
     def random(self, *args, **kwargs):
         if self.calls >= 4:
@@ -371,11 +377,11 @@ class SlowGenerator(CountingGenerator):
         return super().random(*args, **kwargs)
 
 
-def test_closing_a_scan_waits_for_the_draw_in_flight():
+def test_a_closed_odds_path_draws_no_more():
     # a row's chunk of CHUNK steps draws in 4 blocks: the first piece comes
-    # once chunk 0's 4 calls are done, and the path draws a chunk only when
-    # it scans it, so once closed it draws no more, the later calls taking
-    # 0.05 s each or not
+    # once chunk 0's 4 calls are done, and the path draws a chunk on the
+    # calling thread only when its scan asks for it, so once closed it draws
+    # no more, however slow its later calls would be
     params = MarkovHmmParams(0.1, 0.11)
     want = entropy_rate_mc(params, 2 * CHUNK, burnin=CHUNK, seed=3)
     threads = threading.active_count()
@@ -391,7 +397,7 @@ def test_closing_a_scan_waits_for_the_draw_in_flight():
     assert entropy_rate_mc(params, 2 * CHUNK, burnin=CHUNK, seed=3) == want
 
 
-def test_callers_on_several_threads_share_the_helper():
+def test_callers_on_several_threads_share_the_worker():
     # four callers, more than the cores here, take turns on the one worker
     # process's lock; each must still read its own draws into its own buffers
     # and get its own sums back
@@ -490,7 +496,7 @@ def test_no_thread_starts_before_the_first_monte_carlo_call():
 def test_the_worker_ends_with_its_parent(end):
     # the worker reads the end of its request pipe once its parent is gone,
     # by a normal exit or by a SIGKILL that runs no clean-up
-    child = _python(START + "print(hmm._WORKER[1], flush=True)\n"
+    child = _python(START + "print(hmm._WORKER[0], flush=True)\n"
                     + ("import time\ntime.sleep(60)\n" if end == "kill" else ""))
     try:
         pid = int(child.stdout.readline())
@@ -508,7 +514,7 @@ def test_the_worker_ends_with_its_parent(end):
 @needs_worker
 def test_the_worker_exits_on_the_end_of_its_pipe():
     code = START + ("import os\n"
-                    "_, pid, to_worker, _ = hmm._WORKER\n"
+                    "pid, to_worker, _ = hmm._WORKER\n"
                     "os.close(to_worker)\n"
                     "hmm._WORKER = None\n"
                     "print(os.waitpid(pid, 0)[1])\n")
@@ -520,7 +526,7 @@ def test_a_forked_child_that_never_simulates_lets_the_worker_end():
     # the child closes its copy of the worker's request pipe at the fork, so
     # the worker ends when its parent closes its own while the child lives
     code = START + ("import multiprocessing, os, time\n"
-                    "_, pid, to_worker, _ = hmm._WORKER\n"
+                    "pid, to_worker, _ = hmm._WORKER\n"
                     "child = multiprocessing.get_context('fork').Process(target=time.sleep,"
                     " args=(60,))\n"
                     "child.start()\n"
@@ -546,7 +552,7 @@ def test_buffered_stdout_is_not_written_twice():
 def test_a_failed_draw_drops_and_reaps_the_worker():
     params = MarkovHmmParams(0.1, 0.11)
     want = entropy_rate_mc(params, 2 * CHUNK, burnin=CHUNK, seed=3)
-    pid = hmm._WORKER[1]
+    pid = hmm._WORKER[0]
     g = CountingGenerator(np.random.PCG64(3))
     g.fail_at = 6
     with pytest.raises(DrawFailed):
@@ -555,7 +561,63 @@ def test_a_failed_draw_drops_and_reaps_the_worker():
     with pytest.raises(ChildProcessError):
         os.waitpid(pid, os.WNOHANG)
     assert entropy_rate_mc(params, 2 * CHUNK, burnin=CHUNK, seed=3) == want
-    assert hmm._WORKER[1] != pid
+    assert hmm._WORKER[0] != pid
+
+
+@needs_worker
+def test_the_worker_keeps_no_descriptor_of_its_parents():
+    # a pipe open when the worker is forked ends once this process closes
+    # its write end: the worker kept only its own pipe ends and stdio
+    code = ("import os, select\n"
+            "r, w = os.pipe()\n"
+            "from bscbounds import hmm\n"
+            "params = [hmm.MarkovHmmParams(0.05 * (k + 1), 0.11) for k in range(9)]\n"
+            "hmm.entropy_rate_mc_many(params, 1_000, 100, range(9))\n"
+            "os.close(w)\n"
+            "print(select.select([r], [], [], 2)[0] == [r] and os.read(r, 1) == b'')\n")
+    assert _output(code) == "True\n"
+
+
+# os.fork refused, as at a process limit (EAGAIN) or in a sandbox (EPERM), in
+# a process that would fork a worker
+REFUSED = ("import errno, os, sys\n"
+           "def refuse():\n"
+           "    raise OSError(errno.{err}, os.strerror(errno.{err}))\n"
+           "os.fork = refuse\n"
+           "from bscbounds import hmm\n"
+           "hmm._forks = lambda: True\n")
+
+
+@pytest.mark.parametrize("err", ["EAGAIN", "EPERM"])
+def test_a_refused_fork_folds_in_the_caller(err):
+    # no draw has run when the fork fails, so the caller folds every group
+    # itself, with the numbers of the in-process path
+    code = REFUSED.format(err=err) + (
+        "params = [hmm.MarkovHmmParams(0.05 * (k + 1), 0.11) for k in range(9)]\n"
+        "got = hmm.entropy_rate_mc_many(params, 20_000, 1_000, range(9))\n"
+        "hmm._forks = lambda: False\n"
+        "print(got == hmm.entropy_rate_mc_many(params, 20_000, 1_000, range(9)), hmm._WORKER)\n")
+    assert _output(code) == "True None\n"
+
+
+def test_a_refused_fork_writes_the_same_fig3(tmp_path):
+    # the command exits 0, not with the file-error code 3, and its CSV is the
+    # one a process that can fork writes
+    argv = ["figure", "fig3", "--points", "21"]
+    run = "from bscbounds import cli\nsys.exit(cli.main({}))\n"
+    _output(REFUSED.format(err="EAGAIN") + run.format(argv + ["--out", str(tmp_path / "a.csv")]))
+    _output("import sys\n" + run.format(argv + ["--out", str(tmp_path / "b.csv")]))
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork here")
+@pytest.mark.parametrize("fork,cpus,want", [(True, {0}, False), (False, {0, 1}, False),
+                                            (True, {0, 1}, True)])
+def test_a_worker_needs_os_fork_and_a_second_cpu(monkeypatch, fork, cpus, want):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    if not fork:
+        monkeypatch.delattr(os, "fork")
+    assert hmm._forks() is want
 
 
 # fig3-sweep's call and validate's grid at --budget 500: (params, samples,
@@ -585,12 +647,12 @@ def test_the_worker_folds_as_this_process_does(monkeypatch, grid):
 
 def _estimate_in_child(conn):
     got = entropy_rate_mc(MarkovHmmParams(0.1, 0.11), 20_000, burnin=1_000, seed=5)
-    conn.send((got, hmm._WORKER and hmm._WORKER[1]))
+    conn.send((got, hmm._WORKER and hmm._WORKER[0]))
 
 
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                     reason="no fork start method here")
-def test_a_forked_child_draws_on_a_helper_of_its_own():
+def test_a_forked_child_forks_a_worker_of_its_own():
     # the child inherits the parent's worker pipes, which it closes, and
     # forks a worker of its own on its first call
     want = entropy_rate_mc(MarkovHmmParams(0.1, 0.11), 20_000, burnin=1_000, seed=5)
@@ -612,7 +674,7 @@ def test_a_forked_child_draws_on_a_helper_of_its_own():
             child.join()
     assert not child.is_alive() and child.exitcode == 0
     assert (got.estimate.hex(), got.stderr.hex()) == (want.estimate.hex(), want.stderr.hex())
-    assert worker != (hmm._WORKER and hmm._WORKER[1])
+    assert worker != (hmm._WORKER and hmm._WORKER[0])
     if hmm._forks():
         assert worker is not None
 
